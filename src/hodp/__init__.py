@@ -8,118 +8,7 @@ certificate.  A bounded exploration engine looks for empirical cycle
 witnesses when a disproof is wanted.
 """
 
-from hodp.closure import (
-    Closure,
-    Derivation,
-    RuleAdmissibility,
-    computability_closure,
-    replay_derivation,
-    rule_admissibility,
-)
-from hodp.engine import (
-    Exploration,
-    Step,
-    bounded_explore,
-    chain_sequences,
-    chain_successors,
-    disprove_seeds,
-    dot_graph,
-    format_step,
-    ground_term,
-    has_alpha_repeat,
-    internal_steps,
-    pair_root_steps,
-    replay_trace,
-    rewrite_steps,
-    rewrite_successors,
-)
-from hodp.errors import (
-    AmbiguousVariableType,
-    HodpError,
-    InputError,
-    InvalidPositionError,
-    LimitError,
-    MalformedLhsError,
-    PrecedenceCycleError,
-    ResourceLimitError,
-    SearchSpaceExceededError,
-    SystemSyntaxError,
-    SystemTypeError,
-    TermError,
-    TypeCheckError,
-)
-from hodp.ordering import (
-    Certificate,
-    ConstraintCheck,
-    GtTrace,
-    PathOrder,
-    Precedence,
-    Violation,
-    WeakWitness,
-    check_constraints,
-    check_with_statuses,
-    horpo_greater,
-    search_certificate,
-    type_skeleton,
-    weakly_decreases,
-)
-from hodp.pairs import (
-    DepPair,
-    ExtractionCheck,
-    call_level,
-    call_positions,
-    check_extraction,
-    extract_pairs,
-)
-from hodp.parser import parse_precedence_arg, parse_system
-from hodp.pipeline import (
-    AnalysisReport,
-    Options,
-    render_json,
-    render_text,
-    report_dict,
-    run_pipeline,
-)
-from hodp.signature import (
-    RewriteSystem,
-    Rule,
-    Signature,
-    accessible_args,
-    basic_sorts,
-    build_system,
-    polarity_positions,
-    sort_positions,
-)
-from hodp.terms import (
-    App,
-    Arrow,
-    Base,
-    Lam,
-    Position,
-    Sym,
-    Term,
-    Type,
-    Var,
-    alpha_canonical,
-    alpha_eq,
-    apply_subst,
-    arrow,
-    beta_normalize,
-    beta_reducts,
-    flatten_type,
-    free_vars,
-    fresh_var,
-    make_app,
-    match_pattern,
-    positions,
-    replace_at,
-    show_position,
-    show_term,
-    show_type,
-    spine,
-    subterm_at,
-    term_size,
-    type_of,
-)
+from hodp.parser import parse_system
+from hodp.pipeline import Options, run_pipeline
 
 __version__ = "0.1.0"

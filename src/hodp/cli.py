@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -115,8 +115,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"limit: {exc}", file=sys.stderr)
         return 3
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot_graph(report.graph))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as handle:
+                handle.write(dot_graph(report.graph))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     sys.stdout.write(render_json(report) if args.json else render_text(report, args.trace))
     return 0
 

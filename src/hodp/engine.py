@@ -99,30 +99,6 @@ def chain_successors(
     return succ
 
 
-def chain_sequences(
-    t: Term,
-    system: RewriteSystem,
-    pairs: tuple[DepPair, ...],
-    max_internal: int,
-    include_beta: bool = True,
-) -> list[tuple[Step, ...]]:
-    """All sequences of at most max_internal internal steps followed by one
-    root pair step, starting from t."""
-    out: list[tuple[Step, ...]] = []
-
-    def go(u: Term, path: list[Step]) -> None:
-        for s in pair_root_steps(u, pairs):
-            out.append(tuple(path) + (s,))
-        if len(path) < max_internal:
-            for s in internal_steps(u, system, include_beta):
-                path.append(s)
-                go(s.target, path)
-                path.pop()
-
-    go(t, [])
-    return out
-
-
 # -------------------------------------------------------------- exploration
 
 
@@ -160,8 +136,7 @@ def bounded_explore(
     state = {"expanded": 0, "bound_trace": None}
     edges: list[Step] = []
 
-    limit = max(sys.getrecursionlimit(), 3 * max_depth + 200)
-    sys.setrecursionlimit(limit)
+    old_limit = sys.getrecursionlimit()
 
     def memo_suffix(u: Term) -> list[Step]:
         steps = []
@@ -218,10 +193,13 @@ def bounded_explore(
         finished[key] = (best, best_step)
         return best
 
+    sys.setrecursionlimit(max(old_limit, 3 * max_depth + 200))
     try:
         h = visit(start, 0, [])
     except _CycleHit as hit:
         return Exploration("cycle", trace=hit.trace, expanded=state["expanded"], edges=tuple(edges))
+    finally:
+        sys.setrecursionlimit(old_limit)
     if state["bound_trace"] is not None:
         return Exploration(
             "bound-exceeded",

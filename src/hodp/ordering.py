@@ -230,10 +230,6 @@ class PathOrder:
         return GtTrace("mul", tuple(i for i, _ in left), tuple(legs))
 
 
-def horpo_greater(s: Term, t: Term, prec: Precedence) -> GtTrace | None:
-    return PathOrder(prec).greater(s, t)
-
-
 # ------------------------------------------------------------- weak order
 
 
@@ -372,83 +368,80 @@ def _symbol_arity(sig: Signature, name: str) -> int:
     return len(args)
 
 
-def _status_candidates(system: RewriteSystem, pairs: tuple[DepPair, ...]) -> list[str]:
-    """Defined symbols whose status can matter: at least two arguments."""
-    syms = constraint_symbols(system, pairs)
-    return [
-        n
-        for n in syms
-        if n in system.signature.defined and _symbol_arity(system.signature, n) >= 2
-    ]
-
-
 def check_with_statuses(
     system: RewriteSystem,
     pairs: tuple[DepPair, ...],
     edges: frozenset[tuple[str, str]],
+    vary: tuple[str, ...],
     beta_bound: int = 8,
-) -> Certificate | None:
-    """Fixed edge set, every status assignment (multiset first)."""
-    vary = _status_candidates(system, pairs)
+) -> ConstraintCheck:
+    """Fixed edge set, every status assignment of the symbols in vary
+    (multiset first).  Without a certificate, the violations returned are
+    those of the all-multiset assignment."""
+    first = None
     for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
         prec = Precedence(edges, dict(zip(vary, combo)))
         result = check_constraints(system, pairs, prec, beta_bound)
         if result.certificate is not None:
-            return result.certificate
-    return None
+            return result
+        if first is None:
+            first = result
+    return first
 
 
 def search_certificate(
     system: RewriteSystem,
     pairs: tuple[DepPair, ...],
-    required: tuple[tuple[str, str], ...] = (),
+    hints: tuple[tuple[str, str], ...] = (),
     max_symbols: int = 8,
     beta_bound: int = 8,
-) -> Certificate | None:
-    """Deterministic enumeration of total precedences and statuses.
+) -> ConstraintCheck:
+    """Deterministic search for a precedence and statuses.
 
-    Candidates place defined symbols above constructors first, each block
-    in lexicographic permutation order, then fall back to all remaining
-    permutations; statuses vary multiset-first over defined symbols with at
-    least two arguments.  Derivability only grows with the precedence, so
-    searching total orders is complete.  Raises SearchSpaceExceededError if
-    the constraints mention more symbols than max_symbols.
+    The transitively closed hints are tried first as given, before the
+    symbol limit applies.  Then come total orders that respect the hints:
+    defined symbols above constructors first, each block in lexicographic
+    permutation order, then every remaining permutation.  Statuses vary
+    multiset-first over defined symbols with at least two arguments.
+    Derivability only grows with the precedence, so searching total orders
+    is complete.  Without a certificate, the violations are those of the
+    hints under multiset statuses, and none when no hints were given.
+    Raises SearchSpaceExceededError if the constraints mention more
+    symbols than max_symbols.
     """
     syms = constraint_symbols(system, pairs)
+    defined = tuple(n for n in syms if n in system.signature.defined)
+    ctors = tuple(n for n in syms if n not in system.signature.defined)
+    vary = tuple(n for n in defined if _symbol_arity(system.signature, n) >= 2)
+    failed = ConstraintCheck(None, ())
+    if hints:
+        failed = check_with_statuses(
+            system, pairs, transitive_closure(hints), vary, beta_bound
+        )
+        if failed.certificate is not None:
+            return failed
     if not syms:
-        return Certificate((), (), (), ())
+        return ConstraintCheck(Certificate((), (), (), ()), ())
     if len(syms) > max_symbols:
         raise SearchSpaceExceededError(
             f"{len(syms)} constraint symbols exceed the search limit of {max_symbols}"
         )
-    defined = sorted(n for n in syms if n in system.signature.defined)
-    ctors = sorted(n for n in syms if n not in system.signature.defined)
-    vary = [n for n in defined if _symbol_arity(system.signature, n) >= 2]
-    required = tuple((a, b) for a, b in required if a in syms and b in syms)
-
-    def candidates():
-        seen = set()
-        for dperm in itertools.permutations(defined):
-            for cperm in itertools.permutations(ctors):
-                chain = dperm + cperm
-                seen.add(chain)
-                yield chain
-        for chain in itertools.permutations(syms):
-            if chain not in seen:
-                yield chain
-
-    for chain in candidates():
+    required = tuple((a, b) for a, b in hints if a in syms and b in syms)
+    top = set(defined)
+    chains = itertools.chain(
+        (
+            d + c
+            for d in itertools.permutations(defined)
+            for c in itertools.permutations(ctors)
+        ),
+        (c for c in itertools.permutations(syms) if set(c[: len(defined)]) != top),
+    )
+    for chain in chains:
         index = {n: i for i, n in enumerate(chain)}
         if any(index[a] >= index[b] for a, b in required):
             continue
-        edges = frozenset(
-            (chain[i], chain[j])
-            for i in range(len(chain))
-            for j in range(i + 1, len(chain))
-        )
-        for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
-            prec = Precedence(edges, dict(zip(vary, combo)))
-            result = check_constraints(system, pairs, prec, beta_bound)
-            if result.certificate is not None:
-                return result.certificate
-    return None
+        edges = frozenset(itertools.combinations(chain, 2))
+        result = check_with_statuses(system, pairs, edges, vary, beta_bound)
+        if result.certificate is not None:
+            return result
+    return failed

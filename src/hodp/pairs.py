@@ -54,20 +54,6 @@ def call_positions(t: Term, sig: Signature) -> tuple[Position, ...]:
     return tuple(sorted(go(t)))
 
 
-def call_level(t: Term, sig: Signature) -> int:
-    """Nesting depth of defined-symbol spines in t."""
-    if isinstance(t, Var):
-        return 0
-    if isinstance(t, Sym):
-        return 1 if t.name in sig.defined else 0
-    if isinstance(t, Lam):
-        return call_level(t.body, sig)
-    head, args = spine(t)
-    if isinstance(head, Sym) and head.name in sig.defined:
-        return 1 + max((call_level(a, sig) for a in args), default=0)
-    return max(call_level(t.fun, sig), call_level(t.arg, sig))
-
-
 @dataclass(frozen=True)
 class ExtractionCheck:
     escaped: tuple[Var, ...]

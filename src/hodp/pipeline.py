@@ -26,13 +26,9 @@ from hodp.engine import (
 from hodp.ordering import (
     Certificate,
     GtTrace,
-    Precedence,
     Violation,
     WeakWitness,
-    check_constraints,
-    check_with_statuses,
     search_certificate,
-    transitive_closure,
 )
 from hodp.pairs import DepPair, extract_pairs
 from hodp.signature import RewriteSystem, accessible_args, basic_sorts
@@ -88,29 +84,14 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
             if options.precedence is not None
             else system.precedence_hints
         )
-        if hints:
-            closed = transitive_closure(hints)
-            certificate = check_with_statuses(system, pairs, closed, options.beta_bound)
-            if certificate is None:
-                certificate = search_certificate(
-                    system,
-                    pairs,
-                    required=tuple(hints),
-                    max_symbols=options.max_symbols,
-                    beta_bound=options.beta_bound,
-                )
-            if certificate is None:
-                base = check_constraints(
-                    system, pairs, Precedence(closed), options.beta_bound
-                )
-                violations = base.violations
-        else:
-            certificate = search_certificate(
-                system,
-                pairs,
-                max_symbols=options.max_symbols,
-                beta_bound=options.beta_bound,
-            )
+        result = search_certificate(
+            system,
+            pairs,
+            hints=tuple(hints),
+            max_symbols=options.max_symbols,
+            beta_bound=options.beta_bound,
+        )
+        certificate, violations = result.certificate, result.violations
         if certificate is None:
             stage = "ordering"
             notes.append("no certificate within the configured search limits")

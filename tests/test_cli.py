@@ -43,6 +43,21 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
+    def test_non_utf8_file_is_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.hodp"
+        bad.write_bytes(b"sort N\n\xff\xfe : N\n")
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_unwritable_dot_path_is_an_input_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "graph.dot"
+        code, out, err = run(capsys, "check", path("selfloop"), "--disprove", "--dot", str(target))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
     def test_search_limit_is_reported_separately(self, capsys):
         code, _, err = run(capsys, "check", path("map"), "--max-symbols", "1")
         assert code == 3

@@ -6,7 +6,6 @@ from conftest import load_system
 from gen import GEN_SYMBOLS, make_sig
 from hodp.engine import (
     bounded_explore,
-    chain_sequences,
     chain_successors,
     disprove_seeds,
     dot_graph,
@@ -158,14 +157,6 @@ class TestExploration:
 
 
 class TestChains:
-    def test_chain_alternates_internal_steps_and_pairs(self):
-        system = load_system("map")
-        pairs = extract_pairs(system)
-        seqs = chain_sequences(map_seed(system), system, pairs, max_internal=4)
-        assert len(seqs) == 1
-        assert [s.kind for s in seqs[0]] == ["dp"]
-        assert show_term(seqs[0][-1].target) == "map s nil"
-
     def test_chain_successors_respects_the_beta_switch(self):
         system = load_system("map")
         pairs = extract_pairs(system)

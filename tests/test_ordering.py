@@ -1,18 +1,21 @@
 """Recursive path comparison, weak decrease, certificate search."""
 
+import itertools
 import random
 
 import pytest
 
-from conftest import load_system
-from gen import GEN_SYMBOLS, random_subst, random_term, random_var_pool
+from conftest import SYSTEMS_DIR, load_system
+from gen import GEN_SYMBOLS, random_fo_trs, random_subst, random_term, random_var_pool
 from hodp.errors import PrecedenceCycleError, SearchSpaceExceededError
 from hodp.ordering import (
+    Certificate,
     PathOrder,
     Precedence,
+    _symbol_arity,
     check_constraints,
     check_with_statuses,
-    horpo_greater,
+    constraint_symbols,
     search_certificate,
     transitive_closure,
     type_skeleton,
@@ -61,7 +64,7 @@ class TestTypeSkeleton:
     def test_incompatible_shapes_block_the_order(self):
         s = Sym("s", Arrow(N, N))
         z = Sym("0", N)
-        assert horpo_greater(s, z, Precedence.make((("s", "0"),), ())) is None
+        assert PathOrder(Precedence.make((("s", "0"),), ())).greater(s, z) is None
 
 
 class TestClauses:
@@ -80,41 +83,41 @@ class TestClauses:
 
     def test_subterm_clause_wins_before_precedence(self):
         t = App(App(self.map, self.F), self.nil)
-        tr = horpo_greater(t, self.nil, Precedence.make((("map", "nil"),), ()))
+        tr = PathOrder(Precedence.make((("map", "nil"),), ())).greater(t, self.nil)
         assert tr.clause == "subterm"
         assert tr.detail == (2,)
 
     def test_precedence_clause_covers_arguments(self):
         lhs = App(App(self.map, self.F), App(App(self.cons, self.X), self.L))
         rhs = App(App(self.cons, App(self.F, self.X)), App(App(self.map, self.F), self.L))
-        assert horpo_greater(lhs, rhs, self.empty) is None
-        tr = horpo_greater(lhs, rhs, Precedence.make((("map", "cons"),), ()))
+        assert PathOrder(self.empty).greater(lhs, rhs) is None
+        tr = PathOrder(Precedence.make((("map", "cons"),), ())).greater(lhs, rhs)
         assert tr.clause == "precedence"
         assert tr.detail == ("map", "cons")
 
     def test_same_symbol_multiset_comparison(self):
         lhs = App(App(self.map, self.F), App(App(self.cons, self.X), self.L))
         rhs = App(App(self.map, self.F), self.L)
-        tr = horpo_greater(lhs, rhs, self.empty)
+        tr = PathOrder(self.empty).greater(lhs, rhs)
         assert tr.clause == "same-symbol"
         assert tr.detail == ("map", "mul")
 
     def test_application_clause(self):
         system = load_system("twice")
         rule = system.rules[0]
-        tr = horpo_greater(rule.lhs, rule.rhs, self.empty)
+        tr = PathOrder(self.empty).greater(rule.lhs, rule.rhs)
         assert tr.clause == "application"
 
     def test_abstraction_clause_aligns_binders(self):
         x, y = Var("x", N), Var("y", N)
-        tr = horpo_greater(Lam(x, App(self.s, x)), Lam(y, y), self.empty)
+        tr = PathOrder(self.empty).greater(Lam(x, App(self.s, x)), Lam(y, y))
         assert tr.clause == "abstraction"
         assert tr.children[0].clause == "subterm"
 
     def test_beta_clause(self):
         x = Var("x", N)
         redex = App(Lam(x, App(self.s, x)), self.zero)
-        tr = horpo_greater(redex, App(self.s, self.zero), self.empty)
+        tr = PathOrder(self.empty).greater(redex, App(self.s, self.zero))
         assert tr.clause == "beta"
 
     def test_lex_and_mul_statuses_differ(self):
@@ -131,7 +134,7 @@ class TestClauses:
         prec = Precedence.make((("cons", "nil"), ("s", "0")), ())
         for _ in range(50):
             t = random_term(rng, GEN_SYMBOLS, N, 8, env=random_var_pool(rng))
-            assert horpo_greater(t, t, prec) is None
+            assert PathOrder(prec).greater(t, t) is None
 
 
 class TestWeakDecrease:
@@ -176,10 +179,10 @@ class TestStability:
             l = Var("Ls", Base("L"))
             lhs = App(App(cons, App(sig_s, x)), l)
             rhs = App(App(cons, x), l)
-            assert horpo_greater(lhs, rhs, prec) is not None
+            assert PathOrder(prec).greater(lhs, rhs) is not None
             sub = random_subst(rng, [x, l], budget=5)
             s_i, t_i = apply_subst(lhs, sub), apply_subst(rhs, sub)
-            assert horpo_greater(s_i, t_i, prec) is not None
+            assert PathOrder(prec).greater(s_i, t_i) is not None
 
 
 class TestConstraints:
@@ -207,7 +210,7 @@ class TestConstraints:
         for name in ["map", "plus", "minus", "twice", "filter"]:
             system = load_system(name)
             pairs = extract_pairs(system)
-            first = search_certificate(system, pairs)
+            first = search_certificate(system, pairs).certificate
             assert first is not None
             again = check_constraints(
                 system, pairs, Precedence.make(first.edges, first.statuses)
@@ -227,20 +230,20 @@ class TestConstraints:
 class TestSearch:
     def test_search_prefers_small_precedences(self):
         system = load_system("minus")
-        cert = search_certificate(system, extract_pairs(system))
+        cert = search_certificate(system, extract_pairs(system)).certificate
         assert cert.edges == ()
 
     def test_search_finds_lex_when_needed(self):
         system = parse_system(LEX_SYSTEM)
-        cert = search_certificate(system, extract_pairs(system))
+        cert = search_certificate(system, extract_pairs(system)).certificate
         assert cert.edges == (("f", "s"),)
         assert cert.statuses == (("f", "lex"),)
 
     def test_required_edges_restrict_the_search(self):
         system = load_system("map")
         pairs = extract_pairs(system)
-        assert search_certificate(system, pairs, required=(("cons", "map"),)) is None
-        cert = search_certificate(system, pairs, required=(("map", "cons"),))
+        assert search_certificate(system, pairs, hints=(("cons", "map"),)).certificate is None
+        cert = search_certificate(system, pairs, hints=(("map", "cons"),)).certificate
         assert cert.edges == (("map", "cons"),)
 
     def test_symbol_budget_is_enforced(self):
@@ -251,12 +254,147 @@ class TestSearch:
     def test_fixed_edges_search_over_statuses(self):
         system = parse_system(LEX_SYSTEM)
         pairs = extract_pairs(system)
-        cert = check_with_statuses(system, pairs, frozenset({("f", "s")}))
+        cert = check_with_statuses(system, pairs, frozenset({("f", "s")}), ("f",)).certificate
         assert cert is not None
         assert cert.statuses == (("f", "lex"),)
-        assert check_with_statuses(system, pairs, frozenset()) is None
+        assert check_with_statuses(system, pairs, frozenset(), ("f",)).certificate is None
 
     def test_search_is_deterministic(self):
         system = load_system("filter")
         pairs = extract_pairs(system)
         assert search_certificate(system, pairs) == search_certificate(system, pairs)
+
+
+# ------------------------------------------------------------------ oracle
+# The ordering stage as it was when the hint check, the search and the
+# violation check were three separate paths, kept as the reference the
+# single search path must agree with.
+
+
+def _old_status_candidates(system, pairs):
+    """Defined symbols whose status can matter: at least two arguments."""
+    syms = constraint_symbols(system, pairs)
+    return [
+        n
+        for n in syms
+        if n in system.signature.defined and _symbol_arity(system.signature, n) >= 2
+    ]
+
+
+def _old_check_with_statuses(system, pairs, edges, beta_bound=8):
+    """Fixed edge set, every status assignment (multiset first)."""
+    vary = _old_status_candidates(system, pairs)
+    for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
+        prec = Precedence(edges, dict(zip(vary, combo)))
+        result = check_constraints(system, pairs, prec, beta_bound)
+        if result.certificate is not None:
+            return result.certificate
+    return None
+
+
+def _old_search_certificate(system, pairs, required=(), max_symbols=8, beta_bound=8):
+    syms = constraint_symbols(system, pairs)
+    if not syms:
+        return Certificate((), (), (), ())
+    if len(syms) > max_symbols:
+        raise SearchSpaceExceededError(
+            f"{len(syms)} constraint symbols exceed the search limit of {max_symbols}"
+        )
+    defined = sorted(n for n in syms if n in system.signature.defined)
+    ctors = sorted(n for n in syms if n not in system.signature.defined)
+    vary = [n for n in defined if _symbol_arity(system.signature, n) >= 2]
+    required = tuple((a, b) for a, b in required if a in syms and b in syms)
+
+    def candidates():
+        seen = set()
+        for dperm in itertools.permutations(defined):
+            for cperm in itertools.permutations(ctors):
+                chain = dperm + cperm
+                seen.add(chain)
+                yield chain
+        for chain in itertools.permutations(syms):
+            if chain not in seen:
+                yield chain
+
+    for chain in candidates():
+        index = {n: i for i, n in enumerate(chain)}
+        if any(index[a] >= index[b] for a, b in required):
+            continue
+        edges = frozenset(
+            (chain[i], chain[j])
+            for i in range(len(chain))
+            for j in range(i + 1, len(chain))
+        )
+        for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
+            prec = Precedence(edges, dict(zip(vary, combo)))
+            result = check_constraints(system, pairs, prec, beta_bound)
+            if result.certificate is not None:
+                return result.certificate
+    return None
+
+
+def _old_ordering_stage(system, pairs, hints, max_symbols=8, beta_bound=8):
+    certificate = None
+    violations = ()
+    if hints:
+        closed = transitive_closure(hints)
+        certificate = _old_check_with_statuses(system, pairs, closed, beta_bound)
+        if certificate is None:
+            certificate = _old_search_certificate(
+                system,
+                pairs,
+                required=tuple(hints),
+                max_symbols=max_symbols,
+                beta_bound=beta_bound,
+            )
+        if certificate is None:
+            base = check_constraints(system, pairs, Precedence(closed), beta_bound)
+            violations = base.violations
+    else:
+        certificate = _old_search_certificate(
+            system, pairs, max_symbols=max_symbols, beta_bound=beta_bound
+        )
+    return certificate, violations
+
+
+def _outcome(stage):
+    try:
+        return stage()
+    except SearchSpaceExceededError as exc:
+        return str(exc)
+
+
+def _assert_same_stage(system, max_symbols=8):
+    """The old and the new ordering stage agree with no hints, a good hint,
+    the same edges reversed, and its first edge.  The good hint is the
+    unhinted certificate's precedence, or the first chain the search tries
+    when that is empty or there is none."""
+    pairs = extract_pairs(system)
+    found = _outcome(lambda: _old_ordering_stage(system, pairs, (), max_symbols))
+    good = found[0].edges if not isinstance(found, str) and found[0] else ()
+    if not good:
+        syms = constraint_symbols(system, pairs)
+        chain = sorted(syms, key=lambda n: n not in system.signature.defined)
+        good = tuple(zip(chain, chain[1:]))
+    for hints in ((), good, tuple((b, a) for a, b in good), good[:1]):
+        old = _outcome(lambda: _old_ordering_stage(system, pairs, hints, max_symbols))
+        new = _outcome(lambda: search_certificate(system, pairs, hints, max_symbols))
+        if not isinstance(new, str):
+            new = (new.certificate, new.violations)
+        assert new == old, hints
+
+
+class TestSearchOracle:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp")))
+    def test_shipped_systems_agree(self, name):
+        system = load_system(name)
+        _assert_same_stage(system)
+        _assert_same_stage(system, max_symbols=1)
+
+    def test_generated_systems_agree(self):
+        rng = random.Random(1804)
+        for _ in range(30):
+            system, _, _, _ = random_fo_trs(rng)
+            # six-symbol searches that fail take seconds each; above five
+            # symbols the hints and the limit are compared instead
+            _assert_same_stage(system, max_symbols=5)

@@ -2,7 +2,6 @@
 
 from conftest import load_system
 from hodp.pairs import (
-    call_level,
     call_positions,
     check_extraction,
     escaped_variables,
@@ -70,21 +69,6 @@ class TestCallPositions:
         x, y, z = (Var(n, Base("N")) for n in "XYZ")
         t = App(App(plus, App(App(plus, x), y)), z)
         assert call_positions(t, sig) == ((), (1, 2))
-
-    def test_nested_calls_have_levels(self):
-        system = load_system("plus")
-        sig = system.signature
-        plus = sig.symbol("plus")
-        s = sig.symbol("s")
-        x, y, z = (Var(n, Base("N")) for n in "XYZ")
-        assert call_level(x, sig) == 0
-        assert call_level(App(App(plus, x), y), sig) == 1
-        assert call_level(App(App(plus, App(App(plus, x), y)), z), sig) == 2
-        assert call_level(App(s, App(App(plus, x), y)), sig) == 1
-
-    def test_level_looks_under_binders(self):
-        system = load_system("lim")
-        assert call_level(system.rules[0].rhs, system.signature) == 1
 
 
 class TestExtraction:

@@ -1,6 +1,7 @@
 """End to end analysis: staging, verdicts, reports, rendering."""
 
 import json
+import sys
 
 import pytest
 
@@ -118,6 +119,12 @@ class TestPrecedenceHints:
         assert report.verdict == "YES"
         assert ("filter", "if") in report.certificate.edges
 
+    def test_good_hint_is_tried_before_the_symbol_limit(self):
+        system = load_system("map")
+        prec = parse_precedence_arg("map>cons", system)
+        report = run_pipeline(system, Options(precedence=prec, max_symbols=1))
+        assert report.verdict == "YES"
+
     def test_symbol_limit_surfaces_as_an_error(self):
         with pytest.raises(SearchSpaceExceededError):
             run_pipeline(load_system("map"), Options(max_symbols=1))
@@ -131,6 +138,11 @@ class TestDisproving:
         assert report.witness["relation"] == "rewrite"
         trace = report.witness["trace"]
         assert len(trace) == 1
+
+    def test_recursion_limit_is_restored(self):
+        before = sys.getrecursionlimit()
+        run_pipeline(load_system("selfloop"), Options(disprove=True, explore_depth=400))
+        assert sys.getrecursionlimit() == before
 
     def test_terminating_systems_survive_disproving(self):
         report = run_pipeline(load_system("map"), Options(disprove=True))
