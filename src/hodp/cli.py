@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 when the analysis completed (whatever the verdict), 2 for
-input problems, 3 when a resource or search limit was hit.
+input problems, 3 when a resource or search limit was hit, including terms
+nested too deeply for the recursion limit.
 """
 
 from __future__ import annotations
@@ -108,20 +109,25 @@ def main(argv: list[str] | None = None) -> int:
             record_graph=bool(args.dot),
         )
         report = run_pipeline(system, options)
+        output = render_json(report) if args.json else render_text(report, args.trace)
+        graph = dot_graph(report.graph) if args.dot else None
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LimitError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3
-    if args.dot:
+    except RecursionError:
+        print("limit: term nesting exceeds the recursion limit", file=sys.stderr)
+        return 3
+    if graph is not None:
         try:
             with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(dot_graph(report.graph))
+                handle.write(graph)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    sys.stdout.write(render_json(report) if args.json else render_text(report, args.trace))
+    sys.stdout.write(output)
     return 0
 
 

@@ -276,7 +276,11 @@ def ground_term(sig: Signature, typ: Type, depth: int = 3) -> Term | None:
         kb = (term_size(b), show_term(b))
         return a if ka <= kb else b
 
+    memo: dict[tuple[Type, int], Term | None] = {}
+
     def gen(t: Type, d: int) -> Term | None:
+        if (t, d) in memo:
+            return memo[t, d]
         found: Term | None = None
         for name in sorted(sig.constructors):
             ctype = sig.symbols[name]
@@ -302,6 +306,7 @@ def ground_term(sig: Signature, typ: Type, depth: int = 3) -> Term | None:
             body = gen(t.cod, d - 1)
             if body is not None:
                 found = best(found, Lam(Var("x", t.dom), body))
+        memo[t, d] = found
         return found
 
     return gen(typ, depth)

@@ -1,15 +1,20 @@
 """Simply typed lambda terms: syntax, typing, substitution, and matching.
 
-Terms are immutable trees.  Positions address subterms with tuples of child
-indices: 1 is the function part of an application or the body of a lambda,
-2 is the argument part.  Alpha-equivalence is decided through a canonical
-renaming of bound variables, so terms can be used as dictionary keys modulo
-alpha by canonicalizing first.
+Terms are hash-consed: there is one immutable node per structure, so
+equality is identity and hashing is O(1), however deep the term.  Each node
+stores its type and free variables once computed.  Positions address
+subterms with tuples of child indices: 1 is the function part of an
+application or the body of a lambda, 2 is the argument part.
+Alpha-equivalence is decided through a canonical renaming of bound
+variables; canonical forms are interned too, so terms can be used as
+dictionary keys modulo alpha by canonicalizing first, and two terms are
+alpha-equivalent exactly when their canonical forms are the same object.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -59,30 +64,122 @@ def show_type(t: Type) -> str:
 
 
 # ----------------------------------------------------------------- terms
+#
+# Every node is interned: a constructor looks its fields up in its class's
+# table and returns the existing node if there is one.  Structurally equal
+# terms are therefore the same object, so the inherited identity `==` and
+# `hash` are exact and O(1).  Applications and abstractions are keyed on the
+# identities of their children; a live node keeps its children alive, so a
+# live entry's key cannot be reused by another object.
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    type: Type
+class _Table(dict):
+    """Weak-valued intern table: key -> weak reference to the one node with
+    that key.  Entries of dead nodes are swept out whenever the table has
+    doubled since the last sweep."""
+
+    __slots__ = ("limit",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.limit = 1024
+
+    def store(self, key, node) -> None:
+        if len(self) >= self.limit:
+            for k in [k for k, entry in self.items() if entry() is None]:
+                del self[k]
+            self.limit = max(1024, 2 * len(self))
+        self[key] = weakref.ref(node)
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
-    type: Type
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class App:
-    fun: "Term"
-    arg: "Term"
+class _Node:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: terms are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: terms are immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Lam:
-    var: Var
-    body: "Term"
+class _Leaf(_Node):
+    """A variable or symbol, interned on its name and type."""
+
+    __slots__ = ("name", "type", "__weakref__")
+    _fields = ("name", "type")
+    _table: _Table
+
+    def __new__(cls, name: str, type: Type):
+        key = (name, type)
+        entry = cls._table.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        _set(node, "name", name)
+        _set(node, "type", type)
+        cls._table.store(key, node)
+        return node
+
+
+class Var(_Leaf):
+    __slots__ = ()
+    _table = _Table()
+
+
+class Sym(_Leaf):
+    __slots__ = ()
+    _table = _Table()
+
+
+class App(_Node):
+    __slots__ = ("fun", "arg", "_type", "_free", "__weakref__")
+    _fields = ("fun", "arg")
+    _table = _Table()
+
+    def __new__(cls, fun: "Term", arg: "Term") -> "App":
+        key = (id(fun), id(arg))
+        entry = cls._table.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        _set(node, "fun", fun)
+        _set(node, "arg", arg)
+        _set(node, "_type", None)
+        _set(node, "_free", None)
+        cls._table.store(key, node)
+        return node
+
+
+class Lam(_Node):
+    __slots__ = ("var", "body", "_type", "_free", "__weakref__")
+    _fields = ("var", "body")
+    _table = _Table()
+
+    def __new__(cls, var: Var, body: "Term") -> "Lam":
+        key = (id(var), id(body))
+        entry = cls._table.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        _set(node, "var", var)
+        _set(node, "body", body)
+        _set(node, "_type", None)
+        _set(node, "_free", None)
+        cls._table.store(key, node)
+        return node
 
 
 Term = Var | Sym | App | Lam
@@ -116,11 +213,14 @@ def term_size(t: Term) -> int:
     return 1 + term_size(t.body)
 
 
-@functools.lru_cache(maxsize=None)
 def type_of(t: Term) -> Type:
-    """Type of a term; raises TypeCheckError if an application does not fit."""
+    """Type of a term; raises TypeCheckError if an application does not fit.
+    The result is stored on the node."""
     if isinstance(t, (Var, Sym)):
         return t.type
+    typ = t._type
+    if typ is not None:
+        return typ
     if isinstance(t, App):
         fun = type_of(t.fun)
         if not isinstance(fun, Arrow):
@@ -133,19 +233,28 @@ def type_of(t: Term) -> Type:
                 f"argument {show_term(t.arg)} : {show_type(arg)} does not fit "
                 f"{show_term(t.fun)} : {show_type(fun)}"
             )
-        return fun.cod
-    return Arrow(t.var.type, type_of(t.body))
+        typ = fun.cod
+    else:
+        typ = Arrow(t.var.type, type_of(t.body))
+    _set(t, "_type", typ)
+    return typ
 
 
-@functools.lru_cache(maxsize=None)
 def free_vars(t: Term) -> frozenset[Var]:
+    """Free variables of a term; the result is stored on the node."""
     if isinstance(t, Var):
         return frozenset((t,))
     if isinstance(t, Sym):
         return frozenset()
+    free = t._free
+    if free is not None:
+        return free
     if isinstance(t, App):
-        return free_vars(t.fun) | free_vars(t.arg)
-    return free_vars(t.body) - {t.var}
+        free = free_vars(t.fun) | free_vars(t.arg)
+    else:
+        free = free_vars(t.body) - {t.var}
+    _set(t, "_free", free)
+    return free
 
 
 def spine(t: Term) -> tuple[Term, tuple[Term, ...]]:
@@ -258,7 +367,7 @@ def _canon(t: Term, env: dict[Var, Var], depth: int) -> Term:
 
 
 def alpha_eq(s: Term, t: Term) -> bool:
-    return alpha_canonical(s) == alpha_canonical(t)
+    return alpha_canonical(s) is alpha_canonical(t)
 
 
 def fresh_var(name: str, typ: Type, avoid: Iterable[str]) -> Var:

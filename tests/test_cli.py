@@ -1,7 +1,10 @@
 """Command line behavior: flags, exit codes, output channels."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +20,24 @@ def run(capsys, *argv):
 
 def path(name: str) -> str:
     return str(SYSTEMS_DIR / f"{name}.hodp")
+
+
+def run_with_hash_seed(seed: str, *argv: str) -> tuple[int, str]:
+    """Exit code and report of `python -m hodp.cli` in a fresh interpreter,
+    with the timing entry or line stripped."""
+    src = str(SYSTEMS_DIR.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodp.cli", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    if "--json" in argv and proc.returncode == 0:
+        d = json.loads(proc.stdout)
+        d.pop("timing")
+        return proc.returncode, json.dumps(d, indent=2, ensure_ascii=False)
+    lines = proc.stdout.splitlines()
+    return proc.returncode, "\n".join(line for line in lines if not line.startswith("elapsed"))
 
 
 class TestExitCodes:
@@ -62,6 +83,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", path("map"), "--max-symbols", "1")
         assert code == 3
         assert "limit:" in err
+
+    @pytest.mark.parametrize(
+        "rhs",
+        ["s (" * 600 + "X" + ")" * 600, "(" * 3000 + "X" + ")" * 3000],
+        ids=["nested-applications", "nested-parentheses"],
+    )
+    def test_deep_nesting_is_a_limit_not_a_traceback(self, tmp_path, capsys, rhs):
+        deep = tmp_path / "deep.hodp"
+        deep.write_text(f"sort N\ns : N -> N\nf : N -> N\nrule f X -> {rhs}\n")
+        code, _, err = run(capsys, "check", str(deep))
+        assert code == 3
+        assert "Traceback" not in err
 
     def test_bad_precedence_argument(self, capsys):
         code, _, err = run(capsys, "check", path("map"), "--precedence", "bogus>map")
@@ -141,3 +174,14 @@ class TestDeterminism:
             d.pop("timing")
             outs.append(json.dumps(d, sort_keys=True))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("flag", ["--json", "--trace"])
+    def test_runs_match_across_processes_and_hash_seeds(self, flag):
+        # Term hashes follow object addresses, so set and dict order over
+        # terms may differ between processes; no report may depend on it.
+        for system in sorted(SYSTEMS_DIR.glob("*.hodp")):
+            argv = ("check", str(system), flag, "--disprove")
+            first = run_with_hash_seed("0", *argv)
+            second = run_with_hash_seed("1", *argv)
+            assert first[0] == 0, system.name
+            assert first == second, system.name

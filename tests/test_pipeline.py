@@ -144,6 +144,13 @@ class TestDisproving:
         run_pipeline(load_system("selfloop"), Options(disprove=True, explore_depth=400))
         assert sys.getrecursionlimit() == before
 
+    def test_deep_exploration_ends_at_the_bound(self):
+        text = "sort N\ns : N -> N\nf : N -> N\nrule f X -> f (s X)\n"
+        report = run_pipeline(parse_system(text), Options(disprove=True, explore_depth=400))
+        assert report.verdict == "MAYBE"
+        assert report.witness is None
+        assert any(n.endswith(": bound-exceeded") for n in report.notes)
+
     def test_terminating_systems_survive_disproving(self):
         report = run_pipeline(load_system("map"), Options(disprove=True))
         assert report.verdict == "YES"

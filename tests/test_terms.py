@@ -1,6 +1,9 @@
 """Core term structure: typing, alpha, substitution, beta, matching."""
 
+import gc
 import random
+import sys
+import weakref
 
 import pytest
 
@@ -104,6 +107,52 @@ class TestAlpha:
 
     def test_types_are_part_of_identity(self):
         assert not alpha_eq(Lam(Var("x", N), Var("x", N)), Lam(Var("x", L), Var("x", L)))
+
+
+class TestHashConsing:
+    def test_equal_terms_are_the_same_object(self):
+        x = Var("x", N)
+        s = Lam(x, App(App(CONS, x), NIL))
+        t = Lam(Var("x", N), App(App(Sym("cons", Arrow(N, Arrow(L, L))), x), Sym("nil", L)))
+        assert s is t
+        assert nat(5) is nat(5)
+
+    def test_alpha_variants_canonicalise_to_the_same_object(self):
+        s = Lam(Var("x", N), Lam(Var("y", L), App(App(CONS, Var("x", N)), Var("y", L))))
+        t = Lam(Var("a", N), Lam(Var("b", L), App(App(CONS, Var("a", N)), Var("b", L))))
+        assert s is not t
+        assert alpha_canonical(s) is alpha_canonical(t)
+
+    def test_equality_and_hash_of_deep_terms_do_not_recurse(self):
+        depth = 10_000
+        assert depth > sys.getrecursionlimit()
+        s = t = ZERO
+        for _ in range(depth):
+            s = make_app(S, [s])
+            t = make_app(S, [t])
+        assert s == t
+        assert hash(s) == hash(t)
+        assert s != App(S, s)
+        assert len({s, t, App(S, s)}) == 2
+
+    def test_typing_a_term_does_not_keep_it_alive(self):
+        t = Lam(Var("x", N), App(S, App(S, Var("x", N))))
+        assert type_of(t) == NN
+        assert free_vars(t) == frozenset()
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        assert ref() is None
+
+    def test_terms_are_immutable(self):
+        t = App(S, ZERO)
+        with pytest.raises(AttributeError):
+            t.arg = ZERO
+        with pytest.raises(AttributeError):
+            Var("x", N).name = "y"
+        with pytest.raises(AttributeError):
+            del t.fun
+        assert t.arg is ZERO
 
 
 class TestFreeVarsAndSubstitution:
