@@ -102,6 +102,8 @@ class PathOrder:
         self._memo: dict[tuple[Term, Term], GtTrace | None] = {}
 
     def greater(self, s: Term, t: Term) -> GtTrace | None:
+        if isinstance(s, Var):
+            return None  # no clause applies to a variable on the left
         key = (alpha_canonical(s), alpha_canonical(t))
         hit = self._memo.get(key, False)
         if hit is not False:
@@ -318,27 +320,63 @@ def constraint_symbols(system: RewriteSystem, pairs: tuple[DepPair, ...]) -> tup
     return tuple(sorted(syms))
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _left_symbols(t: Term) -> tuple[str, ...]:
+    return tuple(sorted(term_symbols(t)))
+
+
+def _decide(
+    kind: str,
+    lhs: Term,
+    rhs: Term,
+    order: PathOrder,
+    beta_bound: int,
+    decided: dict | None,
+) -> WeakWitness | GtTrace | None:
+    """A rule's weak witness or a pair's strict one, None if there is none.
+
+    Every comparison a constraint makes has a left side built from the
+    constraint's own left side, and only the status of a left head is
+    read, so the outcome holds under every status assignment that agrees
+    on the symbols of lhs.  With decided, a dict kept for one edge set,
+    it is stored there under those statuses and taken from there."""
+    key = None
+    if decided is not None:
+        key = (kind, lhs, rhs, *map(order.prec.status, _left_symbols(lhs)))
+        if key in decided:
+            return decided[key]
+    if kind == "rule":
+        w = weakly_decreases(lhs, rhs, order, beta_bound)
+    else:
+        w = order.greater(lhs, rhs)
+    if key is not None:
+        decided[key] = w
+    return w
+
+
 def check_constraints(
     system: RewriteSystem,
     pairs: tuple[DepPair, ...],
     prec: Precedence,
     beta_bound: int = 8,
+    decided: dict | None = None,
 ) -> ConstraintCheck:
     """Every rule must weakly decrease and every pair strictly decrease
     under the given precedence.  On success the returned certificate keeps
-    only the precedence edges some witness used."""
+    only the precedence edges some witness used.  With decided, outcomes
+    are shared with earlier calls for the same edges (see _decide)."""
     order = PathOrder(prec)
     violations: list[Violation] = []
     rule_witnesses: list[tuple[str, WeakWitness]] = []
     pair_witnesses: list[tuple[str, GtTrace]] = []
     for rule in system.rules:
-        w = weakly_decreases(rule.lhs, rule.rhs, order, beta_bound)
+        w = _decide("rule", rule.lhs, rule.rhs, order, beta_bound, decided)
         if w is None:
             violations.append(Violation("rule", rule.name, rule.lhs, rule.rhs))
         else:
             rule_witnesses.append((rule.name, w))
     for dp in pairs:
-        g = order.greater(dp.lhs, dp.rhs)
+        g = _decide("pair", dp.lhs, dp.rhs, order, beta_bound, decided)
         if g is None:
             violations.append(Violation("pair", dp.name, dp.lhs, dp.rhs))
         else:
@@ -376,12 +414,14 @@ def check_with_statuses(
     beta_bound: int = 8,
 ) -> ConstraintCheck:
     """Fixed edge set, every status assignment of the symbols in vary
-    (multiset first).  Without a certificate, the violations returned are
-    those of the all-multiset assignment."""
+    (multiset first), sharing each constraint's outcome between the
+    assignments that agree on its left side.  Without a certificate, the
+    violations returned are those of the all-multiset assignment."""
     first = None
+    decided: dict = {}
     for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
         prec = Precedence(edges, dict(zip(vary, combo)))
-        result = check_constraints(system, pairs, prec, beta_bound)
+        result = check_constraints(system, pairs, prec, beta_bound, decided)
         if result.certificate is not None:
             return result
         if first is None:

@@ -276,20 +276,26 @@ def make_app(head: Term, args: Iterable[Term]) -> Term:
 # -------------------------------------------------------------- positions
 
 
+# positions, beta_reducts and match_pattern recurse through module
+# functions, not nested ones: a nested function that calls itself is a
+# reference cycle, which would keep every result it built alive until the
+# cyclic collector ran.
+
+
 def positions(t: Term) -> list[tuple[Position, Term]]:
     """All positions of t with their subterms, in preorder (lexicographic)."""
     out: list[tuple[Position, Term]] = []
-
-    def walk(u: Term, p: Position) -> None:
-        out.append((p, u))
-        if isinstance(u, App):
-            walk(u.fun, p + (1,))
-            walk(u.arg, p + (2,))
-        elif isinstance(u, Lam):
-            walk(u.body, p + (1,))
-
-    walk(t, ())
+    _walk_positions(t, (), out)
     return out
+
+
+def _walk_positions(u: Term, p: Position, out: list[tuple[Position, Term]]) -> None:
+    out.append((p, u))
+    if isinstance(u, App):
+        _walk_positions(u.fun, p + (1,), out)
+        _walk_positions(u.arg, p + (2,), out)
+    elif isinstance(u, Lam):
+        _walk_positions(u.body, p + (1,), out)
 
 
 def subterm_at(t: Term, pos: Position) -> Term:
@@ -416,11 +422,23 @@ def beta_contract(redex: App) -> Term:
 
 def beta_reducts(t: Term) -> list[tuple[Position, Term]]:
     """One-step beta reducts with the contracted position, preorder."""
-    out = []
-    for p, sub in positions(t):
-        if isinstance(sub, App) and isinstance(sub.fun, Lam):
-            out.append((p, replace_at(t, p, beta_contract(sub))))
+    out: list[tuple[Position, Term]] = []
+    if isinstance(t, (App, Lam)):
+        _walk_redexes(t, t, (), out)
     return out
+
+
+def _walk_redexes(t: Term, u: App | Lam, p: Position, out: list) -> None:
+    # leaves hold no redex, so the walk never descends into one
+    if isinstance(u, App):
+        if isinstance(u.fun, Lam):
+            out.append((p, replace_at(t, p, beta_contract(u))))
+        if isinstance(u.fun, (App, Lam)):
+            _walk_redexes(t, u.fun, p + (1,), out)
+        if isinstance(u.arg, (App, Lam)):
+            _walk_redexes(t, u.arg, p + (2,), out)
+    elif isinstance(u.body, (App, Lam)):
+        _walk_redexes(t, u.body, p + (1,), out)
 
 
 def beta_normalize(t: Term, max_steps: int = 100_000) -> Term:
@@ -445,30 +463,30 @@ def match_pattern(pattern: Term, subject: Term) -> dict[Var, Term] | None:
     Returns the binding, or None if the subject does not match.
     """
     binding: dict[Var, Term] = {}
+    return binding if _match(pattern, subject, {}, binding) else None
 
-    def go(pat: Term, sub: Term, env: dict[Var, Var]) -> bool:
-        if isinstance(pat, Var):
-            if pat in env:
-                return isinstance(sub, Var) and sub == env[pat]
-            bound = binding.get(pat)
-            if bound is not None:
-                return alpha_eq(bound, sub)
-            if free_vars(sub) & set(env.values()):
-                return False
-            if type_of(sub) != pat.type:
-                return False
-            binding[pat] = sub
-            return True
-        if isinstance(pat, Sym):
-            return isinstance(sub, Sym) and pat == sub
-        if isinstance(pat, App):
-            return (
-                isinstance(sub, App)
-                and go(pat.fun, sub.fun, env)
-                and go(pat.arg, sub.arg, env)
-            )
-        if not isinstance(sub, Lam) or pat.var.type != sub.var.type:
+
+def _match(pat: Term, sub: Term, env: dict[Var, Var], binding: dict[Var, Term]) -> bool:
+    if isinstance(pat, Var):
+        if pat in env:
+            return isinstance(sub, Var) and sub == env[pat]
+        bound = binding.get(pat)
+        if bound is not None:
+            return alpha_eq(bound, sub)
+        if free_vars(sub) & set(env.values()):
             return False
-        return go(pat.body, sub.body, {**env, pat.var: sub.var})
-
-    return binding if go(pattern, subject, {}) else None
+        if type_of(sub) != pat.type:
+            return False
+        binding[pat] = sub
+        return True
+    if isinstance(pat, Sym):
+        return isinstance(sub, Sym) and pat == sub
+    if isinstance(pat, App):
+        return (
+            isinstance(sub, App)
+            and _match(pat.fun, sub.fun, env, binding)
+            and _match(pat.arg, sub.arg, env, binding)
+        )
+    if not isinstance(sub, Lam) or pat.var.type != sub.var.type:
+        return False
+    return _match(pat.body, sub.body, {**env, pat.var: sub.var}, binding)

@@ -259,6 +259,25 @@ class TestSearch:
         assert cert.statuses == (("f", "lex"),)
         assert check_with_statuses(system, pairs, frozenset(), ("f",)).certificate is None
 
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp")))
+    def test_shared_outcomes_match_fresh_checks(self, name):
+        """check_with_statuses shares each constraint's outcome between
+        the status assignments that agree on its left side; under every
+        assignment the result must be that of a check on its own."""
+        system = load_system(name)
+        pairs = extract_pairs(system)
+        syms = constraint_symbols(system, pairs)
+        defined = [n for n in syms if n in system.signature.defined]
+        ctors = [n for n in syms if n not in system.signature.defined]
+        vary = tuple(n for n in defined if _symbol_arity(system.signature, n) >= 2)
+        for chain in (defined + ctors, ctors + defined[::-1]):
+            edges = frozenset(itertools.combinations(chain, 2))
+            decided = {}
+            for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
+                prec = Precedence(edges, dict(zip(vary, combo)))
+                shared = check_constraints(system, pairs, prec, decided=decided)
+                assert shared == check_constraints(system, pairs, prec), combo
+
     def test_search_is_deterministic(self):
         system = load_system("filter")
         pairs = extract_pairs(system)

@@ -208,6 +208,17 @@ class TestBeta:
             assert type_of(r) == L
             assert r != t
 
+    def test_reducts_are_the_redex_positions_in_preorder(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            t = random_closed_term(rng, size_cap=20, redex_rate=0.5)
+            expected = [
+                (p, replace_at(t, p, beta_contract(sub)))
+                for p, sub in positions(t)
+                if isinstance(sub, App) and isinstance(sub.fun, Lam)
+            ]
+            assert beta_reducts(t) == expected
+
     def test_normalize_reaches_a_normal_form(self):
         x = Var("x", N)
         f = Var("f", NN)
@@ -232,6 +243,20 @@ class TestPositions:
         ps = [p for p, _ in positions(t)]
         assert ps == sorted(ps)
         assert ps[0] == ()
+
+    def test_walks_leave_no_reference_cycles(self):
+        x = Var("x", N)
+        t = App(App(CONS, App(Lam(x, x), ZERO)), App(App(CONS, nat(3)), NIL))
+        pattern = App(App(CONS, Var("X", N)), Var("Ls", L))
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(positions(t)) == 18
+            assert len(beta_reducts(t)) == 1
+            assert match_pattern(pattern, t) is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_subterm_and_replace_roundtrip(self):
         rng = random.Random(7)
