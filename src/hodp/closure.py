@@ -152,54 +152,55 @@ def computability_closure(
 def replay_derivation(deriv: Derivation, args: tuple[Term, ...], sig: Signature) -> bool:
     """Check a derivation against the destructor definitions from scratch."""
     arg_vars = frozenset().union(*(free_vars(a) for a in args)) if args else frozenset()
+    return _replay(deriv, args, arg_vars, sig)
 
-    def check(d: Derivation) -> bool:
-        if d.step == "arg":
-            return (
-                d.index is not None
-                and 1 <= d.index <= len(args)
-                and not d.premises
-                and alpha_eq(d.term, args[d.index - 1])
-            )
-        if len(d.premises) != 1 or not check(d.premises[0]):
-            return False
-        prem = d.premises[0].term
-        if d.step == "acc":
-            head, sp = spine(prem)
-            if not isinstance(head, Sym) or head.name not in sig.symbols:
-                return False
-            if d.index is None or d.index not in accessible_args(sig, head.name):
-                return False
-            return d.index <= len(sp) and alpha_eq(d.term, sp[d.index - 1])
-        if d.step == "lam":
-            y = d.variable
-            if y is None or y in arg_vars or not isinstance(prem, Lam):
-                return False
-            return alpha_eq(Lam(y, d.term), prem)
-        if d.step == "app-left":
-            y = d.variable
-            return (
-                y is not None
-                and isinstance(prem, App)
-                and prem.arg == y
-                and alpha_eq(prem.fun, d.term)
-                and y not in arg_vars
-                and y not in free_vars(d.term)
-            )
-        if d.step == "app-right":
-            y = d.variable
-            return (
-                y is not None
-                and isinstance(prem, App)
-                and prem.fun == y
-                and alpha_eq(prem.arg, d.term)
-                and y not in arg_vars
-                and y not in free_vars(d.term)
-                and _projects_to(y.type, type_of(d.term))
-            )
+
+def _replay(d: Derivation, args: tuple[Term, ...], arg_vars: frozenset[Var], sig: Signature) -> bool:
+    # a module function: a self-calling closure is a reference cycle
+    if d.step == "arg":
+        return (
+            d.index is not None
+            and 1 <= d.index <= len(args)
+            and not d.premises
+            and alpha_eq(d.term, args[d.index - 1])
+        )
+    if len(d.premises) != 1 or not _replay(d.premises[0], args, arg_vars, sig):
         return False
-
-    return check(deriv)
+    prem = d.premises[0].term
+    if d.step == "acc":
+        head, sp = spine(prem)
+        if not isinstance(head, Sym) or head.name not in sig.symbols:
+            return False
+        if d.index is None or d.index not in accessible_args(sig, head.name):
+            return False
+        return d.index <= len(sp) and alpha_eq(d.term, sp[d.index - 1])
+    if d.step == "lam":
+        y = d.variable
+        if y is None or y in arg_vars or not isinstance(prem, Lam):
+            return False
+        return alpha_eq(Lam(y, d.term), prem)
+    if d.step == "app-left":
+        y = d.variable
+        return (
+            y is not None
+            and isinstance(prem, App)
+            and prem.arg == y
+            and alpha_eq(prem.fun, d.term)
+            and y not in arg_vars
+            and y not in free_vars(d.term)
+        )
+    if d.step == "app-right":
+        y = d.variable
+        return (
+            y is not None
+            and isinstance(prem, App)
+            and prem.fun == y
+            and alpha_eq(prem.arg, d.term)
+            and y not in arg_vars
+            and y not in free_vars(d.term)
+            and _projects_to(y.type, type_of(d.term))
+        )
+    return False
 
 
 # ------------------------------------------------------------- admissibility

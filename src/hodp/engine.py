@@ -2,23 +2,23 @@
 
 The rewrite relation combines beta steps with rule steps at any position;
 the chain relation combines internal (non-root) steps with dependency pair
-steps at the root.  Exploration is a depth-first search that detects
-repeated states modulo alpha along a path, memoizes finished states
-globally, and reports either exhaustive termination with the longest trace
-length, a trace that exceeds the depth bound, or a cycle witness.
-Successor enumeration is deterministic, so results are reproducible.
+steps at the root.  Exploration is a depth-first search on an explicit
+stack, so its depth does not depend on the interpreter's recursion limit,
+which it never changes.  It detects repeated states modulo alpha along a
+path, memoizes finished states globally, and reports either exhaustive
+termination with the longest trace length, a trace that exceeds the depth
+bound, or a cycle witness.  Successor enumeration is deterministic, so
+results are reproducible.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from hodp.errors import ResourceLimitError
+from hodp.errors import InvalidPositionError, ResourceLimitError
 from hodp.pairs import DepPair
 from hodp.signature import RewriteSystem, Signature
-from hodp.errors import InvalidPositionError
 from hodp.terms import (
     App,
     Arrow,
@@ -111,9 +111,16 @@ class Exploration:
     edges: tuple[Step, ...] = ()
 
 
-class _CycleHit(Exception):
-    def __init__(self, trace: tuple[Step, ...]):
-        self.trace = trace
+class _Frame:
+    """A state on the exploration path: its successors, the index of the next
+    one to visit (the first is visited as the frame is pushed), and the
+    longest finished height below it so far."""
+
+    __slots__ = ("key", "succ", "next", "best", "best_step", "truncated")
+
+    def __init__(self, key: Term, succ: list[Step]):
+        self.key, self.succ, self.next = key, succ, 1
+        self.best, self.best_step, self.truncated = 0, None, False
 
 
 def bounded_explore(
@@ -132,82 +139,81 @@ def bounded_explore(
     max_nodes distinct states raises ResourceLimitError.
     """
     finished: dict[Term, tuple[int, Step | None]] = {}
-    on_path: dict[Term, int] = {}
-    state = {"expanded": 0, "bound_trace": None}
+    on_path: set[Term] = set()
+    stack: list[_Frame] = []
     edges: list[Step] = []
-
-    old_limit = sys.getrecursionlimit()
-
-    def memo_suffix(u: Term) -> list[Step]:
-        steps = []
-        key = alpha_canonical(u)
-        while True:
-            _, st = finished[key]
-            if st is None:
-                return steps
-            steps.append(st)
-            key = alpha_canonical(st.target)
-
-    def visit(u: Term, depth: int, path: list[Step]) -> int | None:
+    expanded = 0
+    bound_trace: tuple[Step, ...] | None = None
+    u = start
+    while True:
+        # visit u, reached by the current step of every frame on the stack;
+        # h becomes its height, or None if some trace from it is too long
         key = alpha_canonical(u)
         known = finished.get(key)
         if known is not None:
             h = known[0]
-            if depth + h > max_depth:
-                if state["bound_trace"] is None:
-                    state["bound_trace"] = tuple(path) + tuple(memo_suffix(u))
-                return None
-            return h
-        if key in on_path:
-            raise _CycleHit(tuple(path))
-        state["expanded"] += 1
-        if state["expanded"] > max_nodes:
-            raise ResourceLimitError(
-                f"exploration expanded more than {max_nodes} states"
-            )
-        succ = successors(u)
-        if record:
-            edges.extend(succ)
-        if not succ:
-            finished[key] = (0, None)
-            return 0
-        if depth >= max_depth:
-            if state["bound_trace"] is None:
-                state["bound_trace"] = tuple(path) + (succ[0],)
-            return None
-        on_path[key] = depth
-        best: int | None = None
-        best_step: Step | None = None
-        truncated = False
-        for s in succ:
-            path.append(s)
-            h = visit(s.target, depth + 1, path)
-            path.pop()
+            if len(stack) + h > max_depth:
+                if bound_trace is None:
+                    bound_trace = _path(stack) + _finished_suffix(finished, key)
+                h = None
+        elif key in on_path:
+            return Exploration("cycle", trace=_path(stack), expanded=expanded, edges=tuple(edges))
+        else:
+            expanded += 1
+            if expanded > max_nodes:
+                raise ResourceLimitError(f"exploration expanded more than {max_nodes} states")
+            succ = successors(u)
+            if record:
+                edges.extend(succ)
+            if not succ:
+                finished[key] = (0, None)
+                h = 0
+            elif len(stack) >= max_depth:
+                if bound_trace is None:
+                    bound_trace = _path(stack) + (succ[0],)
+                h = None
+            else:
+                on_path.add(key)
+                stack.append(_Frame(key, succ))
+                u = succ[0].target
+                continue
+        # hand h to the frames above until one has a successor left
+        while stack:
+            top = stack[-1]
             if h is None:
-                truncated = True
-            elif best is None or h + 1 > best:
-                best, best_step = h + 1, s
-        del on_path[key]
-        if truncated:
-            return None
-        finished[key] = (best, best_step)
-        return best
+                top.truncated = True
+            elif h + 1 > top.best:
+                top.best, top.best_step = h + 1, top.succ[top.next - 1]
+            if top.next < len(top.succ):
+                u = top.succ[top.next].target
+                top.next += 1
+                break
+            stack.pop()
+            on_path.remove(top.key)
+            if top.truncated:
+                h = None
+            else:
+                finished[top.key] = (top.best, top.best_step)
+                h = top.best
+        else:
+            break
+    if bound_trace is not None:
+        return Exploration("bound-exceeded", trace=bound_trace, expanded=expanded, edges=tuple(edges))
+    return Exploration("all-terminated", longest=h, expanded=expanded, edges=tuple(edges))
 
-    sys.setrecursionlimit(max(old_limit, 3 * max_depth + 200))
-    try:
-        h = visit(start, 0, [])
-    except _CycleHit as hit:
-        return Exploration("cycle", trace=hit.trace, expanded=state["expanded"], edges=tuple(edges))
-    finally:
-        sys.setrecursionlimit(old_limit)
-    if state["bound_trace"] is not None:
-        return Exploration(
-            "bound-exceeded",
-            trace=state["bound_trace"],
-            expanded=state["expanded"],
-            edges=tuple(edges),
-        )
-    return Exploration("all-terminated", longest=h, expanded=state["expanded"], edges=tuple(edges))
+
+def _path(stack: list[_Frame]) -> tuple[Step, ...]:
+    """The steps from the start to the state being visited."""
+    return tuple(f.succ[f.next - 1] for f in stack)
+
+
+def _finished_suffix(finished: dict[Term, tuple[int, Step | None]], key: Term) -> tuple[Step, ...]:
+    """The longest trace recorded from a finished state."""
+    steps = []
+    while (step := finished[key][1]) is not None:
+        steps.append(step)
+        key = alpha_canonical(step.target)
+    return tuple(steps)
 
 
 def replay_trace(trace: Iterable[Step], system: RewriteSystem, pairs: tuple[DepPair, ...]) -> bool:
@@ -266,50 +272,42 @@ def has_alpha_repeat(start: Term, trace: tuple[Step, ...]) -> bool:
 def ground_term(sig: Signature, typ: Type, depth: int = 3) -> Term | None:
     """Smallest ground constructor term of the given type, if one exists
     within the generation depth.  Ties break on the printed form."""
+    return _ground(sig, typ, depth, {})
 
-    def best(a: Term | None, b: Term | None) -> Term | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        ka = (term_size(a), show_term(a))
-        kb = (term_size(b), show_term(b))
-        return a if ka <= kb else b
 
-    memo: dict[tuple[Type, int], Term | None] = {}
-
-    def gen(t: Type, d: int) -> Term | None:
-        if (t, d) in memo:
-            return memo[t, d]
-        found: Term | None = None
-        for name in sorted(sig.constructors):
-            ctype = sig.symbols[name]
-            args, out = flatten_type(ctype)
-            # partial application: any suffix of the constructor type may
-            # equal the requested type
-            suffix = ctype
-            taken: list[Type] = []
-            for k in range(len(args) + 1):
-                if suffix == t:
-                    if k == 0:
-                        found = best(found, Sym(name, ctype))
-                    elif d > 0:
-                        subs = [gen(a, d - 1) for a in taken]
-                        if all(s is not None for s in subs):
-                            found = best(found, make_app(Sym(name, ctype), subs))
-                if isinstance(suffix, Arrow):
-                    taken.append(suffix.dom)
-                    suffix = suffix.cod
-                else:
-                    break
-        if isinstance(t, Arrow) and d > 0:
-            body = gen(t.cod, d - 1)
-            if body is not None:
-                found = best(found, Lam(Var("x", t.dom), body))
-        memo[t, d] = found
-        return found
-
-    return gen(typ, depth)
+def _ground(
+    sig: Signature, t: Type, d: int, memo: dict[tuple[Type, int], Term | None]
+) -> Term | None:
+    if (t, d) in memo:
+        return memo[t, d]
+    found: list[Term] = []
+    for name in sorted(sig.constructors):
+        ctype = sig.symbols[name]
+        args, _ = flatten_type(ctype)
+        # partial application: any suffix of the constructor type may
+        # equal the requested type
+        suffix = ctype
+        taken: list[Type] = []
+        for k in range(len(args) + 1):
+            if suffix == t:
+                if k == 0:
+                    found.append(Sym(name, ctype))
+                elif d > 0:
+                    subs = [_ground(sig, a, d - 1, memo) for a in taken]
+                    if all(s is not None for s in subs):
+                        found.append(make_app(Sym(name, ctype), subs))
+            if isinstance(suffix, Arrow):
+                taken.append(suffix.dom)
+                suffix = suffix.cod
+            else:
+                break
+    if isinstance(t, Arrow) and d > 0:
+        body = _ground(sig, t.cod, d - 1, memo)
+        if body is not None:
+            found.append(Lam(Var("x", t.dom), body))
+    best = min(found, key=lambda u: (term_size(u), show_term(u)), default=None)
+    memo[t, d] = best
+    return best
 
 
 def disprove_seeds(system: RewriteSystem, depth: int = 3) -> tuple[Term, ...]:

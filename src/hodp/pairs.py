@@ -1,4 +1,4 @@
-"""Dependency pairs: call positions, call levels, extraction, side checks.
+"""Dependency pairs: call positions, extraction, side checks.
 
 A call position of a right-hand side is the position of a maximal
 application spine headed by a defined symbol, including partial
@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 from hodp.signature import RewriteSystem, Rule, Signature
 from hodp.terms import (
-    App,
     Lam,
     Position,
     Sym,
     Term,
     Type,
     Var,
-    alpha_canonical,
     binders_above,
     free_vars,
     spine,
@@ -33,25 +31,26 @@ from hodp.terms import (
 
 def call_positions(t: Term, sig: Signature) -> tuple[Position, ...]:
     """Positions of defined-symbol spines in t, sorted lexicographically."""
+    return tuple(sorted(_calls(t, sig)))
 
-    def go(u: Term) -> list[Position]:
-        if isinstance(u, Var):
-            return []
-        if isinstance(u, Sym):
-            return [()] if u.name in sig.defined else []
-        if isinstance(u, Lam):
-            return [(1,) + p for p in go(u.body)]
-        head, args = spine(u)
-        if isinstance(head, Sym) and head.name in sig.defined:
-            n = len(args)
-            out = [()]
-            for i, a in enumerate(args, start=1):
-                prefix = (1,) * (n - i) + (2,)
-                out.extend(prefix + p for p in go(a))
-            return out
-        return [(1,) + p for p in go(u.fun)] + [(2,) + p for p in go(u.arg)]
 
-    return tuple(sorted(go(t)))
+def _calls(u: Term, sig: Signature) -> list[Position]:
+    # a module function: a self-calling closure is a reference cycle
+    if isinstance(u, Var):
+        return []
+    if isinstance(u, Sym):
+        return [()] if u.name in sig.defined else []
+    if isinstance(u, Lam):
+        return [(1,) + p for p in _calls(u.body, sig)]
+    head, args = spine(u)
+    if isinstance(head, Sym) and head.name in sig.defined:
+        n = len(args)
+        out = [()]
+        for i, a in enumerate(args, start=1):
+            prefix = (1,) * (n - i) + (2,)
+            out.extend(prefix + p for p in _calls(a, sig))
+        return out
+    return [(1,) + p for p in _calls(u.fun, sig)] + [(2,) + p for p in _calls(u.arg, sig)]
 
 
 @dataclass(frozen=True)
@@ -90,15 +89,13 @@ class DepPair:
 def escaped_variables(rhs: Term, pos: Position) -> tuple[Var, ...]:
     """Variables bound above pos that occur free in the subterm at pos.
 
-    Works on the canonical renaming so that a bound variable shadowing a
-    free one of the same name is still detected; reported under its
-    original name, innermost binders last.
+    An occurrence is bound by the innermost binder of its variable, so a
+    binder shadowing a free variable of the same name still counts;
+    innermost binders last.
     """
-    sub = subterm_at(alpha_canonical(rhs), pos)
-    leaked = free_vars(sub) - free_vars(rhs)
-    stack = binders_above(rhs, pos)
-    depths = sorted(int(v.name[1:]) for v in leaked)
-    return tuple(stack[d] for d in depths)
+    innermost = {v: d for d, v in sorted(binders_above(rhs, pos).items())}
+    sub = subterm_at(rhs, pos)
+    return tuple(sorted((v for v in free_vars(sub) if v in innermost), key=innermost.get))
 
 
 def check_extraction(rule: Rule, pos: Position) -> ExtractionCheck:

@@ -351,12 +351,14 @@ def binders_above(t: Term, pos: Position) -> dict[int, Var]:
 # ---------------------------------------------------- alpha equivalence
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1 << 12)
 def alpha_canonical(t: Term) -> Term:
     """Rename every binder to a depth-indexed name.
 
     The marker character cannot appear in parsed identifiers, so canonical
-    binder names never collide with free variables.
+    binder names never collide with free variables.  The cache is bounded,
+    so it does not keep every canonical form alive; an evicted form is
+    rebuilt as the same interned node while anything else holds it.
     """
     return _canon(t, {}, 0)
 

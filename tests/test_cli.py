@@ -96,6 +96,25 @@ class TestExitCodes:
         assert code == 3
         assert "Traceback" not in err
 
+    def test_deep_exploration_under_a_low_recursion_limit_is_a_limit(self, tmp_path):
+        grow = tmp_path / "grow.hodp"
+        grow.write_text("sort N\n0 : N\ns : N -> N\nf : N -> N\nrule f X -> f (s X)\n")
+        src = str(SYSTEMS_DIR.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import sys; sys.setrecursionlimit(300); from hodp.cli import main; "
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "check", str(grow),
+             "--disprove", "--explore-depth", "400"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("limit:")
+        assert "Traceback" not in proc.stderr
+
     def test_bad_precedence_argument(self, capsys):
         code, _, err = run(capsys, "check", path("map"), "--precedence", "bogus>map")
         assert code == 2

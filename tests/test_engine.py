@@ -1,10 +1,14 @@
 """Rewriting, bounded exploration, and counterexample search."""
 
+import random
+import sys
+
 import pytest
 
-from conftest import load_system
-from gen import GEN_SYMBOLS, make_sig
+from conftest import SYSTEMS_DIR, load_system
+from gen import GEN_SYMBOLS, make_sig, random_closed_term, rule_instance_seeds
 from hodp.engine import (
+    Exploration,
     bounded_explore,
     chain_successors,
     disprove_seeds,
@@ -21,7 +25,18 @@ from hodp.engine import (
 from hodp.errors import ResourceLimitError
 from hodp.pairs import extract_pairs
 from hodp.parser import parse_system
-from hodp.terms import App, Arrow, Base, Lam, Sym, Var, alpha_eq, show_term, type_of
+from hodp.terms import (
+    App,
+    Arrow,
+    Base,
+    Lam,
+    Sym,
+    Var,
+    alpha_canonical,
+    alpha_eq,
+    show_term,
+    type_of,
+)
 
 GROW = "sort N\n0 : N\ns : N -> N\nf : N -> N\nrule f X -> f (s X)\n"
 
@@ -146,6 +161,22 @@ class TestExploration:
         assert ex.kind == "all-terminated"
         assert ex.longest >= 4
 
+    def test_deep_exploration_leaves_the_recursion_limit_alone(self):
+        system = parse_system(GROW)
+        seed = App(system.signature.symbol("f"), system.signature.symbol("0"))
+        before = sys.getrecursionlimit()
+        seen = set()
+
+        def successors(t):
+            seen.add(sys.getrecursionlimit())
+            return rewrite_steps(t, system)
+
+        ex = bounded_explore(seed, successors, max_depth=400)
+        assert ex.kind == "bound-exceeded"
+        assert len(ex.trace) == 401
+        assert seen == {before}
+        assert sys.getrecursionlimit() == before
+
     def test_recorded_edges_feed_the_dot_renderer(self):
         system = parse_system(GROW)
         seed = App(system.signature.symbol("f"), system.signature.symbol("0"))
@@ -230,3 +261,117 @@ class TestReplay:
             target=step.target,
         )
         assert not replay_trace([forged], system, ())
+
+
+# ------------------------------------------------------------------ oracle
+# The recursive exploration the explicit stack replaced, kept as the
+# reference it must agree with.  The depths below stay far under the
+# default recursion limit, so the reference does not raise it.
+
+
+class _CycleHit(Exception):
+    def __init__(self, trace):
+        self.trace = trace
+
+
+def _reference_explore(start, successors, max_depth=200, max_nodes=100_000, record=False):
+    finished = {}
+    on_path = {}
+    state = {"expanded": 0, "bound_trace": None}
+    edges = []
+
+    def memo_suffix(u):
+        steps = []
+        key = alpha_canonical(u)
+        while True:
+            _, st = finished[key]
+            if st is None:
+                return steps
+            steps.append(st)
+            key = alpha_canonical(st.target)
+
+    def visit(u, depth, path):
+        key = alpha_canonical(u)
+        known = finished.get(key)
+        if known is not None:
+            h = known[0]
+            if depth + h > max_depth:
+                if state["bound_trace"] is None:
+                    state["bound_trace"] = tuple(path) + tuple(memo_suffix(u))
+                return None
+            return h
+        if key in on_path:
+            raise _CycleHit(tuple(path))
+        state["expanded"] += 1
+        if state["expanded"] > max_nodes:
+            raise ResourceLimitError(
+                f"exploration expanded more than {max_nodes} states"
+            )
+        succ = successors(u)
+        if record:
+            edges.extend(succ)
+        if not succ:
+            finished[key] = (0, None)
+            return 0
+        if depth >= max_depth:
+            if state["bound_trace"] is None:
+                state["bound_trace"] = tuple(path) + (succ[0],)
+            return None
+        on_path[key] = depth
+        best = None
+        best_step = None
+        truncated = False
+        for s in succ:
+            path.append(s)
+            h = visit(s.target, depth + 1, path)
+            path.pop()
+            if h is None:
+                truncated = True
+            elif best is None or h + 1 > best:
+                best, best_step = h + 1, s
+        del on_path[key]
+        if truncated:
+            return None
+        finished[key] = (best, best_step)
+        return best
+
+    try:
+        h = visit(start, 0, [])
+    except _CycleHit as hit:
+        return Exploration("cycle", trace=hit.trace, expanded=state["expanded"], edges=tuple(edges))
+    if state["bound_trace"] is not None:
+        return Exploration(
+            "bound-exceeded",
+            trace=state["bound_trace"],
+            expanded=state["expanded"],
+            edges=tuple(edges),
+        )
+    return Exploration("all-terminated", longest=h, expanded=state["expanded"], edges=tuple(edges))
+
+
+def _explore_outcome(explore, seed, successors, depth):
+    try:
+        ex = explore(seed, successors, max_depth=depth, max_nodes=60, record=True)
+    except ResourceLimitError as exc:
+        return str(exc)
+    return ex.kind, ex.longest, ex.trace, ex.expanded, ex.edges
+
+
+class TestExplorationOracle:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp")))
+    def test_explicit_stack_matches_the_recursive_search(self, name):
+        system = load_system(name)
+        symbols = dict(system.signature.symbols)
+        rng = random.Random(name)
+        seeds = list(disprove_seeds(system)) + rule_instance_seeds(rng, system, per_rule=3, budget=9)
+        try:
+            seeds += [random_closed_term(rng, size_cap=20, symbols=symbols) for _ in range(6)]
+        except ValueError:
+            pass  # no inhabited sort
+        relations = (rewrite_successors(system), chain_successors(system, extract_pairs(system)))
+        for seed in seeds:
+            for successors in relations:
+                for depth in (0, 1, 2, 3, 5, 8, 60):
+                    new = _explore_outcome(bounded_explore, seed, successors, depth)
+                    old = _explore_outcome(_reference_explore, seed, successors, depth)
+                    assert new == old, (show_term(seed), depth)

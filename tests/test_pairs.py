@@ -129,6 +129,26 @@ class TestExtraction:
         assert [v.name for v in escaped_variables(rhs, (2, 1))] == ["n"]
         assert escaped_variables(rhs, ()) == ()
 
+    def test_escape_through_a_binder_shadowing_a_free_variable(self):
+        n = Base("N")
+        x = Var("X", n)
+        c = Sym("c", Arrow(n, Arrow(n, n)))
+        g = Sym("g", Arrow(n, n))
+        h = Sym("h", Arrow(Arrow(n, n), n))
+        rhs = App(App(c, x), App(h, Lam(x, App(g, x))))  # c X (h (\X. g X))
+        assert escaped_variables(rhs, (2, 2, 1)) == (x,)
+        assert escaped_variables(rhs, (1, 2)) == ()
+        assert escaped_variables(rhs, ()) == ()
+
+    def test_nested_binders_of_one_variable_report_the_innermost(self):
+        n = Base("N")
+        x, y = Var("x", n), Var("y", n)
+        c = Sym("c", Arrow(n, Arrow(n, n)))
+        rhs = Lam(x, Lam(y, Lam(x, App(App(c, x), y))))  # \x. \y. \x. c x y
+        # y is bound at depth 1 and the inner x at depth 2, so x comes last
+        assert escaped_variables(rhs, (1, 1, 1)) == (y, x)
+        assert escaped_variables(rhs, (1, 1, 1, 1, 2)) == (x,)
+
     def test_type_change_is_flagged(self):
         # the call position has a partially applied sum, so the
         # extracted side is a function while the left side is a number

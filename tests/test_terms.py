@@ -7,8 +7,12 @@ import weakref
 
 import pytest
 
+from conftest import load_system
 from gen import GEN_SYMBOLS, random_closed_term, random_term
+from hodp.closure import computability_closure, replay_derivation
+from hodp.engine import bounded_explore, ground_term, rewrite_successors
 from hodp.errors import InvalidPositionError, TypeCheckError
+from hodp.pairs import call_positions
 from hodp.terms import (
     App,
     Arrow,
@@ -144,6 +148,16 @@ class TestHashConsing:
         gc.collect()
         assert ref() is None
 
+    def test_the_canonical_cache_is_bounded(self):
+        maxsize = alpha_canonical.cache_info().maxsize
+        x = Var("x", N)
+        first = weakref.ref(alpha_canonical(Lam(x, App(Sym("c0", NN), x))))
+        for i in range(1, maxsize + 1):
+            alpha_canonical(Lam(x, App(Sym(f"c{i}", NN), x)))
+        assert alpha_canonical.cache_info().currsize == maxsize
+        gc.collect()
+        assert first() is None
+
     def test_terms_are_immutable(self):
         t = App(S, ZERO)
         with pytest.raises(AttributeError):
@@ -248,12 +262,22 @@ class TestPositions:
         x = Var("x", N)
         t = App(App(CONS, App(Lam(x, x), ZERO)), App(App(CONS, nat(3)), NIL))
         pattern = App(App(CONS, Var("X", N)), Var("Ls", L))
+        system = load_system("map")
+        sig = system.signature
+        cons, zero, nil = sig.symbol("cons"), sig.symbol("0"), sig.symbol("nil")
+        seed = App(App(sig.symbol("map"), sig.symbol("s")), App(App(cons, zero), nil))
+        _, args = spine(system.rules[1].lhs)
+        closure = computability_closure(args, sig)
         gc.collect()
         gc.disable()
         try:
             assert len(positions(t)) == 18
             assert len(beta_reducts(t)) == 1
             assert match_pattern(pattern, t) is not None
+            assert bounded_explore(seed, rewrite_successors(system)).longest == 2
+            assert ground_term(sig, Arrow(nil.type, nil.type)) == Lam(Var("x", nil.type), nil)
+            assert call_positions(seed, sig) == ((),)
+            assert all(replay_derivation(d, args, sig) for d in closure.order)
             assert gc.collect() == 0
         finally:
             gc.enable()
