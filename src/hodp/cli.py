@@ -81,7 +81,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
+    for budget in ("max_symbols", "ge_bound", "explore_depth", "explore_nodes"):
+        if getattr(args, budget) < 0:
+            parser.error(f"argument --{budget.replace('_', '-')}: must not be negative")
     if args.dot and not args.disprove:
         print("error: --dot requires --disprove", file=sys.stderr)
         return 2

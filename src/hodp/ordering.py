@@ -18,16 +18,13 @@ from dataclasses import dataclass, field
 
 from hodp.errors import PrecedenceCycleError, SearchSpaceExceededError
 from hodp.pairs import DepPair
-from hodp.signature import RewriteSystem, Rule, Signature
+from hodp.signature import RewriteSystem, Signature
 from hodp.terms import (
     App,
-    Arrow,
-    Base,
     Lam,
     Position,
     Sym,
     Term,
-    Type,
     Var,
     alpha_canonical,
     alpha_eq,
@@ -38,18 +35,13 @@ from hodp.terms import (
     free_vars,
     spine,
     type_of,
+    type_skeleton,
 )
 
 
-@functools.lru_cache(maxsize=None)
-def type_skeleton(t: Type):
-    """Arrow structure of a type with all base sorts identified."""
-    if isinstance(t, Base):
-        return "o"
-    return (type_skeleton(t.dom), type_skeleton(t.cod))
-
-
 def transitive_closure(pairs) -> frozenset[tuple[str, str]]:
+    """Transitively closed edges.  A cycle raises, naming the alphabetically
+    first symbol on one, so the message does not depend on set order."""
     edges = set(pairs)
     changed = True
     while changed:
@@ -59,9 +51,9 @@ def transitive_closure(pairs) -> frozenset[tuple[str, str]]:
                 if b == c and (a, d) not in edges:
                     edges.add((a, d))
                     changed = True
-    for a, b in edges:
-        if a == b:
-            raise PrecedenceCycleError(f"precedence orders {a} above itself")
+    cyclic = sorted(a for a, b in edges if a == b)
+    if cyclic:
+        raise PrecedenceCycleError(f"precedence orders {cyclic[0]} above itself")
     return frozenset(edges)
 
 

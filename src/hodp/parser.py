@@ -23,12 +23,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 
-from hodp.errors import (
-    AmbiguousVariableType,
-    PrecedenceCycleError,
-    SystemSyntaxError,
-    SystemTypeError,
-)
+from hodp.errors import AmbiguousVariableType, SystemSyntaxError, SystemTypeError
 from hodp.ordering import transitive_closure
 from hodp.signature import RewriteSystem, build_system
 from hodp.terms import App, Arrow, Base, Lam, Sym, Term, Type, Var, show_type
@@ -208,12 +203,10 @@ class _LineParser:
 # ----------------------------------------------------------- type inference
 
 
-@dataclass(frozen=True)
-class _Meta:
-    id: int
+class _Meta(Base):
+    """An inference metavariable, a base type named ?n until it is bound."""
 
-
-_IType = Base | Arrow | _Meta
+    __slots__ = ()
 
 
 class _Inference:
@@ -221,37 +214,35 @@ class _Inference:
 
     def __init__(self, lineno: int):
         self.lineno = lineno
-        self.bindings: dict[int, _IType] = {}
+        self.bindings: dict[_Meta, Type] = {}
         self.counter = 0
         self.rule_vars: dict[str, _Meta] = {}
 
     def fresh(self) -> _Meta:
         self.counter += 1
-        return _Meta(self.counter)
+        return _Meta(f"?{self.counter}")
 
-    def resolve(self, t: _IType) -> _IType:
-        while isinstance(t, _Meta) and t.id in self.bindings:
-            t = self.bindings[t.id]
+    def resolve(self, t: Type) -> Type:
+        while isinstance(t, _Meta) and t in self.bindings:
+            t = self.bindings[t]
         return t
 
-    def _occurs(self, m: _Meta, t: _IType) -> bool:
+    def _occurs(self, m: _Meta, t: Type) -> bool:
         t = self.resolve(t)
-        if isinstance(t, _Meta):
-            return t == m
         if isinstance(t, Arrow):
             return self._occurs(m, t.dom) or self._occurs(m, t.cod)
-        return False
+        return t is m
 
-    def unify(self, a: _IType, b: _IType) -> None:
+    def unify(self, a: Type, b: Type) -> None:
         a, b = self.resolve(a), self.resolve(b)
-        if a == b:
+        if a is b:
             return
         if isinstance(a, _Meta):
             if self._occurs(a, b):
                 raise SystemTypeError(
                     f"line {self.lineno}: rule cannot be typed (cyclic type)"
                 )
-            self.bindings[a.id] = b
+            self.bindings[a] = b
             return
         if isinstance(b, _Meta):
             self.unify(b, a)
@@ -262,23 +253,14 @@ class _Inference:
             return
         raise SystemTypeError(
             f"line {self.lineno}: rule cannot be typed "
-            f"({self.show(a)} versus {self.show(b)})"
+            f"({show_type(self.zonk(a))} versus {show_type(self.zonk(b))})"
         )
 
-    def show(self, t: _IType) -> str:
+    def zonk(self, t: Type, what: str | None = None) -> Type:
+        """The type with every bound metavariable replaced.  An unbound one
+        stays in place, or raises when what names the typed variable."""
         t = self.resolve(t)
-        if isinstance(t, _Meta):
-            return f"?{t.id}"
-        if isinstance(t, Base):
-            return t.name
-        dom = self.show(t.dom)
-        if isinstance(self.resolve(t.dom), Arrow):
-            dom = f"({dom})"
-        return f"{dom} -> {self.show(t.cod)}"
-
-    def zonk(self, t: _IType, what: str) -> Type:
-        t = self.resolve(t)
-        if isinstance(t, _Meta):
+        if isinstance(t, _Meta) and what is not None:
             raise AmbiguousVariableType(
                 f"line {self.lineno}: cannot infer the type of {what}"
             )
@@ -291,7 +273,7 @@ def _elaborate(
     raw: _Raw,
     symbols: dict[str, Type],
     inf: _Inference,
-    bound: tuple[tuple[str, _Meta | Type], ...],
+    bound: tuple[tuple[str, Type], ...],
 ):
     """Returns a builder closure and the inferred type.  The builder is run
     after unification settles, turning metavariables into ground types."""
@@ -310,7 +292,7 @@ def _elaborate(
         out = inf.fresh()
         inf.unify(ft, Arrow(at, out))
         return (lambda: App(fb(), ab())), out
-    annot: _Meta | Type = raw.annot if raw.annot is not None else inf.fresh()
+    annot: Type = raw.annot if raw.annot is not None else inf.fresh()
     bb, bt = _elaborate(raw.body, symbols, inf, bound + ((raw.name, annot),))
     return (
         lambda: Lam(Var(raw.name, inf.zonk(annot, f"binder {raw.name}")), bb())

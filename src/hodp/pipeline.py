@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from hodp.closure import Derivation, RuleAdmissibility, rule_admissibility
 from hodp.engine import (
@@ -32,7 +32,7 @@ from hodp.ordering import (
 )
 from hodp.pairs import DepPair, extract_pairs
 from hodp.signature import RewriteSystem, accessible_args, basic_sorts
-from hodp.terms import Term, show_position, show_term, show_type
+from hodp.terms import show_position, show_term, show_type
 
 
 @dataclass

@@ -9,19 +9,16 @@ basicness of sorts, all of which feed the admissibility check.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from hodp.errors import MalformedLhsError, SystemSyntaxError, SystemTypeError
 from hodp.terms import (
-    Arrow,
     Base,
     Position,
     Sym,
     Term,
     Type,
-    Var,
     flatten_type,
     show_term,
     show_type,
@@ -46,13 +43,18 @@ class Rule:
 
 @dataclass
 class Signature:
+    """Declared sorts and symbols.  The constructors and each symbol's
+    accessible arguments are computed once, when the signature is made."""
+
     sorts: tuple[str, ...]
     symbols: dict[str, Type]
     defined: frozenset[str]
+    constructors: frozenset[str] = field(init=False)
+    accessible: dict[str, frozenset[int]] = field(init=False)
 
-    @property
-    def constructors(self) -> frozenset[str]:
-        return frozenset(self.symbols) - self.defined
+    def __post_init__(self) -> None:
+        self.constructors = frozenset(self.symbols) - self.defined
+        self.accessible = {n: _accessible(t) for n, t in self.symbols.items()}
 
     def symbol(self, name: str) -> Sym:
         return Sym(name, self.symbols[name])
@@ -85,7 +87,6 @@ def build_system(
     sort_set = set(sorts)
     symbols = dict(symbols)
     for name, typ in symbols.items():
-        args, out = flatten_type(typ)
         for leaf in _base_leaves(typ):
             if leaf.name not in sort_set:
                 raise SystemSyntaxError(
@@ -123,7 +124,6 @@ def _base_leaves(t: Type) -> list[Base]:
 # ------------------------------------------------------------ sort analysis
 
 
-@functools.lru_cache(maxsize=None)
 def polarity_positions(t: Type, positive: bool = True) -> frozenset[Position]:
     """Positions of base-sort leaves occurring at the given polarity.
 
@@ -137,7 +137,6 @@ def polarity_positions(t: Type, positive: bool = True) -> frozenset[Position]:
     return frozenset({(1,) + p for p in dom} | {(2,) + p for p in cod})
 
 
-@functools.lru_cache(maxsize=None)
 def sort_positions(t: Type, sort: str) -> frozenset[Position]:
     """Leaf positions where the named sort occurs in the type."""
     if isinstance(t, Base):
@@ -150,7 +149,11 @@ def sort_positions(t: Type, sort: str) -> frozenset[Position]:
 def accessible_args(sig: Signature, name: str) -> frozenset[int]:
     """1-based argument indices in which the symbol's output sort occurs
     only positively."""
-    args, out = flatten_type(sig.symbols[name])
+    return sig.accessible[name]
+
+
+def _accessible(typ: Type) -> frozenset[int]:
+    args, out = flatten_type(typ)
     return frozenset(
         i
         for i, t in enumerate(args, start=1)

@@ -1,10 +1,10 @@
-"""Simply typed lambda terms: syntax, typing, substitution, and matching.
+"""Simple types and lambda terms: syntax, typing, substitution, matching.
 
-Terms are hash-consed: there is one immutable node per structure, so
-equality is identity and hashing is O(1), however deep the term.  Each node
-stores its type and free variables once computed.  Positions address
-subterms with tuples of child indices: 1 is the function part of an
-application or the body of a lambda, 2 is the argument part.
+Both are hash-consed: there is one immutable node per structure, so
+equality is identity and hashing is O(1), however deep the node.  Each node
+stores its type, free variables or skeleton once computed.  Positions
+address subterms with tuples of child indices: 1 is the function part of
+an application or the body of a lambda, 2 is the argument part.
 Alpha-equivalence is decided through a canonical renaming of bound
 variables; canonical forms are interned too, so terms can be used as
 dictionary keys modulo alpha by canonicalizing first, and two terms are
@@ -15,62 +15,19 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from hodp.errors import InvalidPositionError, TypeCheckError
 
-# ----------------------------------------------------------------- types
-
-
-@dataclass(frozen=True)
-class Base:
-    name: str
-
-
-@dataclass(frozen=True)
-class Arrow:
-    dom: "Type"
-    cod: "Type"
-
-
-Type = Base | Arrow
-
-
-def arrow(args: Iterable["Type"], out: "Type") -> "Type":
-    """Right-nested function type taking args and returning out."""
-    t = out
-    for a in reversed(tuple(args)):
-        t = Arrow(a, t)
-    return t
-
-
-def flatten_type(t: Type) -> tuple[tuple[Type, ...], Base]:
-    """Split a type into its argument list and base result."""
-    args = []
-    while isinstance(t, Arrow):
-        args.append(t.dom)
-        t = t.cod
-    return tuple(args), t
-
-
-def show_type(t: Type) -> str:
-    if isinstance(t, Base):
-        return t.name
-    dom = show_type(t.dom)
-    if isinstance(t.dom, Arrow):
-        dom = f"({dom})"
-    return f"{dom} -> {show_type(t.cod)}"
-
-
-# ----------------------------------------------------------------- terms
+# ------------------------------------------------------------------ nodes
 #
-# Every node is interned: a constructor looks its fields up in its class's
-# table and returns the existing node if there is one.  Structurally equal
-# terms are therefore the same object, so the inherited identity `==` and
-# `hash` are exact and O(1).  Applications and abstractions are keyed on the
-# identities of their children; a live node keeps its children alive, so a
-# live entry's key cannot be reused by another object.
+# Every node is interned: a constructor looks its arguments up in its
+# class's table and returns the existing node if there is one.  Structurally
+# equal nodes are therefore the same object, so the inherited identity `==`
+# and `hash` are exact and O(1).  Leaves (base sorts, variables, symbols)
+# are keyed on their fields; arrows, applications and abstractions on the
+# identities of their two children.  A live node keeps its children alive,
+# so a live entry's key cannot be reused by another object.
 
 
 class _Table(dict):
@@ -96,13 +53,19 @@ _set = object.__setattr__
 
 
 class _Node:
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...]
+    _table: _Table
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._table = _Table()  # each class interns its own nodes
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: terms are immutable")
+        raise AttributeError(f"cannot assign to {name!r}: nodes are immutable")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: terms are immutable")
+        raise AttributeError(f"cannot delete {name!r}: nodes are immutable")
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -110,76 +73,129 @@ class _Node:
 
 
 class _Leaf(_Node):
+    """A node interned on the values of its fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, *values):
+        entry = cls._table.get(values)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, values, strict=True):
+            _set(node, name, value)
+        cls._table.store(values, node)
+        return node
+
+
+class _Pair(_Node):
+    """A node interned on the identities of its two children.  Its other
+    slots, named in _derived, hold facts computed from it, None until the
+    first time they are asked for."""
+
+    __slots__ = ()
+    _derived: tuple[str, ...]
+
+    def __new__(cls, a, b):
+        key = (id(a), id(b))
+        entry = cls._table.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        first, second = cls._fields
+        _set(node, first, a)
+        _set(node, second, b)
+        for name in cls._derived:
+            _set(node, name, None)
+        cls._table.store(key, node)
+        return node
+
+
+# ----------------------------------------------------------------- types
+
+
+class Base(_Leaf):
+    __slots__ = ("name",)
+    _fields = ("name",)
+
+
+class Arrow(_Pair):
+    __slots__ = ("dom", "cod", "_skeleton")
+    _fields = ("dom", "cod")
+    _derived = ("_skeleton",)
+
+
+Type = Base | Arrow
+
+
+def arrow(args: Iterable[Type], out: Type) -> Type:
+    """Right-nested function type taking args and returning out."""
+    t = out
+    for a in reversed(tuple(args)):
+        t = Arrow(a, t)
+    return t
+
+
+def flatten_type(t: Type) -> tuple[tuple[Type, ...], Base]:
+    """Split a type into its argument list and base result."""
+    args = []
+    while isinstance(t, Arrow):
+        args.append(t.dom)
+        t = t.cod
+    return tuple(args), t
+
+
+def show_type(t: Type) -> str:
+    if isinstance(t, Base):
+        return t.name
+    dom = show_type(t.dom)
+    if isinstance(t.dom, Arrow):
+        dom = f"({dom})"
+    return f"{dom} -> {show_type(t.cod)}"
+
+
+def type_skeleton(t: Type):
+    """Arrow structure of a type with all base sorts identified.  The
+    result is stored on the arrow node."""
+    if isinstance(t, Base):
+        return "o"
+    skeleton = t._skeleton
+    if skeleton is None:
+        skeleton = (type_skeleton(t.dom), type_skeleton(t.cod))
+        _set(t, "_skeleton", skeleton)
+    return skeleton
+
+
+# ----------------------------------------------------------------- terms
+
+
+class _Atom(_Leaf):
     """A variable or symbol, interned on its name and type."""
 
-    __slots__ = ("name", "type", "__weakref__")
+    __slots__ = ("name", "type")
     _fields = ("name", "type")
-    _table: _Table
-
-    def __new__(cls, name: str, type: Type):
-        key = (name, type)
-        entry = cls._table.get(key)
-        if entry is not None:
-            node = entry()
-            if node is not None:
-                return node
-        node = object.__new__(cls)
-        _set(node, "name", name)
-        _set(node, "type", type)
-        cls._table.store(key, node)
-        return node
 
 
-class Var(_Leaf):
+class Var(_Atom):
     __slots__ = ()
-    _table = _Table()
 
-
-class Sym(_Leaf):
+class Sym(_Atom):
     __slots__ = ()
-    _table = _Table()
 
-
-class App(_Node):
-    __slots__ = ("fun", "arg", "_type", "_free", "__weakref__")
+class App(_Pair):
+    __slots__ = ("fun", "arg", "_type", "_free")
     _fields = ("fun", "arg")
-    _table = _Table()
-
-    def __new__(cls, fun: "Term", arg: "Term") -> "App":
-        key = (id(fun), id(arg))
-        entry = cls._table.get(key)
-        if entry is not None:
-            node = entry()
-            if node is not None:
-                return node
-        node = object.__new__(cls)
-        _set(node, "fun", fun)
-        _set(node, "arg", arg)
-        _set(node, "_type", None)
-        _set(node, "_free", None)
-        cls._table.store(key, node)
-        return node
+    _derived = ("_type", "_free")
 
 
-class Lam(_Node):
-    __slots__ = ("var", "body", "_type", "_free", "__weakref__")
+class Lam(_Pair):
+    __slots__ = ("var", "body", "_type", "_free")
     _fields = ("var", "body")
-    _table = _Table()
-
-    def __new__(cls, var: Var, body: "Term") -> "Lam":
-        key = (id(var), id(body))
-        entry = cls._table.get(key)
-        if entry is not None:
-            node = entry()
-            if node is not None:
-                return node
-        node = object.__new__(cls)
-        _set(node, "var", var)
-        _set(node, "body", body)
-        _set(node, "_type", None)
-        _set(node, "_free", None)
-        cls._table.store(key, node)
-        return node
+    _derived = ("_type", "_free")
 
 
 Term = Var | Sym | App | Lam

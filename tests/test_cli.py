@@ -22,16 +22,21 @@ def path(name: str) -> str:
     return str(SYSTEMS_DIR / f"{name}.hodp")
 
 
-def run_with_hash_seed(seed: str, *argv: str) -> tuple[int, str]:
-    """Exit code and report of `python -m hodp.cli` in a fresh interpreter,
-    with the timing entry or line stripped."""
+def run_hash_seeded(seed: str, *argv: str) -> subprocess.CompletedProcess:
+    """`python -m hodp.cli` in a fresh interpreter under the given hash seed."""
     src = str(SYSTEMS_DIR.parent / "src")
     env = dict(os.environ, PYTHONHASHSEED=seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "hodp.cli", *argv],
         capture_output=True, text=True, env=env, check=False,
     )
+
+
+def run_with_hash_seed(seed: str, *argv: str) -> tuple[int, str]:
+    """Exit code and report of `python -m hodp.cli` in a fresh interpreter,
+    with the timing entry or line stripped."""
+    proc = run_hash_seeded(seed, *argv)
     if "--json" in argv and proc.returncode == 0:
         d = json.loads(proc.stdout)
         d.pop("timing")
@@ -114,6 +119,41 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr.startswith("limit:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flag", ["--max-symbols", "--ge-bound", "--explore-depth", "--explore-nodes"]
+    )
+    def test_negative_budget_is_a_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", path("map"), "--disprove", flag, "-1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {flag}: must not be negative" in err
+        assert "Traceback" not in err
+        code, _, _ = run(capsys, "check", path("map"), "--disprove", flag, "0")
+        assert code in (0, 3)
+
+    @pytest.mark.parametrize(
+        "prec_line,argv,symbol",
+        [
+            (None, ("--precedence", "map>cons>nil>map"), "cons"),
+            ("prec f > s > f", (), "f"),
+        ],
+        ids=["flag", "prec-line"],
+    )
+    def test_precedence_cycle_names_one_symbol_whatever_the_hash_seed(
+        self, tmp_path, prec_line, argv, symbol
+    ):
+        file = path("map")
+        if prec_line is not None:
+            file = tmp_path / "cycle.hodp"
+            file.write_text(f"sort N\n0 : N\ns : N -> N\nf : N -> N\n{prec_line}\n")
+        errors = set()
+        for seed in map(str, range(8)):
+            proc = run_hash_seeded(seed, "check", str(file), *argv)
+            assert proc.returncode == 2
+            errors.add(proc.stderr)
+        assert errors == {f"error: precedence orders {symbol} above itself\n"}
 
     def test_bad_precedence_argument(self, capsys):
         code, _, err = run(capsys, "check", path("map"), "--precedence", "bogus>map")

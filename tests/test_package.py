@@ -1,0 +1,45 @@
+"""Properties of the package source as a whole: imports and caches."""
+
+import ast
+import importlib
+import inspect
+import pathlib
+import pkgutil
+
+import pytest
+
+import hodp
+
+PACKAGE = pathlib.Path(hodp.__file__).parent
+MODULES = sorted(info.name for info in pkgutil.iter_modules(hodp.__path__))
+
+
+def _imported_names(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+# MODULES leaves out hodp/__init__.py, whose imports are re-exports
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(_imported_names(tree) - used) == []
+
+
+def test_no_cache_grows_without_bound():
+    unbounded = []
+    for name in MODULES:
+        module = importlib.import_module(f"hodp.{name}")
+        classes = [c for c in vars(module).values() if inspect.isclass(c)]
+        for owner in (module, *classes):
+            for attr, value in vars(owner).items():
+                params = getattr(value, "cache_parameters", None)
+                if params is not None and params()["maxsize"] is None:
+                    unbounded.append(f"{name}.{attr}")
+    assert unbounded == []

@@ -89,6 +89,20 @@ class TestInference:
         with pytest.raises(AmbiguousVariableType):
             parse_system("sort N\nrule f X -> X\n")
 
+    @pytest.mark.parametrize(
+        "rule,message",
+        [
+            ("f X -> \\x. x", "line 5: rule cannot be typed (N versus ?3 -> ?3)"),
+            ("f X Y -> X", "line 5: rule cannot be typed (N versus ?3 -> ?4)"),
+            ("X -> X", "line 5: cannot infer the type of variable X"),
+        ],
+    )
+    def test_type_errors_show_the_inferred_types(self, rule, message):
+        text = "sort N\n0 : N\ns : N -> N\nf : N -> N\nrule " + rule + "\n"
+        with pytest.raises((SystemTypeError, AmbiguousVariableType)) as exc:
+            parse_system(text)
+        assert str(exc.value) == message
+
     def test_fresh_right_side_variables_are_allowed_here(self):
         # they are rejected later by the admissibility stage, not by
         # the parser, so the failure is diagnosable

@@ -168,6 +168,29 @@ class TestHashConsing:
             del t.fun
         assert t.arg is ZERO
 
+    def test_types_are_interned(self):
+        assert Base("N") is Base("N")
+        assert Arrow(N, N) is Arrow(N, N)
+        assert Arrow(Arrow(N, L), N) is Arrow(Arrow(Base("N"), Base("L")), Base("N"))
+        assert Arrow(N, N) is not Arrow(N, L)
+
+    def test_types_are_immutable(self):
+        t = Arrow(N, L)
+        with pytest.raises(AttributeError):
+            t.cod = N
+        with pytest.raises(AttributeError):
+            N.name = "M"
+        with pytest.raises(AttributeError):
+            del t.dom
+        with pytest.raises(AttributeError):
+            del N.name
+        assert t.cod is L and N.name == "N"
+
+    def test_an_unreferenced_arrow_dies(self):
+        ref = weakref.ref(Arrow(Base("Q"), Arrow(Base("Q"), Base("R"))))
+        gc.collect()
+        assert ref() is None
+
 
 class TestFreeVarsAndSubstitution:
     def test_free_vars_stop_at_binder(self):
