@@ -12,7 +12,6 @@ only precedence edges actually used by some witness are kept.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -40,17 +39,21 @@ from hodp.terms import (
 
 
 def transitive_closure(pairs) -> frozenset[tuple[str, str]]:
-    """Transitively closed edges.  A cycle raises, naming the alphabetically
-    first symbol on one, so the message does not depend on set order."""
-    edges = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(edges):
-            for c, d in list(edges):
-                if b == c and (a, d) not in edges:
-                    edges.add((a, d))
-                    changed = True
+    """Transitively closed edges: each symbol with every symbol it reaches.
+    A cycle raises, naming the alphabetically first symbol on one, so the
+    message does not depend on set order."""
+    succ: dict[str, set[str]] = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    edges: set[tuple[str, str]] = set()
+    for a in succ:
+        stack, reached = [a], set()
+        while stack:
+            for b in succ.get(stack.pop(), ()):
+                if b not in reached:
+                    reached.add(b)
+                    stack.append(b)
+        edges.update((a, b) for b in reached)
     cyclic = sorted(a for a, b in edges if a == b)
     if cyclic:
         raise PrecedenceCycleError(f"precedence orders {cyclic[0]} above itself")
@@ -303,46 +306,49 @@ def term_symbols(t: Term) -> frozenset[str]:
     return term_symbols(t.body)
 
 
+def _constraints(system: RewriteSystem, pairs: tuple[DepPair, ...]):
+    """(kind, label, lhs, rhs) of every rule, then of every pair."""
+    for rule in system.rules:
+        yield "rule", rule.name, rule.lhs, rule.rhs
+    for dp in pairs:
+        yield "pair", dp.name, dp.lhs, dp.rhs
+
+
 def constraint_symbols(system: RewriteSystem, pairs: tuple[DepPair, ...]) -> tuple[str, ...]:
     syms: set[str] = set()
-    for rule in system.rules:
-        syms |= term_symbols(rule.lhs) | term_symbols(rule.rhs)
-    for dp in pairs:
-        syms |= term_symbols(dp.lhs) | term_symbols(dp.rhs)
+    for _, _, lhs, rhs in _constraints(system, pairs):
+        syms |= term_symbols(lhs) | term_symbols(rhs)
     return tuple(sorted(syms))
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _left_symbols(t: Term) -> tuple[str, ...]:
-    return tuple(sorted(term_symbols(t)))
 
 
 def _decide(
     kind: str,
     lhs: Term,
     rhs: Term,
-    order: PathOrder,
+    prec: Precedence,
     beta_bound: int,
-    decided: dict | None,
+    decided: dict,
 ) -> WeakWitness | GtTrace | None:
     """A rule's weak witness or a pair's strict one, None if there is none.
 
-    Every comparison a constraint makes has a left side built from the
-    constraint's own left side, and only the status of a left head is
-    read, so the outcome holds under every status assignment that agrees
-    on the symbols of lhs.  With decided, a dict kept for one edge set,
-    it is stored there under those statuses and taken from there."""
-    key = None
-    if decided is not None:
-        key = (kind, lhs, rhs, *map(order.prec.status, _left_symbols(lhs)))
-        if key in decided:
-            return decided[key]
-    if kind == "rule":
-        w = weakly_decreases(lhs, rhs, order, beta_bound)
-    else:
-        w = order.greater(lhs, rhs)
-    if key is not None:
-        decided[key] = w
+    Each comparison it makes has a left side built from lhs and a right
+    side built from rhs, so it reads only edges from a symbol of lhs to
+    one of rhs and statuses of symbols of lhs.  decided, the table of one
+    search, keeps the outcome under exactly those, whatever the rest."""
+    entry = decided.get((kind, lhs, rhs))
+    if entry is None:
+        left = tuple(term_symbols(lhs))
+        cross = frozenset(itertools.product(left, term_symbols(rhs)))
+        entry = decided[kind, lhs, rhs] = (left, cross, {})
+    left, cross, outcomes = entry
+    key = (cross & prec.edges, tuple(map(prec.status, left)))
+    w = outcomes.get(key, False)
+    if w is False:
+        if kind == "rule":
+            w = weakly_decreases(lhs, rhs, PathOrder(prec), beta_bound)
+        else:
+            w = PathOrder(prec).greater(lhs, rhs)
+        outcomes[key] = w
     return w
 
 
@@ -355,40 +361,28 @@ def check_constraints(
 ) -> ConstraintCheck:
     """Every rule must weakly decrease and every pair strictly decrease
     under the given precedence.  On success the returned certificate keeps
-    only the precedence edges some witness used.  With decided, outcomes
-    are shared with earlier calls for the same edges (see _decide)."""
-    order = PathOrder(prec)
+    only the precedence edges some witness used.  Outcomes come from
+    decided, the table of the calling search, or a fresh one (see
+    _decide)."""
+    decided = {} if decided is None else decided
     violations: list[Violation] = []
-    rule_witnesses: list[tuple[str, WeakWitness]] = []
-    pair_witnesses: list[tuple[str, GtTrace]] = []
-    for rule in system.rules:
-        w = _decide("rule", rule.lhs, rule.rhs, order, beta_bound, decided)
+    witnesses: dict[str, list] = {"rule": [], "pair": []}
+    used: set[tuple[str, str]] = set()
+    for kind, label, lhs, rhs in _constraints(system, pairs):
+        w = _decide(kind, lhs, rhs, prec, beta_bound, decided)
         if w is None:
-            violations.append(Violation("rule", rule.name, rule.lhs, rule.rhs))
-        else:
-            rule_witnesses.append((rule.name, w))
-    for dp in pairs:
-        g = _decide("pair", dp.lhs, dp.rhs, order, beta_bound, decided)
-        if g is None:
-            violations.append(Violation("pair", dp.name, dp.lhs, dp.rhs))
-        else:
-            pair_witnesses.append((dp.name, g))
+            violations.append(Violation(kind, label, lhs, rhs))
+            continue
+        witnesses[kind].append((label, w))
+        trace = w.strict if kind == "rule" else w
+        if trace is not None:
+            _used_edges(trace, used)
     if violations:
         return ConstraintCheck(None, tuple(violations))
-    used: set[tuple[str, str]] = set()
-    for _, w in rule_witnesses:
-        if w.strict is not None:
-            _used_edges(w.strict, used)
-    for _, g in pair_witnesses:
-        _used_edges(g, used)
-    defined = [
-        n
-        for n in constraint_symbols(system, pairs)
-        if n in system.signature.defined
-    ]
+    defined = [n for n in constraint_symbols(system, pairs) if n in system.signature.defined]
     statuses = tuple((n, prec.status(n)) for n in defined)
     cert = Certificate(
-        tuple(sorted(used)), statuses, tuple(rule_witnesses), tuple(pair_witnesses)
+        tuple(sorted(used)), statuses, tuple(witnesses["rule"]), tuple(witnesses["pair"])
     )
     return ConstraintCheck(cert, ())
 
@@ -404,21 +398,23 @@ def check_with_statuses(
     edges: frozenset[tuple[str, str]],
     vary: tuple[str, ...],
     beta_bound: int = 8,
+    decided: dict | None = None,
 ) -> ConstraintCheck:
     """Fixed edge set, every status assignment of the symbols in vary
-    (multiset first), sharing each constraint's outcome between the
-    assignments that agree on its left side.  Without a certificate, the
-    violations returned are those of the all-multiset assignment."""
-    first = None
-    decided: dict = {}
+    (multiset first).  An assignment is dropped at its first failing
+    constraint; the first one under which all hold gives the certificate,
+    built from the outcomes in decided (see _decide).  Without one, no
+    violations are listed."""
+    decided = {} if decided is None else decided
+    constraints = tuple(_constraints(system, pairs))
     for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
         prec = Precedence(edges, dict(zip(vary, combo)))
-        result = check_constraints(system, pairs, prec, beta_bound, decided)
-        if result.certificate is not None:
-            return result
-        if first is None:
-            first = result
-    return first
+        if all(
+            _decide(kind, lhs, rhs, prec, beta_bound, decided) is not None
+            for kind, _, lhs, rhs in constraints
+        ):
+            return check_constraints(system, pairs, prec, beta_bound, decided)
+    return ConstraintCheck(None, ())
 
 
 def search_certificate(
@@ -436,7 +432,9 @@ def search_certificate(
     permutation order, then every remaining permutation.  Statuses vary
     multiset-first over defined symbols with at least two arguments.
     Derivability only grows with the precedence, so searching total orders
-    is complete.  Without a certificate, the violations are those of the
+    is complete.  Each constraint's outcome is decided once per search, in
+    a table that every candidate shares and that is dropped on return (see
+    _decide).  Without a certificate, the violations are those of the
     hints under multiset statuses, and none when no hints were given.
     Raises SearchSpaceExceededError if the constraints mention more
     symbols than max_symbols.
@@ -445,13 +443,14 @@ def search_certificate(
     defined = tuple(n for n in syms if n in system.signature.defined)
     ctors = tuple(n for n in syms if n not in system.signature.defined)
     vary = tuple(n for n in defined if _symbol_arity(system.signature, n) >= 2)
+    decided: dict = {}
     failed = ConstraintCheck(None, ())
     if hints:
-        failed = check_with_statuses(
-            system, pairs, transitive_closure(hints), vary, beta_bound
-        )
-        if failed.certificate is not None:
-            return failed
+        closed = transitive_closure(hints)
+        found = check_with_statuses(system, pairs, closed, vary, beta_bound, decided)
+        if found.certificate is not None:
+            return found
+        failed = check_constraints(system, pairs, Precedence(closed), beta_bound, decided)
     if not syms:
         return ConstraintCheck(Certificate((), (), (), ()), ())
     if len(syms) > max_symbols:
@@ -473,7 +472,7 @@ def search_certificate(
         if any(index[a] >= index[b] for a, b in required):
             continue
         edges = frozenset(itertools.combinations(chain, 2))
-        result = check_with_statuses(system, pairs, edges, vary, beta_bound)
+        result = check_with_statuses(system, pairs, edges, vary, beta_bound, decided)
         if result.certificate is not None:
             return result
     return failed

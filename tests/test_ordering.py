@@ -7,6 +7,7 @@ import pytest
 
 from conftest import SYSTEMS_DIR, load_system
 from gen import GEN_SYMBOLS, random_fo_trs, random_subst, random_term, random_var_pool
+from hodp import ordering
 from hodp.errors import PrecedenceCycleError, SearchSpaceExceededError
 from hodp.ordering import (
     Certificate,
@@ -28,6 +29,32 @@ from hodp.terms import App, Arrow, Base, Lam, Sym, Var, apply_subst, free_vars
 N = Base("N")
 LEX_SYSTEM = "sort N\n0 : N\ns : N -> N\nf : N -> N -> N\nrule f (s X) Y -> f X (s Y)\n"
 
+# Declarations and rules to follow the shipped foldr system, by the number
+# of symbols it then mentions.  Its unorientable rule stays the first one.
+FOLDR_EXTRAS = {
+    5: "0 : N\nlen : List -> N\nrule len nil -> 0\nrule len (cons X L) -> len L\n",
+    6: "0 : N\ns : N -> N\nlen : List -> N\n"
+    "rule len nil -> 0\nrule len (cons X L) -> s (len L)\n",
+    7: "0 : N\ns : N -> N\nlen : List -> N\nplus : N -> N -> N\n"
+    "rule len nil -> 0\nrule len (cons X L) -> s (len L)\n"
+    "rule plus 0 Y -> Y\nrule plus (s X) Y -> s (plus X Y)\n",
+}
+
+
+def _fixed_point_closure(pairs):
+    """The transitive closure by its definition: add (a, d) for every two
+    edges (a, b) and (b, d) until nothing changes."""
+    edges = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(edges):
+            for c, d in list(edges):
+                if b == c and (a, d) not in edges:
+                    edges.add((a, d))
+                    changed = True
+    return edges
+
 
 class TestPrecedence:
     def test_transitive_closure(self):
@@ -40,6 +67,30 @@ class TestPrecedence:
     def test_cycles_are_rejected(self):
         with pytest.raises(PrecedenceCycleError):
             transitive_closure([("a", "b"), ("b", "a")])
+
+    def test_closure_matches_the_fixed_point(self):
+        rng = random.Random(2018)
+        cyclic_cases = 0
+        for _ in range(400):
+            names = [f"s{i}" for i in range(rng.randint(1, 7))]
+            pairs = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 10))]
+            closed = _fixed_point_closure(pairs)
+            cyclic = sorted(a for a, b in closed if a == b)
+            if not cyclic:
+                assert transitive_closure(pairs) == closed, pairs
+                continue
+            cyclic_cases += 1
+            with pytest.raises(PrecedenceCycleError) as exc:
+                transitive_closure(pairs)
+            assert str(exc.value) == f"precedence orders {cyclic[0]} above itself"
+        assert 0 < cyclic_cases < 400
+
+    def test_long_chain(self):
+        names = [f"c{i:03d}" for i in range(300)]
+        chain = list(zip(names, names[1:]))
+        assert transitive_closure(chain) == frozenset(itertools.combinations(names, 2))
+        with pytest.raises(PrecedenceCycleError, match="orders c000 above itself"):
+            transitive_closure(chain + [("c299", "c150"), ("c150", "c000")])
 
     def test_make_closes_and_compares(self):
         prec = Precedence.make((("a", "b"), ("b", "c")), ())
@@ -261,22 +312,46 @@ class TestSearch:
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp")))
     def test_shared_outcomes_match_fresh_checks(self, name):
-        """check_with_statuses shares each constraint's outcome between
-        the status assignments that agree on its left side; under every
-        assignment the result must be that of a check on its own."""
+        """A search shares one table of outcomes between all its edge sets
+        and status assignments; under each of them the result must be that
+        of a check on its own.  The edge sets are the empty one, two
+        chains and, with at most five symbols, every total order."""
         system = load_system(name)
         pairs = extract_pairs(system)
         syms = constraint_symbols(system, pairs)
         defined = [n for n in syms if n in system.signature.defined]
         ctors = [n for n in syms if n not in system.signature.defined]
         vary = tuple(n for n in defined if _symbol_arity(system.signature, n) >= 2)
-        for chain in (defined + ctors, ctors + defined[::-1]):
+        chains = [(), defined + ctors, ctors + defined[::-1]]
+        if len(syms) <= 5:
+            chains += itertools.permutations(syms)
+        decided = {}
+        for chain in chains:
             edges = frozenset(itertools.combinations(chain, 2))
-            decided = {}
             for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
                 prec = Precedence(edges, dict(zip(vary, combo)))
                 shared = check_constraints(system, pairs, prec, decided=decided)
-                assert shared == check_constraints(system, pairs, prec), combo
+                assert shared == check_constraints(system, pairs, prec), (chain, combo)
+
+    def test_work_does_not_grow_with_the_enumeration(self, monkeypatch):
+        """Every candidate order of a foldr system fails on its first
+        rule, so the search decides each of its few views once, however
+        many symbols the rest of the system adds to the enumeration."""
+        calls = []
+        weak = ordering.weakly_decreases
+        monkeypatch.setattr(
+            ordering, "weakly_decreases", lambda *args: calls.append(args) or weak(*args)
+        )
+        text = (SYSTEMS_DIR / "foldr.hodp").read_text(encoding="utf-8")
+        counts = {}
+        for size, extra in {3: "", **FOLDR_EXTRAS}.items():
+            system = parse_system(text + extra)
+            pairs = extract_pairs(system)
+            assert len(constraint_symbols(system, pairs)) == size
+            calls.clear()
+            assert search_certificate(system, pairs).certificate is None
+            counts[size] = len(calls)
+        assert set(counts.values()) == {counts[3]}, counts
 
     def test_search_is_deterministic(self):
         system = load_system("filter")

@@ -32,14 +32,25 @@ def test_every_imported_name_is_used(module):
     assert sorted(_imported_names(tree) - used) == []
 
 
-def test_no_cache_grows_without_bound():
-    unbounded = []
+def _caches() -> dict:
+    """Every lru_cache bound in a module of hodp or in one of its classes,
+    by the module-relative name it was defined under."""
+    found = {}
     for name in MODULES:
         module = importlib.import_module(f"hodp.{name}")
         classes = [c for c in vars(module).values() if inspect.isclass(c)]
         for owner in (module, *classes):
-            for attr, value in vars(owner).items():
-                params = getattr(value, "cache_parameters", None)
-                if params is not None and params()["maxsize"] is None:
-                    unbounded.append(f"{name}.{attr}")
-    assert unbounded == []
+            for value in vars(owner).values():
+                if hasattr(value, "cache_parameters"):
+                    defined_in = value.__module__.removeprefix("hodp.")
+                    found[f"{defined_in}.{value.__qualname__}"] = value
+    return found
+
+
+def test_no_cache_grows_without_bound():
+    caches = _caches().items()
+    assert [n for n, c in caches if c.cache_parameters()["maxsize"] is None] == []
+
+
+def test_the_only_cache_is_alpha_canonical():
+    assert set(_caches()) == {"terms.alpha_canonical"}
