@@ -47,13 +47,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="largest symbol count for exhaustive precedence search (default 8)",
     )
     check.add_argument(
-        "--ge-bound",
-        type=int,
-        default=8,
-        metavar="K",
-        help="beta steps allowed in weak comparisons (default 8)",
-    )
-    check.add_argument(
         "--disprove",
         action="store_true",
         help="also explore seed terms for cycles",
@@ -83,7 +76,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    for budget in ("max_symbols", "ge_bound", "explore_depth", "explore_nodes"):
+    for budget in ("max_symbols", "explore_depth", "explore_nodes"):
         if getattr(args, budget) < 0:
             parser.error(f"argument --{budget.replace('_', '-')}: must not be negative")
     if args.dot and not args.disprove:
@@ -105,7 +98,6 @@ def main(argv: list[str] | None = None) -> int:
         options = Options(
             precedence=precedence,
             max_symbols=args.max_symbols,
-            beta_bound=args.ge_bound,
             disprove=args.disprove,
             explore_depth=args.explore_depth,
             explore_nodes=args.explore_nodes,

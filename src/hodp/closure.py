@@ -54,8 +54,7 @@ class Derivation:
 @dataclass
 class Closure:
     args: tuple[Term, ...]
-    derivations: dict[Term, Derivation]  # keyed by alpha-canonical form
-    order: tuple[Derivation, ...]  # insertion order, for reporting
+    derivations: dict[Term, Derivation]  # by alpha-canonical form, insertion order
 
     def __contains__(self, t: Term) -> bool:
         return alpha_canonical(t) in self.derivations
@@ -106,7 +105,6 @@ def computability_closure(
     """Closure of the argument list; targets bias binder renaming so that
     membership queries for those variables are alpha-complete."""
     derivations: dict[Term, Derivation] = {}
-    order: list[Derivation] = []
     queue: deque[Derivation] = deque()
     arg_vars = frozenset().union(*(free_vars(a) for a in args)) if args else frozenset()
 
@@ -115,7 +113,6 @@ def computability_closure(
         if key in derivations:
             return
         derivations[key] = deriv
-        order.append(deriv)
         queue.append(deriv)
 
     for i, a in enumerate(args, start=1):
@@ -146,7 +143,7 @@ def computability_closure(
             ):
                 add(t.arg, Derivation(t.arg, "app-right", (d,), variable=y))
 
-    return Closure(args, derivations, tuple(order))
+    return Closure(args, derivations)
 
 
 def replay_derivation(deriv: Derivation, args: tuple[Term, ...], sig: Signature) -> bool:

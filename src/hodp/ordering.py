@@ -4,10 +4,11 @@ and certificate search.
 The strict order is a conservative recursive path ordering over curried
 terms.  Top-level constraint comparisons are between terms of equal type;
 recursive comparisons require the types' arrow skeletons to agree (base
-sorts are identified, arrow structure must match).  The weak order adds
-bounded beta prefixes on the left.  A certificate records a precedence,
-statuses for the defined symbols, and a replayable witness per constraint;
-only precedence edges actually used by some witness are kept.
+sorts are identified, arrow structure must match); its last clause tries
+every beta reduct of the left side.  The weak order is its reflexive
+closure: alpha-equal or strictly greater.  A certificate records a
+precedence, statuses for the defined symbols, and a replayable witness per
+constraint; only precedence edges actually used by some witness are kept.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from hodp.signature import RewriteSystem, Signature
 from hodp.terms import (
     App,
     Lam,
-    Position,
     Sym,
     Term,
     Var,
@@ -230,38 +230,11 @@ class PathOrder:
 # ------------------------------------------------------------- weak order
 
 
-@dataclass(frozen=True)
-class WeakWitness:
-    kind: str  # 'alpha' | 'strict'
-    beta_path: tuple[Position, ...] = ()
-    strict: GtTrace | None = None
-
-
-def weakly_decreases(
-    s: Term, t: Term, order: PathOrder, beta_bound: int = 8
-) -> WeakWitness | None:
-    """Breadth-first search over beta reducts of s, testing each against t
-    for alpha-equality or a strict decrease.  Shortest beta path wins."""
-    seen = {alpha_canonical(s)}
-    frontier: list[tuple[Term, tuple[Position, ...]]] = [(s, ())]
-    for depth in range(beta_bound + 1):
-        nxt: list[tuple[Term, tuple[Position, ...]]] = []
-        for u, path in frontier:
-            if alpha_eq(u, t):
-                return WeakWitness("alpha", path)
-            g = order.greater(u, t)
-            if g is not None:
-                return WeakWitness("strict", path, g)
-            if depth < beta_bound:
-                for pos, u2 in beta_reducts(u):
-                    key = alpha_canonical(u2)
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append((u2, path + (pos,)))
-        frontier = nxt
-        if not frontier:
-            break
-    return None
+def weakly_decreases(s: Term, t: Term, order: PathOrder) -> GtTrace | None:
+    """GtTrace("alpha") when s and t are alpha-equal, else a strict trace,
+    whose root is never alpha.  No beta prefix is needed: the strict
+    order already tries every reduct of s."""
+    return order.ge_leg(s, t)
 
 
 # ------------------------------------------------------------ constraints
@@ -279,7 +252,7 @@ class Violation:
 class Certificate:
     edges: tuple[tuple[str, str], ...]  # only edges some witness used
     statuses: tuple[tuple[str, str], ...]
-    rule_witnesses: tuple[tuple[str, WeakWitness], ...]
+    rule_witnesses: tuple[tuple[str, GtTrace], ...]
     pair_witnesses: tuple[tuple[str, GtTrace], ...]
 
 
@@ -326,9 +299,8 @@ def _decide(
     lhs: Term,
     rhs: Term,
     prec: Precedence,
-    beta_bound: int,
     decided: dict,
-) -> WeakWitness | GtTrace | None:
+) -> GtTrace | None:
     """A rule's weak witness or a pair's strict one, None if there is none.
 
     Each comparison it makes has a left side built from lhs and a right
@@ -345,7 +317,7 @@ def _decide(
     w = outcomes.get(key, False)
     if w is False:
         if kind == "rule":
-            w = weakly_decreases(lhs, rhs, PathOrder(prec), beta_bound)
+            w = weakly_decreases(lhs, rhs, PathOrder(prec))
         else:
             w = PathOrder(prec).greater(lhs, rhs)
         outcomes[key] = w
@@ -356,7 +328,6 @@ def check_constraints(
     system: RewriteSystem,
     pairs: tuple[DepPair, ...],
     prec: Precedence,
-    beta_bound: int = 8,
     decided: dict | None = None,
 ) -> ConstraintCheck:
     """Every rule must weakly decrease and every pair strictly decrease
@@ -369,14 +340,12 @@ def check_constraints(
     witnesses: dict[str, list] = {"rule": [], "pair": []}
     used: set[tuple[str, str]] = set()
     for kind, label, lhs, rhs in _constraints(system, pairs):
-        w = _decide(kind, lhs, rhs, prec, beta_bound, decided)
+        w = _decide(kind, lhs, rhs, prec, decided)
         if w is None:
             violations.append(Violation(kind, label, lhs, rhs))
             continue
         witnesses[kind].append((label, w))
-        trace = w.strict if kind == "rule" else w
-        if trace is not None:
-            _used_edges(trace, used)
+        _used_edges(w, used)
     if violations:
         return ConstraintCheck(None, tuple(violations))
     defined = [n for n in constraint_symbols(system, pairs) if n in system.signature.defined]
@@ -397,7 +366,6 @@ def check_with_statuses(
     pairs: tuple[DepPair, ...],
     edges: frozenset[tuple[str, str]],
     vary: tuple[str, ...],
-    beta_bound: int = 8,
     decided: dict | None = None,
 ) -> ConstraintCheck:
     """Fixed edge set, every status assignment of the symbols in vary
@@ -410,10 +378,10 @@ def check_with_statuses(
     for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
         prec = Precedence(edges, dict(zip(vary, combo)))
         if all(
-            _decide(kind, lhs, rhs, prec, beta_bound, decided) is not None
+            _decide(kind, lhs, rhs, prec, decided) is not None
             for kind, _, lhs, rhs in constraints
         ):
-            return check_constraints(system, pairs, prec, beta_bound, decided)
+            return check_constraints(system, pairs, prec, decided)
     return ConstraintCheck(None, ())
 
 
@@ -422,22 +390,22 @@ def search_certificate(
     pairs: tuple[DepPair, ...],
     hints: tuple[tuple[str, str], ...] = (),
     max_symbols: int = 8,
-    beta_bound: int = 8,
 ) -> ConstraintCheck:
     """Deterministic search for a precedence and statuses.
 
     The transitively closed hints are tried first as given, before the
-    symbol limit applies.  Then come total orders that respect the hints:
-    defined symbols above constructors first, each block in lexicographic
-    permutation order, then every remaining permutation.  Statuses vary
-    multiset-first over defined symbols with at least two arguments.
-    Derivability only grows with the precedence, so searching total orders
-    is complete.  Each constraint's outcome is decided once per search, in
-    a table that every candidate shares and that is dropped on return (see
-    _decide).  Without a certificate, the violations are those of the
-    hints under multiset statuses, and none when no hints were given.
-    Raises SearchSpaceExceededError if the constraints mention more
-    symbols than max_symbols.
+    symbol limit applies.  Then come total orders that keep every closed
+    hint between two constraint symbols: defined symbols above
+    constructors first, each block in lexicographic permutation order,
+    then every remaining permutation.  Statuses vary multiset-first over
+    defined symbols with at least two arguments.  Derivability only grows
+    with the precedence, so searching total orders is complete.  Each
+    constraint's outcome is decided once per search, in a table that every
+    candidate shares and that is dropped on return (see _decide).  Without
+    a certificate, the violations are those of the hints under multiset
+    statuses, and none when no hints were given.  Raises
+    SearchSpaceExceededError if the constraints mention more symbols than
+    max_symbols.
     """
     syms = constraint_symbols(system, pairs)
     defined = tuple(n for n in syms if n in system.signature.defined)
@@ -445,19 +413,19 @@ def search_certificate(
     vary = tuple(n for n in defined if _symbol_arity(system.signature, n) >= 2)
     decided: dict = {}
     failed = ConstraintCheck(None, ())
+    closed = transitive_closure(hints)
     if hints:
-        closed = transitive_closure(hints)
-        found = check_with_statuses(system, pairs, closed, vary, beta_bound, decided)
+        found = check_with_statuses(system, pairs, closed, vary, decided)
         if found.certificate is not None:
             return found
-        failed = check_constraints(system, pairs, Precedence(closed), beta_bound, decided)
+        failed = check_constraints(system, pairs, Precedence(closed), decided)
     if not syms:
         return ConstraintCheck(Certificate((), (), (), ()), ())
     if len(syms) > max_symbols:
         raise SearchSpaceExceededError(
             f"{len(syms)} constraint symbols exceed the search limit of {max_symbols}"
         )
-    required = tuple((a, b) for a, b in hints if a in syms and b in syms)
+    required = tuple((a, b) for a, b in closed if a in syms and b in syms)
     top = set(defined)
     chains = itertools.chain(
         (
@@ -472,7 +440,7 @@ def search_certificate(
         if any(index[a] >= index[b] for a, b in required):
             continue
         edges = frozenset(itertools.combinations(chain, 2))
-        result = check_with_statuses(system, pairs, edges, vary, beta_bound, decided)
+        result = check_with_statuses(system, pairs, edges, vary, decided)
         if result.certificate is not None:
             return result
     return failed

@@ -27,7 +27,6 @@ from hodp.ordering import (
     Certificate,
     GtTrace,
     Violation,
-    WeakWitness,
     search_certificate,
 )
 from hodp.pairs import DepPair, extract_pairs
@@ -39,7 +38,6 @@ from hodp.terms import show_position, show_term, show_type
 class Options:
     precedence: tuple[tuple[str, str], ...] | None = None  # overrides file hints
     max_symbols: int = 8
-    beta_bound: int = 8
     disprove: bool = False
     explore_depth: int = 200
     explore_nodes: int = 100_000
@@ -89,7 +87,6 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
             pairs,
             hints=tuple(hints),
             max_symbols=options.max_symbols,
-            beta_bound=options.beta_bound,
         )
         certificate, violations = result.certificate, result.violations
         if certificate is None:
@@ -175,11 +172,13 @@ def _trace_dict(g: GtTrace) -> dict:
     }
 
 
-def _weak_dict(w: WeakWitness) -> dict:
+def _weak_dict(w: GtTrace) -> dict:
+    # kind and the always empty beta_path are part of the report format
+    alpha = w.clause == "alpha"
     return {
-        "kind": w.kind,
-        "beta_path": [show_position(p) for p in w.beta_path],
-        "strict": _trace_dict(w.strict) if w.strict is not None else None,
+        "kind": "alpha" if alpha else "strict",
+        "beta_path": [],
+        "strict": None if alpha else _trace_dict(w),
     }
 
 
@@ -323,21 +322,11 @@ def _derivation_lines(d: Derivation, indent: int) -> list[str]:
     return lines
 
 
-def _weak_lines(w: WeakWitness, indent: int) -> list[str]:
+def _weak_lines(w: GtTrace, indent: int) -> list[str]:
     pad = "  " * indent
-    if w.kind == "alpha":
-        path = " ".join(show_position(p) for p in w.beta_path)
-        if path:
-            return [pad + f"beta steps at {path}, then alpha-equal"]
+    if w.clause == "alpha":
         return [pad + "alpha-equal"]
-    lines = []
-    if w.beta_path:
-        path = " ".join(show_position(p) for p in w.beta_path)
-        lines.append(pad + f"beta steps at {path}, then strict:")
-    else:
-        lines.append(pad + "strict:")
-    lines.extend(_trace_lines(w.strict, indent + 1))
-    return lines
+    return [pad + "strict:"] + _trace_lines(w, indent + 1)
 
 
 def render_text(report: AnalysisReport, show_traces: bool = False) -> str:

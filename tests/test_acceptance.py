@@ -172,7 +172,7 @@ def test_05_closures_are_bounded_and_replayable():
         depth = max(max_binder_depth(a) for a in args)
         bound = total * (1 + len(fvs)) ** depth
         assert len(clo) <= bound
-        for d in clo.order:
+        for d in clo.derivations.values():
             assert replay_derivation(d, args, sig)
     print(
         f"PASS: 05 closures stay under the size bound and replay ({shipped_rules} shipped rules, 200 generated patterns)"

@@ -120,9 +120,7 @@ class TestExitCodes:
         assert proc.stderr.startswith("limit:")
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize(
-        "flag", ["--max-symbols", "--ge-bound", "--explore-depth", "--explore-nodes"]
-    )
+    @pytest.mark.parametrize("flag", ["--max-symbols", "--explore-depth", "--explore-nodes"])
     def test_negative_budget_is_a_usage_error(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             main(["check", path("map"), "--disprove", flag, "-1"])
@@ -132,6 +130,14 @@ class TestExitCodes:
         assert "Traceback" not in err
         code, _, _ = run(capsys, "check", path("map"), "--disprove", flag, "0")
         assert code in (0, 3)
+
+    def test_weak_order_has_no_beta_bound_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", path("map"), "--ge-bound", "3"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ge-bound 3" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "prec_line,argv,symbol",
@@ -173,6 +179,18 @@ class TestFlags:
         code, out, _ = run(capsys, "check", path("map"), "--precedence", "cons>map")
         assert code == 0
         assert out.splitlines()[0] == "MAYBE"
+
+    def test_precedence_binds_through_symbols_no_constraint_mentions(self, capsys):
+        """cons > s > map implies cons > map, though no rule mentions s."""
+        reports = []
+        for prec in ("cons>map", "cons>s>map"):
+            code, out, _ = run(capsys, "check", path("map"), "--json", "--precedence", prec)
+            assert code == 0
+            report = json.loads(out)
+            del report["timing"]
+            reports.append(report)
+        assert reports[0]["verdict"] == "MAYBE"
+        assert reports[1] == reports[0]
 
     def test_trace_flag_adds_witness_lines(self, capsys):
         _, plain, _ = run(capsys, "check", path("map"))

@@ -29,7 +29,7 @@ PLAIN_SIG = Signature(("N",), {"c": NN, "0": N}, frozenset())
 
 
 def members(clo):
-    return sorted(show_term(d.term) for d in clo.order)
+    return sorted(show_term(d.term) for d in clo.derivations.values())
 
 
 def max_binder_depth(t, depth=0):
@@ -156,5 +156,5 @@ class TestClosureBounds:
             args = random_pattern_args(rng)
             fvs = sorted(set().union(*(free_vars(a) for a in args)), key=lambda v: v.name)
             clo = computability_closure(args, sig, targets=tuple(fvs))
-            for d in clo.order:
+            for d in clo.derivations.values():
                 assert replay_derivation(d, args, sig)

@@ -6,11 +6,19 @@ import random
 import pytest
 
 from conftest import SYSTEMS_DIR, load_system
-from gen import GEN_SYMBOLS, random_fo_trs, random_subst, random_term, random_var_pool
+from gen import (
+    GEN_SYMBOLS,
+    random_fo_trs,
+    random_subst,
+    random_term,
+    random_type,
+    random_var_pool,
+)
 from hodp import ordering
 from hodp.errors import PrecedenceCycleError, SearchSpaceExceededError
 from hodp.ordering import (
     Certificate,
+    GtTrace,
     PathOrder,
     Precedence,
     _symbol_arity,
@@ -24,7 +32,21 @@ from hodp.ordering import (
 )
 from hodp.pairs import extract_pairs
 from hodp.parser import parse_system
-from hodp.terms import App, Arrow, Base, Lam, Sym, Var, apply_subst, free_vars
+from hodp.terms import (
+    App,
+    Arrow,
+    Base,
+    Lam,
+    Sym,
+    Var,
+    alpha_canonical,
+    alpha_eq,
+    apply_subst,
+    beta_reducts,
+    free_vars,
+    positions,
+    type_of,
+)
 
 N = Base("N")
 LEX_SYSTEM = "sort N\n0 : N\ns : N -> N\nf : N -> N -> N\nrule f (s X) Y -> f X (s Y)\n"
@@ -54,6 +76,60 @@ def _fixed_point_closure(pairs):
                     edges.add((a, d))
                     changed = True
     return edges
+
+
+def _bounded_weakly_decreases(s, t, order, beta_bound=8):
+    """Weak decrease as a breadth-first search over beta reducts of s,
+    each tested against t for alpha-equality or a strict decrease:
+    (kind, beta path, strict trace), shortest path first, or None.  Kept
+    as the reference the weak order must agree with."""
+    seen = {alpha_canonical(s)}
+    frontier = [(s, ())]
+    for depth in range(beta_bound + 1):
+        nxt = []
+        for u, path in frontier:
+            if alpha_eq(u, t):
+                return "alpha", path, None
+            g = order.greater(u, t)
+            if g is not None:
+                return "strict", path, g
+            if depth < beta_bound:
+                for pos, u2 in beta_reducts(u):
+                    key = alpha_canonical(u2)
+                    if key not in seen:
+                        seen.add(key)
+                        nxt.append((u2, path + (pos,)))
+        frontier = nxt
+        if not frontier:
+            break
+    return None
+
+
+def _redex_heavy_pairs(rng, count):
+    """Pairs of terms of one type whose left sides have redexes.
+    The right side is the left one, one of its reducts a few steps down,
+    one of its subterms, or a term of its own."""
+    pairs = []
+    while len(pairs) < count:
+        env = random_var_pool(rng, 3)
+        typ = Base(rng.choice(("N", "L"))) if rng.random() < 0.8 else random_type(rng, depth=2)
+        s = random_term(rng, GEN_SYMBOLS, typ, rng.randint(5, 14), env=env, redex_rate=1.0)
+        if not beta_reducts(s):
+            continue
+        pick = rng.randrange(4)
+        t = s
+        if pick == 1:
+            for _ in range(rng.randint(1, 3)):
+                reducts = beta_reducts(t)
+                if reducts:
+                    t = rng.choice(reducts)[1]
+        elif pick == 2:
+            subs = [u for _, u in positions(s) if type_of(u) == typ]
+            t = rng.choice(subs)
+        elif pick == 3:
+            t = random_term(rng, GEN_SYMBOLS, typ, rng.randint(1, 8), env=env, redex_rate=0.3)
+        pairs.append((s, t))
+    return pairs
 
 
 class TestPrecedence:
@@ -192,17 +268,13 @@ class TestWeakDecrease:
     def test_alpha_equal_terms_decrease_weakly(self):
         x, y = Var("x", N), Var("y", N)
         order = PathOrder(Precedence(frozenset()))
-        w = weakly_decreases(Lam(x, x), Lam(y, y), order)
-        assert w.kind == "alpha"
-        assert w.beta_path == ()
+        assert weakly_decreases(Lam(x, x), Lam(y, y), order) == GtTrace("alpha")
 
     def test_strict_comparison_counts(self):
         system = load_system("map")
         order = PathOrder(Precedence.make((("map", "cons"),), ()))
         rule = system.rules[1]
-        w = weakly_decreases(rule.lhs, rule.rhs, order)
-        assert w.kind == "strict"
-        assert w.strict.clause == "precedence"
+        assert weakly_decreases(rule.lhs, rule.rhs, order).clause == "precedence"
 
     def test_beta_prefix_is_folded_into_strict(self):
         system = load_system("map")
@@ -211,12 +283,36 @@ class TestWeakDecrease:
         redex = App(Lam(x, App(sig.symbol("s"), x)), sig.symbol("0"))
         order = PathOrder(Precedence(frozenset()))
         w = weakly_decreases(redex, App(sig.symbol("s"), sig.symbol("0")), order)
-        assert w.kind == "strict"
-        assert w.strict.clause == "beta"
+        assert w.clause == "beta"
 
     def test_unrelated_terms_do_not_decrease(self):
         order = PathOrder(Precedence(frozenset()))
         assert weakly_decreases(Sym("0", N), App(Sym("s", Arrow(N, N)), Sym("0", N)), order) is None
+
+    def test_matches_the_bounded_beta_search(self):
+        """The strict order already tries every reduct of the left side,
+        so the bounded search never needs a beta path."""
+        edges = (("cons", "s"), ("s", "0"), ("k", "nil"), ("cons", "k"))
+        precs = (
+            Precedence(frozenset()),
+            Precedence.make(edges),
+            Precedence.make(edges, (("cons", "lex"), ("k", "lex"))),
+        )
+        rng = random.Random(2019)
+        seen = set()
+        for s, t in _redex_heavy_pairs(rng, 400):
+            for prec in precs:
+                ref = _bounded_weakly_decreases(s, t, PathOrder(prec))
+                new = weakly_decreases(s, t, PathOrder(prec))
+                if ref is None:
+                    assert new is None, (s, t)
+                    seen.add(None)
+                    continue
+                kind, path, strict = ref
+                assert path == ()
+                assert new == (GtTrace("alpha") if kind == "alpha" else strict), (s, t)
+                seen.add(new.clause)
+        assert {None, "alpha", "beta", "subterm", "same-symbol"} <= seen, seen
 
 
 class TestStability:
@@ -375,18 +471,18 @@ def _old_status_candidates(system, pairs):
     ]
 
 
-def _old_check_with_statuses(system, pairs, edges, beta_bound=8):
+def _old_check_with_statuses(system, pairs, edges):
     """Fixed edge set, every status assignment (multiset first)."""
     vary = _old_status_candidates(system, pairs)
     for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
         prec = Precedence(edges, dict(zip(vary, combo)))
-        result = check_constraints(system, pairs, prec, beta_bound)
+        result = check_constraints(system, pairs, prec)
         if result.certificate is not None:
             return result.certificate
     return None
 
 
-def _old_search_certificate(system, pairs, required=(), max_symbols=8, beta_bound=8):
+def _old_search_certificate(system, pairs, required=(), max_symbols=8):
     syms = constraint_symbols(system, pairs)
     if not syms:
         return Certificate((), (), (), ())
@@ -421,33 +517,30 @@ def _old_search_certificate(system, pairs, required=(), max_symbols=8, beta_boun
         )
         for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
             prec = Precedence(edges, dict(zip(vary, combo)))
-            result = check_constraints(system, pairs, prec, beta_bound)
+            result = check_constraints(system, pairs, prec)
             if result.certificate is not None:
                 return result.certificate
     return None
 
 
-def _old_ordering_stage(system, pairs, hints, max_symbols=8, beta_bound=8):
+def _old_ordering_stage(system, pairs, hints, max_symbols=8):
     certificate = None
     violations = ()
     if hints:
         closed = transitive_closure(hints)
-        certificate = _old_check_with_statuses(system, pairs, closed, beta_bound)
+        certificate = _old_check_with_statuses(system, pairs, closed)
         if certificate is None:
             certificate = _old_search_certificate(
                 system,
                 pairs,
                 required=tuple(hints),
                 max_symbols=max_symbols,
-                beta_bound=beta_bound,
             )
         if certificate is None:
-            base = check_constraints(system, pairs, Precedence(closed), beta_bound)
+            base = check_constraints(system, pairs, Precedence(closed))
             violations = base.violations
     else:
-        certificate = _old_search_certificate(
-            system, pairs, max_symbols=max_symbols, beta_bound=beta_bound
-        )
+        certificate = _old_search_certificate(system, pairs, max_symbols=max_symbols)
     return certificate, violations
 
 

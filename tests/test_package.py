@@ -1,6 +1,8 @@
-"""Properties of the package source as a whole: imports and caches."""
+"""Properties of the package source as a whole: imports, references and
+caches."""
 
 import ast
+import collections
 import importlib
 import inspect
 import pathlib
@@ -30,6 +32,56 @@ def test_every_imported_name_is_used(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported_names(tree) - used) == []
+
+
+# Public functions and methods that nothing in the package refers to, each
+# with the reason it stays.  The list may only shrink.
+UNREFERENCED = {
+    "closure.replay_derivation": "checker, waits for the certificate checker (ROADMAP item 2)",
+    "engine.replay_trace": "checker, waits for the certificate checker (ROADMAP item 2)",
+    "engine.has_alpha_repeat": "checker, waits for the certificate checker (ROADMAP item 2)",
+    "terms.beta_normalize": "only tests use it: normal forms of generated terms",
+    "ordering.Precedence.make": "only tests use it: a precedence from unclosed edges",
+    "signature.Signature.symbol": "only tests use it: a symbol of a parsed system by name",
+    "terms.arrow": "only tests use it: a curried type from argument types",
+}
+
+
+def _references(tree: ast.AST) -> collections.Counter:
+    """How often each name is read, as a name or an attribute, or
+    imported under tree."""
+    found = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def test_every_public_function_is_referenced():
+    """By name, and not only from its own body."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    total = sum(map(_references, trees.values()), collections.Counter())
+    unreferenced = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            owner, defs = f"{module}.", [node]
+            if isinstance(node, ast.ClassDef):
+                owner, defs = f"{module}.{node.name}.", node.body
+            unreferenced.update(
+                owner + d.name
+                for d in defs
+                if isinstance(d, ast.FunctionDef)
+                and not d.name.startswith("_")
+                and total[d.name] == _references(d)[d.name]
+            )
+    assert sorted(unreferenced) == sorted(UNREFERENCED)
 
 
 def _caches() -> dict:

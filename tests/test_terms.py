@@ -300,7 +300,8 @@ class TestPositions:
             assert bounded_explore(seed, rewrite_successors(system)).longest == 2
             assert ground_term(sig, Arrow(nil.type, nil.type)) == Lam(Var("x", nil.type), nil)
             assert call_positions(seed, sig) == ((),)
-            assert all(replay_derivation(d, args, sig) for d in closure.order)
+            derivations = closure.derivations.values()
+            assert all(replay_derivation(d, args, sig) for d in derivations)
             assert gc.collect() == 0
         finally:
             gc.enable()
