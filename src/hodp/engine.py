@@ -2,13 +2,17 @@
 
 The rewrite relation combines beta steps with rule steps at any position;
 the chain relation combines internal (non-root) steps with dependency pair
-steps at the root.  Exploration is a depth-first search on an explicit
-stack, so its depth does not depend on the interpreter's recursion limit,
-which it never changes.  It detects repeated states modulo alpha along a
-path, memoizes finished states globally, and reports either exhaustive
-termination with the longest trace length, a trace that exceeds the depth
-bound, or a cycle witness.  Successor enumeration is deterministic, so
-results are reproducible.
+steps at the root.  Each successor function keeps a redex table for the
+analysis it serves: interned nodes are matched once, so a step costs work
+in proportion to the nodes it creates, not to the size of the state.
+Exploration is a depth-first search on an explicit stack, so its depth
+does not depend on the interpreter's recursion limit, which it never
+changes; only new structure within one step, and input nesting, recurse.
+It detects repeated states modulo alpha along a path, memoizes finished
+states globally, and reports either exhaustive termination with the
+longest trace length, a trace that exceeds the depth bound, or a cycle
+witness.  Successor enumeration is deterministic, so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from hodp.terms import (
     free_vars,
     make_app,
     match_pattern,
-    positions,
     replace_at,
     show_position,
     show_term,
@@ -45,7 +48,7 @@ from hodp.terms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     kind: str  # 'beta' | 'rule' | 'dp'
     label: str  # rule or pair name; empty for beta
@@ -59,22 +62,69 @@ def format_step(s: Step) -> str:
     return f"{kind}@{show_position(s.position)}: {show_term(s.source)} => {show_term(s.target)}"
 
 
-def rewrite_steps(t: Term, system: RewriteSystem, include_beta: bool = True) -> list[Step]:
-    """All one-step reducts, position-lexicographic, beta before rules."""
-    out = []
-    for pos, sub in positions(t):
-        if include_beta and isinstance(sub, App) and isinstance(sub.fun, Lam):
-            out.append(Step("beta", "", pos, t, replace_at(t, pos, beta_contract(sub))))
-        for rule in system.rules:
-            binding = match_pattern(rule.lhs, sub)
-            if binding is not None:
-                target = replace_at(t, pos, apply_subst(rule.rhs, binding))
-                out.append(Step("rule", rule.name, pos, t, target))
+# A redex table maps each node it has seen to the redexes at its root, as
+# (kind, label, contractum) triples, or to None when no redex lies anywhere
+# in the node.  It holds no successor targets: those are rebuilt per state.
+# One table serves one system and one include_beta for one analysis.
+RedexTable = dict[Term, "tuple[tuple[str, str, Term], ...] | None"]
+
+
+def rewrite_steps(
+    t: Term, system: RewriteSystem, include_beta: bool = True, table: RedexTable | None = None
+) -> list[Step]:
+    """All one-step reducts, position-lexicographic, beta before rules.
+    Passing the same table for every state of an analysis matches each
+    node only once."""
+    if table is None:
+        table = {}
+    out: list[Step] = []
+    todo: list[tuple[Position, Term]] = []
+    if _tabulate(t, system, include_beta, table) is not None:
+        todo.append(((), t))
+    while todo:
+        pos, u = todo.pop()
+        for kind, label, contractum in table[u]:
+            out.append(Step(kind, label, pos, t, replace_at(t, pos, contractum)))
+        if isinstance(u, App):
+            children = ((2, u.arg), (1, u.fun))  # popped function part first
+        elif isinstance(u, Lam):
+            children = ((1, u.body),)
+        else:
+            continue
+        for i, child in children:
+            if table[child] is not None:
+                todo.append((pos + (i,), child))
     return out
 
 
-def internal_steps(t: Term, system: RewriteSystem, include_beta: bool = True) -> list[Step]:
-    return [s for s in rewrite_steps(t, system, include_beta) if s.position != ()]
+def _tabulate(u: Term, system: RewriteSystem, include_beta: bool, table: RedexTable):
+    """The entry of u, after adding u and its subterms to the table.  It
+    recurses only into nodes the table has not seen."""
+    if u in table:
+        return table[u]
+    if isinstance(u, App):
+        below = _tabulate(u.fun, system, include_beta, table) is not None
+        below |= _tabulate(u.arg, system, include_beta, table) is not None
+    elif isinstance(u, Lam):
+        below = _tabulate(u.body, system, include_beta, table) is not None
+    else:
+        below = False
+    found = []
+    if include_beta and isinstance(u, App) and isinstance(u.fun, Lam):
+        found.append(("beta", "", beta_contract(u)))
+    for rule in system.rules:
+        binding = match_pattern(rule.lhs, u)
+        if binding is not None:
+            found.append(("rule", rule.name, apply_subst(rule.rhs, binding)))
+    entry = tuple(found) if found or below else None
+    table[u] = entry
+    return entry
+
+
+def internal_steps(
+    t: Term, system: RewriteSystem, include_beta: bool = True, table: RedexTable | None = None
+) -> list[Step]:
+    return [s for s in rewrite_steps(t, system, include_beta, table) if s.position != ()]
 
 
 def pair_root_steps(t: Term, pairs: Iterable[DepPair]) -> list[Step]:
@@ -87,14 +137,17 @@ def pair_root_steps(t: Term, pairs: Iterable[DepPair]) -> list[Step]:
 
 
 def rewrite_successors(system: RewriteSystem) -> Callable[[Term], list[Step]]:
-    return lambda t: rewrite_steps(t, system)
+    table: RedexTable = {}
+    return lambda t: rewrite_steps(t, system, True, table)
 
 
 def chain_successors(
     system: RewriteSystem, pairs: tuple[DepPair, ...], include_beta: bool = True
 ) -> Callable[[Term], list[Step]]:
+    table: RedexTable = {}
+
     def succ(t: Term) -> list[Step]:
-        return pair_root_steps(t, pairs) + internal_steps(t, system, include_beta)
+        return pair_root_steps(t, pairs) + internal_steps(t, system, include_beta, table)
 
     return succ
 

@@ -9,6 +9,8 @@ Alpha-equivalence is decided through a canonical renaming of bound
 variables; canonical forms are interned too, so terms can be used as
 dictionary keys modulo alpha by canonicalizing first, and two terms are
 alpha-equivalent exactly when their canonical forms are the same object.
+An application outside every binder stores its canonical form, so
+canonicalizing a term built from an earlier one walks only its new nodes.
 """
 
 from __future__ import annotations
@@ -132,14 +134,6 @@ class Arrow(_Pair):
 Type = Base | Arrow
 
 
-def arrow(args: Iterable[Type], out: Type) -> Type:
-    """Right-nested function type taking args and returning out."""
-    t = out
-    for a in reversed(tuple(args)):
-        t = Arrow(a, t)
-    return t
-
-
 def flatten_type(t: Type) -> tuple[tuple[Type, ...], Base]:
     """Split a type into its argument list and base result."""
     args = []
@@ -187,9 +181,9 @@ class Sym(_Atom):
     __slots__ = ()
 
 class App(_Pair):
-    __slots__ = ("fun", "arg", "_type", "_free")
+    __slots__ = ("fun", "arg", "_type", "_free", "_canonical")
     _fields = ("fun", "arg")
-    _derived = ("_type", "_free")
+    _derived = ("_type", "_free", "_canonical")
 
 
 class Lam(_Pair):
@@ -256,19 +250,23 @@ def type_of(t: Term) -> Type:
     return typ
 
 
+_NO_VARS: frozenset[Var] = frozenset()
+
+
 def free_vars(t: Term) -> frozenset[Var]:
-    """Free variables of a term; the result is stored on the node."""
+    """Free variables of a term; the result is stored on the node.  Closed
+    terms share one empty set."""
     if isinstance(t, Var):
         return frozenset((t,))
     if isinstance(t, Sym):
-        return frozenset()
+        return _NO_VARS
     free = t._free
     if free is not None:
         return free
     if isinstance(t, App):
-        free = free_vars(t.fun) | free_vars(t.arg)
+        free = free_vars(t.fun) | free_vars(t.arg) or _NO_VARS
     else:
-        free = free_vars(t.body) - {t.var}
+        free = free_vars(t.body) - {t.var} or _NO_VARS
     _set(t, "_free", free)
     return free
 
@@ -290,28 +288,6 @@ def make_app(head: Term, args: Iterable[Term]) -> Term:
 
 
 # -------------------------------------------------------------- positions
-
-
-# positions, beta_reducts and match_pattern recurse through module
-# functions, not nested ones: a nested function that calls itself is a
-# reference cycle, which would keep every result it built alive until the
-# cyclic collector ran.
-
-
-def positions(t: Term) -> list[tuple[Position, Term]]:
-    """All positions of t with their subterms, in preorder (lexicographic)."""
-    out: list[tuple[Position, Term]] = []
-    _walk_positions(t, (), out)
-    return out
-
-
-def _walk_positions(u: Term, p: Position, out: list[tuple[Position, Term]]) -> None:
-    out.append((p, u))
-    if isinstance(u, App):
-        _walk_positions(u.fun, p + (1,), out)
-        _walk_positions(u.arg, p + (2,), out)
-    elif isinstance(u, Lam):
-        _walk_positions(u.body, p + (1,), out)
 
 
 def subterm_at(t: Term, pos: Position) -> Term:
@@ -379,13 +355,27 @@ def alpha_canonical(t: Term) -> Term:
     return _canon(t, {}, 0)
 
 
+# Stored as the canonical form of an application that is its own, because
+# a node that refers to itself would be a reference cycle.
+_CANONICAL = object()
+
+
 def _canon(t: Term, env: dict[Var, Var], depth: int) -> Term:
     if isinstance(t, Var):
         return env.get(t, t)
     if isinstance(t, Sym):
         return t
     if isinstance(t, App):
-        return App(_canon(t.fun, env, depth), _canon(t.arg, env, depth))
+        if env:
+            return App(_canon(t.fun, env, depth), _canon(t.arg, env, depth))
+        # outside every binder a node has one canonical form, stored on it
+        form = t._canonical
+        if form is None:
+            form = App(_canon(t.fun, env, depth), _canon(t.arg, env, depth))
+            _set(form, "_canonical", _CANONICAL)
+            if form is not t:
+                _set(t, "_canonical", form)
+        return t if form is _CANONICAL else form
     v = Var(f"!{depth}", t.var.type)
     return Lam(v, _canon(t.body, {**env, t.var: v}, depth + 1))
 
@@ -431,6 +421,11 @@ def apply_subst(t: Term, subst: Mapping[Var, Term]) -> Term:
 
 # ------------------------------------------------------------------- beta
 
+# beta_reducts and match_pattern recurse through module functions, not
+# nested ones: a nested function that calls itself is a reference cycle,
+# which would keep every result it built alive until the cyclic collector
+# ran.
+
 
 def beta_contract(redex: App) -> Term:
     lam = redex.fun
@@ -457,16 +452,6 @@ def _walk_redexes(t: Term, u: App | Lam, p: Position, out: list) -> None:
             _walk_redexes(t, u.arg, p + (2,), out)
     elif isinstance(u.body, (App, Lam)):
         _walk_redexes(t, u.body, p + (1,), out)
-
-
-def beta_normalize(t: Term, max_steps: int = 100_000) -> Term:
-    """Leftmost-outermost normalization.  Terminates on well-typed terms."""
-    for _ in range(max_steps):
-        reducts = beta_reducts(t)
-        if not reducts:
-            return t
-        t = reducts[0][1]
-    raise TypeCheckError("no beta normal form within the step budget")
 
 
 # --------------------------------------------------------------- matching

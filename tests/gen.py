@@ -6,21 +6,62 @@ still assert type_of on the results as a sanity check.
 """
 
 import random
+from typing import Iterable
 
 from hodp.engine import ground_term
+from hodp.errors import TypeCheckError
 from hodp.signature import RewriteSystem, Signature, build_system
 from hodp.terms import (
     App,
     Arrow,
     Base,
     Lam,
+    Position,
     Sym,
     Term,
     Type,
     Var,
-    arrow,
+    beta_reducts,
     term_size,
 )
+
+# ---------------------------------------------------------------------------
+# Small term and type helpers that only tests need.
+
+
+def arrow(args: Iterable[Type], out: Type) -> Type:
+    """Right-nested function type taking args and returning out."""
+    t = out
+    for a in reversed(tuple(args)):
+        t = Arrow(a, t)
+    return t
+
+
+def positions(t: Term) -> list[tuple[Position, Term]]:
+    """All positions of t with their subterms, in preorder (lexicographic)."""
+    out: list[tuple[Position, Term]] = []
+    _walk_positions(t, (), out)
+    return out
+
+
+def _walk_positions(u: Term, p: Position, out: list[tuple[Position, Term]]) -> None:
+    out.append((p, u))
+    if isinstance(u, App):
+        _walk_positions(u.fun, p + (1,), out)
+        _walk_positions(u.arg, p + (2,), out)
+    elif isinstance(u, Lam):
+        _walk_positions(u.body, p + (1,), out)
+
+
+def beta_normalize(t: Term, max_steps: int = 100_000) -> Term:
+    """Leftmost-outermost normalization.  Terminates on well-typed terms."""
+    for _ in range(max_steps):
+        reducts = beta_reducts(t)
+        if not reducts:
+            return t
+        t = reducts[0][1]
+    raise TypeCheckError("no beta normal form within the step budget")
+
 
 GEN_SORTS = ("N", "L")
 

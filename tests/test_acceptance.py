@@ -11,8 +11,10 @@ import time
 from conftest import load_system, system_text
 from gen import (
     GEN_SYMBOLS,
+    beta_normalize,
     fo_defined_occurrences,
     fo_to_term,
+    positions,
     random_closed_term,
     random_fo_trs,
     random_pattern_args,
@@ -51,10 +53,8 @@ from hodp.terms import (
     alpha_canonical,
     alpha_eq,
     apply_subst,
-    beta_normalize,
     beta_reducts,
     free_vars,
-    positions,
     show_position,
     show_term,
     term_size,

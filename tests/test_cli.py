@@ -101,9 +101,10 @@ class TestExitCodes:
         assert code == 3
         assert "Traceback" not in err
 
-    def test_deep_exploration_under_a_low_recursion_limit_is_a_limit(self, tmp_path):
+    @staticmethod
+    def _explore_under_recursion_limit_300(tmp_path, rule):
         grow = tmp_path / "grow.hodp"
-        grow.write_text("sort N\n0 : N\ns : N -> N\nf : N -> N\nrule f X -> f (s X)\n")
+        grow.write_text(f"sort N\n0 : N\ns : N -> N\ng : N -> N\nf : N -> N\nrule {rule}\n")
         src = str(SYSTEMS_DIR.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -111,14 +112,26 @@ class TestExitCodes:
             "import sys; sys.setrecursionlimit(300); from hodp.cli import main; "
             "sys.exit(main(sys.argv[1:]))"
         )
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", script, "check", str(grow),
              "--disprove", "--explore-depth", "400"],
             capture_output=True, text=True, env=env, check=False,
         )
+
+    def test_deep_exploration_under_a_low_recursion_limit_is_a_limit(self, tmp_path):
+        # the spine above the redex is new at every step, so one step
+        # builds structure as deep as the state
+        proc = self._explore_under_recursion_limit_300(tmp_path, "f X -> g (f (s X))")
         assert proc.returncode == 3
         assert proc.stderr.startswith("limit:")
         assert "Traceback" not in proc.stderr
+
+    def test_deep_exploration_that_shares_its_subterms_needs_no_deep_recursion(self, tmp_path):
+        # each step builds two nodes on top of the last state's argument
+        proc = self._explore_under_recursion_limit_300(tmp_path, "f X -> f (s X)")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "MAYBE"
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("flag", ["--max-symbols", "--explore-depth", "--explore-nodes"])
     def test_negative_budget_is_a_usage_error(self, capsys, flag):

@@ -6,9 +6,18 @@ import sys
 import pytest
 
 from conftest import SYSTEMS_DIR, load_system
-from gen import GEN_SYMBOLS, make_sig, random_closed_term, rule_instance_seeds
+from gen import (
+    GEN_SYMBOLS,
+    make_sig,
+    positions,
+    random_closed_term,
+    random_term,
+    random_var_pool,
+    rule_instance_seeds,
+)
 from hodp.engine import (
     Exploration,
+    Step,
     bounded_explore,
     chain_successors,
     disprove_seeds,
@@ -34,6 +43,11 @@ from hodp.terms import (
     Var,
     alpha_canonical,
     alpha_eq,
+    apply_subst,
+    beta_contract,
+    free_vars,
+    match_pattern,
+    replace_at,
     show_term,
     type_of,
 )
@@ -375,3 +389,154 @@ class TestExplorationOracle:
                     new = _explore_outcome(bounded_explore, seed, successors, depth)
                     old = _explore_outcome(_reference_explore, seed, successors, depth)
                     assert new == old, (show_term(seed), depth)
+
+
+# ------------------------------------------------------- redex table oracle
+# The eager step search and the recursive canonical renaming that the redex
+# table and the stored canonical forms replaced, kept as references.
+
+
+def _reference_rewrite_steps(t, system, include_beta=True):
+    out = []
+    for pos, sub in positions(t):
+        if include_beta and isinstance(sub, App) and isinstance(sub.fun, Lam):
+            out.append(Step("beta", "", pos, t, replace_at(t, pos, beta_contract(sub))))
+        for rule in system.rules:
+            binding = match_pattern(rule.lhs, sub)
+            if binding is not None:
+                target = replace_at(t, pos, apply_subst(rule.rhs, binding))
+                out.append(Step("rule", rule.name, pos, t, target))
+    return out
+
+
+def _reference_canon(t, env=None, depth=0):
+    env = {} if env is None else env
+    if isinstance(t, Var):
+        return env.get(t, t)
+    if isinstance(t, Sym):
+        return t
+    if isinstance(t, App):
+        return App(_reference_canon(t.fun, env, depth), _reference_canon(t.arg, env, depth))
+    v = Var(f"!{depth}", t.var.type)
+    return Lam(v, _reference_canon(t.body, {**env, t.var: v}, depth + 1))
+
+
+def _under_binder(t, pos):
+    for i in pos:
+        if isinstance(t, Lam):
+            return True
+        t = t.fun if i == 1 else t.arg
+    return False
+
+
+SHIPPED = sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp"))
+
+
+class TestRedexTableOracle:
+    def _seeds(self, rng, system):
+        symbols = dict(system.signature.symbols)
+        seeds = list(disprove_seeds(system)) + rule_instance_seeds(rng, system, per_rule=2, budget=7)
+        try:
+            seeds += [random_closed_term(rng, size_cap=24, symbols=symbols, redex_rate=0.6) for _ in range(12)]
+        except ValueError:
+            pass  # no inhabited sort
+        return seeds
+
+    def _assert_same_steps(self, t, system, include_beta, table):
+        expected = _reference_rewrite_steps(t, system, include_beta)
+        assert rewrite_steps(t, system, include_beta, table) == expected, show_term(t)
+        inner = [s for s in expected if s.position != ()]
+        assert internal_steps(t, system, include_beta, table) == inner, show_term(t)
+        return expected
+
+    @pytest.mark.parametrize("include_beta", [True, False])
+    def test_random_terms_and_walks_match_the_eager_search(self, include_beta):
+        kinds = {"beta": 0, "rule": 0, "under-binder": 0}
+        for name in SHIPPED:
+            system = load_system(name)
+            rng = random.Random(f"redex-table:{name}")
+            table = {}  # one table for the whole walk of every seed
+            for seed in self._seeds(rng, system):
+                assert rewrite_steps(seed, system, include_beta) == (
+                    _reference_rewrite_steps(seed, system, include_beta)
+                )
+                t = seed
+                for _ in range(20):
+                    steps = self._assert_same_steps(t, system, include_beta, table)
+                    if not steps:
+                        break
+                    for s in steps:
+                        kinds[s.kind] += 1
+                        kinds["under-binder"] += s.kind == "rule" and _under_binder(t, s.position)
+                    t = rng.choice(steps).target
+        # the walks do reach beta redexes (when allowed) and rules under binders
+        assert kinds["rule"] > 0 and kinds["under-binder"] > 0
+        assert (kinds["beta"] > 0) == include_beta
+
+    def test_successor_builders_match_the_eager_search(self):
+        for name in ("map", "twice", "filter", "foldr"):
+            system = load_system(name)
+            pairs = extract_pairs(system)
+            rng = random.Random(f"builders:{name}")
+            relations = [
+                (rewrite_successors(system), lambda t: _reference_rewrite_steps(t, system)),
+                (
+                    chain_successors(system, pairs, include_beta=False),
+                    lambda t: pair_root_steps(t, pairs)
+                    + [s for s in _reference_rewrite_steps(t, system, False) if s.position != ()],
+                ),
+            ]
+            for successors, reference in relations:
+                for seed in self._seeds(rng, system):
+                    t = seed
+                    for _ in range(20):
+                        steps = successors(t)
+                        assert steps == reference(t), show_term(t)
+                        if not steps:
+                            break
+                        t = rng.choice(steps).target
+
+
+def _rebind(rng, t):
+    """t with binders renamed from a two-name pool where that captures
+    nothing, so that inner binders often shadow outer ones."""
+    if isinstance(t, App):
+        return App(_rebind(rng, t.fun), _rebind(rng, t.arg))
+    if not isinstance(t, Lam):
+        return t
+    body = _rebind(rng, t.body)
+    v = Var(rng.choice("xxy"), t.var.type)
+    if v != t.var and v in free_vars(body):
+        v = t.var
+    return Lam(v, apply_subst(body, {t.var: v}))
+
+
+def _shadows(t, bound=frozenset()):
+    if isinstance(t, App):
+        return _shadows(t.fun, bound) or _shadows(t.arg, bound)
+    if isinstance(t, Lam):
+        return t.var in bound or _shadows(t.body, bound | {t.var})
+    return False
+
+
+class TestCanonicalOracle:
+    def test_stored_forms_match_the_recursive_renaming(self):
+        x, y = Var("x", Base("N")), Var("y", Base("N"))
+        s = Sym("s", Arrow(Base("N"), Base("N")))
+        terms = [Lam(x, Lam(x, x)), App(Lam(x, App(s, x)), x), Lam(x, App(Lam(x, x), App(s, y)))]
+        rng = random.Random(31)
+        for _ in range(300):
+            pool = tuple(Var(rng.choice("xy"), v.type) for v in random_var_pool(rng))
+            typ = Arrow(Base("N"), Arrow(Base("N"), Base(rng.choice(["N", "L"]))))
+            t = random_term(rng, GEN_SYMBOLS, typ, rng.randint(4, 24), env=pool, redex_rate=0.5)
+            terms.append(_rebind(rng, t))
+        assert sum(map(_shadows, terms)) >= 100
+        try:
+            for t in terms:
+                # subterms first, so the whole term meets forms stored outside
+                # a binder on nodes it reaches inside one
+                for _, sub in reversed(positions(t)):
+                    assert alpha_canonical(sub) is _reference_canon(sub), show_term(sub)
+        finally:
+            # later tests check that nothing keeps a small term alive
+            alpha_canonical.cache_clear()

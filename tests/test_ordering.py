@@ -8,6 +8,7 @@ import pytest
 from conftest import SYSTEMS_DIR, load_system
 from gen import (
     GEN_SYMBOLS,
+    positions,
     random_fo_trs,
     random_subst,
     random_term,
@@ -44,7 +45,6 @@ from hodp.terms import (
     apply_subst,
     beta_reducts,
     free_vars,
-    positions,
     type_of,
 )
 

@@ -40,10 +40,8 @@ UNREFERENCED = {
     "closure.replay_derivation": "checker, waits for the certificate checker (ROADMAP item 2)",
     "engine.replay_trace": "checker, waits for the certificate checker (ROADMAP item 2)",
     "engine.has_alpha_repeat": "checker, waits for the certificate checker (ROADMAP item 2)",
-    "terms.beta_normalize": "only tests use it: normal forms of generated terms",
     "ordering.Precedence.make": "only tests use it: a precedence from unclosed edges",
     "signature.Signature.symbol": "only tests use it: a symbol of a parsed system by name",
-    "terms.arrow": "only tests use it: a curried type from argument types",
 }
 
 

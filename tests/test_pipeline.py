@@ -151,6 +151,18 @@ class TestDisproving:
         assert report.witness is None
         assert any(n.endswith(": bound-exceeded") for n in report.notes)
 
+    @pytest.mark.parametrize(
+        "rule, depth",
+        [("f X -> f (s X)", 2000), ("f X -> g (f (s X))", 450)],
+        ids=["shared-spine", "new-spine"],
+    )
+    def test_deeper_explorations_end_at_the_bound(self, rule, depth):
+        text = f"sort N\ns : N -> N\ng : N -> N\nf : N -> N\nrule {rule}\n"
+        report = run_pipeline(parse_system(text), Options(disprove=True, explore_depth=depth))
+        assert report.verdict == "MAYBE"
+        assert report.witness is None
+        assert any(n.endswith(": bound-exceeded") for n in report.notes)
+
     def test_terminating_systems_survive_disproving(self):
         report = run_pipeline(load_system("map"), Options(disprove=True))
         assert report.verdict == "YES"

@@ -8,11 +8,12 @@ import weakref
 import pytest
 
 from conftest import load_system
-from gen import GEN_SYMBOLS, random_closed_term, random_term
+from gen import GEN_SYMBOLS, arrow, beta_normalize, positions, random_closed_term, random_term
 from hodp.closure import computability_closure, replay_derivation
-from hodp.engine import bounded_explore, ground_term, rewrite_successors
+from hodp.engine import bounded_explore, ground_term, rewrite_steps, rewrite_successors
 from hodp.errors import InvalidPositionError, TypeCheckError
 from hodp.pairs import call_positions
+from hodp.parser import parse_system
 from hodp.terms import (
     App,
     Arrow,
@@ -23,9 +24,7 @@ from hodp.terms import (
     alpha_canonical,
     alpha_eq,
     apply_subst,
-    arrow,
     beta_contract,
-    beta_normalize,
     beta_reducts,
     binders_above,
     flatten_type,
@@ -33,7 +32,6 @@ from hodp.terms import (
     fresh_var,
     make_app,
     match_pattern,
-    positions,
     replace_at,
     show_position,
     show_term,
@@ -291,6 +289,7 @@ class TestPositions:
         seed = App(App(sig.symbol("map"), sig.symbol("s")), App(App(cons, zero), nil))
         _, args = spine(system.rules[1].lhs)
         closure = computability_closure(args, sig)
+        grow = parse_system("sort N\n0 : N\ns : N -> N\nf : N -> N\nrule f X -> f (s X)\n")
         gc.collect()
         gc.disable()
         try:
@@ -302,6 +301,18 @@ class TestPositions:
             assert call_positions(seed, sig) == ((),)
             derivations = closure.derivations.values()
             assert all(replay_derivation(d, args, sig) for d in derivations)
+            # states that grow from the last one, with canonical forms
+            # stored on their nodes, and one redex table for all of them
+            state, table = App(grow.signature.symbol("f"), grow.signature.symbol("0")), {}
+            for _ in range(20):
+                (step,) = rewrite_steps(state, grow, True, table)
+                assert alpha_canonical(step.target) is step.target
+                state = step.target
+            lam_state = App(Lam(Var("y", N), state), ZERO)
+            assert alpha_canonical(lam_state).fun.var.name == "!0"
+            assert [s.kind for s in rewrite_steps(lam_state, grow, True, table)] == ["beta", "rule"]
+            del state, table, step, lam_state
+            alpha_canonical.cache_clear()  # drops what only the cache held
             assert gc.collect() == 0
         finally:
             gc.enable()
