@@ -2,8 +2,8 @@
 
 The rewrite relation combines beta steps with rule steps at any position;
 the chain relation combines internal (non-root) steps with dependency pair
-steps at the root.  Each successor function keeps a redex table for the
-analysis it serves: interned nodes are matched once, so a step costs work
+steps at the root.  The relations of one analysis share a redex table per
+include_beta value: interned nodes are matched once, so a step costs work
 in proportion to the nodes it creates, not to the size of the state.
 Exploration is a depth-first search on an explicit stack, so its depth
 does not depend on the interpreter's recursion limit, which it never
@@ -65,16 +65,21 @@ def format_step(s: Step) -> str:
 # A redex table maps each node it has seen to the redexes at its root, as
 # (kind, label, contractum) triples, or to None when no redex lies anywhere
 # in the node.  It holds no successor targets: those are rebuilt per state.
-# One table serves one system and one include_beta for one analysis.
+# One table serves one system and one include_beta for one analysis, for
+# every relation of the analysis that uses that include_beta.
 RedexTable = dict[Term, "tuple[tuple[str, str, Term], ...] | None"]
 
 
 def rewrite_steps(
-    t: Term, system: RewriteSystem, include_beta: bool = True, table: RedexTable | None = None
+    t: Term,
+    system: RewriteSystem,
+    include_beta: bool = True,
+    table: RedexTable | None = None,
+    at_root: bool = True,
 ) -> list[Step]:
-    """All one-step reducts, position-lexicographic, beta before rules.
-    Passing the same table for every state of an analysis matches each
-    node only once."""
+    """All one-step reducts, position-lexicographic, beta before rules;
+    without the root's own redexes unless at_root.  Passing the same table
+    for every state of an analysis matches each node only once."""
     if table is None:
         table = {}
     out: list[Step] = []
@@ -83,8 +88,9 @@ def rewrite_steps(
         todo.append(((), t))
     while todo:
         pos, u = todo.pop()
-        for kind, label, contractum in table[u]:
-            out.append(Step(kind, label, pos, t, replace_at(t, pos, contractum)))
+        if pos or at_root:
+            for kind, label, contractum in table[u]:
+                out.append(Step(kind, label, pos, t, replace_at(t, pos, contractum)))
         if isinstance(u, App):
             children = ((2, u.arg), (1, u.fun))  # popped function part first
         elif isinstance(u, Lam):
@@ -124,7 +130,7 @@ def _tabulate(u: Term, system: RewriteSystem, include_beta: bool, table: RedexTa
 def internal_steps(
     t: Term, system: RewriteSystem, include_beta: bool = True, table: RedexTable | None = None
 ) -> list[Step]:
-    return [s for s in rewrite_steps(t, system, include_beta, table) if s.position != ()]
+    return rewrite_steps(t, system, include_beta, table, at_root=False)
 
 
 def pair_root_steps(t: Term, pairs: Iterable[DepPair]) -> list[Step]:
@@ -136,15 +142,20 @@ def pair_root_steps(t: Term, pairs: Iterable[DepPair]) -> list[Step]:
     return out
 
 
-def rewrite_successors(system: RewriteSystem) -> Callable[[Term], list[Step]]:
-    table: RedexTable = {}
+def rewrite_successors(
+    system: RewriteSystem, table: RedexTable | None = None
+) -> Callable[[Term], list[Step]]:
+    table = {} if table is None else table
     return lambda t: rewrite_steps(t, system, True, table)
 
 
 def chain_successors(
-    system: RewriteSystem, pairs: tuple[DepPair, ...], include_beta: bool = True
+    system: RewriteSystem,
+    pairs: tuple[DepPair, ...],
+    include_beta: bool = True,
+    table: RedexTable | None = None,
 ) -> Callable[[Term], list[Step]]:
-    table: RedexTable = {}
+    table = {} if table is None else table
 
     def succ(t: Term) -> list[Step]:
         return pair_root_steps(t, pairs) + internal_steps(t, system, include_beta, table)

@@ -34,6 +34,7 @@ from hodp.engine import (
 from hodp.errors import ResourceLimitError
 from hodp.pairs import extract_pairs
 from hodp.parser import parse_system
+from hodp.pipeline import Options, run_pipeline
 from hodp.terms import (
     App,
     Arrow,
@@ -497,6 +498,75 @@ class TestRedexTableOracle:
                         t = rng.choice(steps).target
 
 
+# g's pair leads to h ((\x:N. 0) 0), whose only redex below the root is beta
+BETA_BELOW = """sort N
+0 : N
+g : (N -> N) -> N -> N
+h : N -> N
+rule g F X -> h (F X)
+rule h X -> X
+"""
+
+
+class TestSharedTableOracle:
+    """The rewrite relation and the chain relation of one analysis read one
+    redex table per include_beta value."""
+
+    def _starts(self, rng, system):
+        symbols = dict(system.signature.symbols)
+        starts = list(disprove_seeds(system))
+        for _ in range(25):
+            typ = Base(rng.choice(system.signature.sorts))
+            starts.append(random_term(rng, symbols, typ, rng.randint(6, 20), redex_rate=0.6))
+        return starts
+
+    @pytest.mark.parametrize("name", ["twice", "map", "beta_only"])
+    def test_rewrite_then_chain_over_one_table_equals_fresh_tables(self, name):
+        system = load_system(name)
+        pairs = extract_pairs(system)
+        rng = random.Random(f"shared-table:{name}")
+        starts = self._starts(rng, system)
+        table = {}
+        relations = [
+            (rewrite_successors(system, table), lambda t: rewrite_successors(system)(t)),
+            (chain_successors(system, pairs, True, table), lambda t: chain_successors(system, pairs)(t)),
+        ]
+        kinds = {"beta": 0, "rule": 0, "dp": 0, "inner beta": 0}
+        for successors, fresh in relations:
+            for start in starts:
+                t = start
+                for _ in range(15):
+                    steps = successors(t)
+                    assert steps == fresh(t), show_term(t)
+                    inner = [s for s in _reference_rewrite_steps(t, system) if s.position != ()]
+                    assert internal_steps(t, system, True, table) == inner, show_term(t)
+                    for s in steps:
+                        kinds[s.kind] += 1
+                        kinds["inner beta"] += s.kind == "beta" and s.position != ()
+                    if not steps:
+                        break
+                    t = rng.choice(steps).target
+        assert kinds["inner beta"] > 0
+        assert (kinds["rule"] > 0) == (name != "beta_only")
+        assert (kinds["dp"] > 0) == (name == "map")
+
+    def test_a_rules_only_chain_after_the_rewrite_relation_takes_no_beta_step(self):
+        system = parse_system(BETA_BELOW)
+        pairs = extract_pairs(system)
+        seed = disprove_seeds(system)[0]
+        assert show_term(seed) == "g (\\x:N. 0) 0"
+        longest = {}
+        for internal_beta in (True, False):
+            fresh = chain_successors(system, pairs, internal_beta)
+            longest[internal_beta] = bounded_explore(seed, fresh).longest
+            report = run_pipeline(system, Options(disprove=True, internal_beta=internal_beta))
+            note = f"chain exploration from {show_term(seed)}: all-terminated (longest trace "
+            assert note + f"{longest[internal_beta]})" in report.notes
+        # the rewrite relation, which runs first, tabulates the beta redex
+        # that only the chain relation with beta may step
+        assert longest == {True: 2, False: 1}
+
+
 def _rebind(rng, t):
     """t with binders renamed from a two-name pool where that captures
     nothing, so that inner binders often shadow outer ones."""
@@ -531,12 +601,8 @@ class TestCanonicalOracle:
             t = random_term(rng, GEN_SYMBOLS, typ, rng.randint(4, 24), env=pool, redex_rate=0.5)
             terms.append(_rebind(rng, t))
         assert sum(map(_shadows, terms)) >= 100
-        try:
-            for t in terms:
-                # subterms first, so the whole term meets forms stored outside
-                # a binder on nodes it reaches inside one
-                for _, sub in reversed(positions(t)):
-                    assert alpha_canonical(sub) is _reference_canon(sub), show_term(sub)
-        finally:
-            # later tests check that nothing keeps a small term alive
-            alpha_canonical.cache_clear()
+        for t in terms:
+            # subterms first, so the whole term meets forms stored outside
+            # a binder on nodes it reaches inside one
+            for _, sub in reversed(positions(t)):
+                assert alpha_canonical(sub) is _reference_canon(sub), show_term(sub)

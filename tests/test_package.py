@@ -104,3 +104,27 @@ def test_no_cache_grows_without_bound():
 
 def test_the_only_cache_is_alpha_canonical():
     assert set(_caches()) == {"terms.alpha_canonical"}
+
+
+def _bench_targets() -> tuple:
+    """`TARGETS` of bench/layers.py, read from its source without importing
+    the harness."""
+    tree = ast.parse((PACKAGE.parents[1] / "bench" / "layers.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/layers.py defines no TARGETS")
+
+
+def test_every_name_the_benchmark_wraps_resolves():
+    """The traced benchmark wraps these by name; a rename should fail here,
+    not only inside a forked child of its smoke test."""
+    targets, missing = _bench_targets(), []
+    for module_name, attr, _, _ in targets:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}:{attr}")
+    assert targets
+    assert missing == []

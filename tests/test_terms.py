@@ -138,7 +138,9 @@ class TestHashConsing:
         assert len({s, t, App(S, s)}) == 2
 
     def test_typing_a_term_does_not_keep_it_alive(self):
-        t = Lam(Var("x", N), App(S, App(S, Var("x", N))))
+        # a symbol no other test uses, so no cache entry of theirs holds t
+        probe = Sym("keep_alive_probe", NN)
+        t = Lam(Var("x", N), App(probe, App(probe, Var("x", N))))
         assert type_of(t) == NN
         assert free_vars(t) == frozenset()
         ref = weakref.ref(t)
