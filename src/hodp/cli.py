@@ -17,6 +17,7 @@ from hodp.pipeline import Options, render_json, render_text, run_pipeline
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    defaults = Options()
     parser = argparse.ArgumentParser(
         prog="hodp",
         description=(
@@ -42,9 +43,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--max-symbols",
         type=int,
-        default=8,
+        default=defaults.max_symbols,
         metavar="N",
-        help="largest symbol count for exhaustive precedence search (default 8)",
+        help="largest symbol count for exhaustive precedence search (default %(default)s)",
     )
     check.add_argument(
         "--disprove",
@@ -52,12 +53,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="also explore seed terms for cycles",
     )
     check.add_argument(
-        "--explore-depth", type=int, default=200, metavar="N",
-        help="trace length bound for exploration (default 200)",
+        "--explore-depth", type=int, default=defaults.explore_depth, metavar="N",
+        help="trace length bound for exploration (default %(default)s)",
     )
     check.add_argument(
-        "--explore-nodes", type=int, default=100_000, metavar="N",
-        help="distinct state budget for exploration (default 100000)",
+        "--explore-nodes", type=int, default=defaults.explore_nodes, metavar="N",
+        help="distinct state budget for exploration (default %(default)s)",
     )
     check.add_argument(
         "--internal",

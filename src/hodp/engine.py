@@ -2,9 +2,10 @@
 
 The rewrite relation combines beta steps with rule steps at any position;
 the chain relation combines internal (non-root) steps with dependency pair
-steps at the root.  The relations of one analysis share a redex table per
-include_beta value: interned nodes are matched once, so a step costs work
-in proportion to the nodes it creates, not to the size of the state.
+steps at the root.  Both relations of one analysis read one redex table:
+interned nodes are matched once, so a step costs work in proportion to the
+nodes it creates, not to the size of the state, and a pair step reuses the
+match of its rule at the root.
 Exploration is a depth-first search on an explicit stack, so its depth
 does not depend on the interpreter's recursion limit, which it never
 changes; only new structure within one step, and input nesting, recurse.
@@ -63,34 +64,32 @@ def format_step(s: Step) -> str:
 
 
 # A redex table maps each node it has seen to the redexes at its root, as
-# (kind, label, contractum) triples, or to None when no redex lies anywhere
-# in the node.  It holds no successor targets: those are rebuilt per state.
-# One table serves one system and one include_beta for one analysis, for
-# every relation of the analysis that uses that include_beta.
-RedexTable = dict[Term, "tuple[tuple[str, str, Term], ...] | None"]
+# (kind, label, binding, contractum) tuples, or to None when no redex lies
+# anywhere in the node.  Beta redexes are always recorded, with an empty
+# label and no binding; a rule redex keeps the rule's binding, which is
+# also the binding of each of the rule's pairs.  The table holds no
+# successor targets: those are rebuilt per state.  One table serves every
+# relation of one analysis of one system, whatever its beta setting.
+RedexTable = dict[Term, "tuple[tuple[str, str, dict[Var, Term] | None, Term], ...] | None"]
 
 
 def rewrite_steps(
-    t: Term,
-    system: RewriteSystem,
-    include_beta: bool = True,
-    table: RedexTable | None = None,
-    at_root: bool = True,
+    t: Term, system: RewriteSystem, include_beta: bool, table: RedexTable, at_root: bool = True
 ) -> list[Step]:
     """All one-step reducts, position-lexicographic, beta before rules;
-    without the root's own redexes unless at_root.  Passing the same table
-    for every state of an analysis matches each node only once."""
-    if table is None:
-        table = {}
+    without beta steps unless include_beta, and without the root's own
+    redexes unless at_root.  Passing the same table for every state of an
+    analysis matches each node only once."""
     out: list[Step] = []
     todo: list[tuple[Position, Term]] = []
-    if _tabulate(t, system, include_beta, table) is not None:
+    if _tabulate(t, system, table) is not None:
         todo.append(((), t))
     while todo:
         pos, u = todo.pop()
         if pos or at_root:
-            for kind, label, contractum in table[u]:
-                out.append(Step(kind, label, pos, t, replace_at(t, pos, contractum)))
+            for kind, label, _, contractum in table[u]:
+                if include_beta or kind != "beta":
+                    out.append(Step(kind, label, pos, t, replace_at(t, pos, contractum)))
         if isinstance(u, App):
             children = ((2, u.arg), (1, u.fun))  # popped function part first
         elif isinstance(u, Lam):
@@ -103,62 +102,53 @@ def rewrite_steps(
     return out
 
 
-def _tabulate(u: Term, system: RewriteSystem, include_beta: bool, table: RedexTable):
+def _tabulate(u: Term, system: RewriteSystem, table: RedexTable):
     """The entry of u, after adding u and its subterms to the table.  It
     recurses only into nodes the table has not seen."""
     if u in table:
         return table[u]
     if isinstance(u, App):
-        below = _tabulate(u.fun, system, include_beta, table) is not None
-        below |= _tabulate(u.arg, system, include_beta, table) is not None
+        below = _tabulate(u.fun, system, table) is not None
+        below |= _tabulate(u.arg, system, table) is not None
     elif isinstance(u, Lam):
-        below = _tabulate(u.body, system, include_beta, table) is not None
+        below = _tabulate(u.body, system, table) is not None
     else:
         below = False
     found = []
-    if include_beta and isinstance(u, App) and isinstance(u.fun, Lam):
-        found.append(("beta", "", beta_contract(u)))
+    if isinstance(u, App) and isinstance(u.fun, Lam):
+        found.append(("beta", "", None, beta_contract(u)))
     for rule in system.rules:
         binding = match_pattern(rule.lhs, u)
         if binding is not None:
-            found.append(("rule", rule.name, apply_subst(rule.rhs, binding)))
+            found.append(("rule", rule.name, binding, apply_subst(rule.rhs, binding)))
     entry = tuple(found) if found or below else None
     table[u] = entry
     return entry
 
 
-def internal_steps(
-    t: Term, system: RewriteSystem, include_beta: bool = True, table: RedexTable | None = None
-) -> list[Step]:
-    return rewrite_steps(t, system, include_beta, table, at_root=False)
-
-
-def pair_root_steps(t: Term, pairs: Iterable[DepPair]) -> list[Step]:
+def pair_root_steps(t: Term, pairs: Iterable[DepPair], table: RedexTable) -> list[Step]:
+    """The pair steps at the root of t, which the table must already hold.
+    A pair's left side is its rule's, so a pair fires exactly where its
+    rule matched, with the rule's binding."""
+    bindings = {label: binding for kind, label, binding, _ in table[t] or () if kind == "rule"}
     out = []
     for dp in pairs:
-        binding = match_pattern(dp.lhs, t)
+        binding = bindings.get(dp.rule.name)
         if binding is not None:
             out.append(Step("dp", dp.name, (), t, apply_subst(dp.rhs, binding)))
     return out
 
 
-def rewrite_successors(
-    system: RewriteSystem, table: RedexTable | None = None
-) -> Callable[[Term], list[Step]]:
-    table = {} if table is None else table
+def rewrite_successors(system: RewriteSystem, table: RedexTable) -> Callable[[Term], list[Step]]:
     return lambda t: rewrite_steps(t, system, True, table)
 
 
 def chain_successors(
-    system: RewriteSystem,
-    pairs: tuple[DepPair, ...],
-    include_beta: bool = True,
-    table: RedexTable | None = None,
+    system: RewriteSystem, pairs: tuple[DepPair, ...], include_beta: bool, table: RedexTable
 ) -> Callable[[Term], list[Step]]:
-    table = {} if table is None else table
-
     def succ(t: Term) -> list[Step]:
-        return pair_root_steps(t, pairs) + internal_steps(t, system, include_beta, table)
+        inner = rewrite_steps(t, system, include_beta, table, at_root=False)  # tabulates t
+        return pair_root_steps(t, pairs, table) + inner
 
     return succ
 

@@ -75,7 +75,6 @@ def _tokenize(text: str, lineno: int) -> list[_Tok]:
 @dataclass(frozen=True)
 class _RIdent:
     name: str
-    column: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,6 @@ class _RLam:
     name: str
     annot: Type | None
     body: "_Raw"
-    column: int
 
 
 _Raw = _RIdent | _RApp | _RLam
@@ -181,7 +179,7 @@ class _LineParser:
                     f"{tok.text} is a reserved word", self.lineno, tok.column
                 )
             self.next()
-            return _RIdent(tok.text, tok.column)
+            return _RIdent(tok.text)
         if tok.kind == "(":
             self.next()
             inner = self.parse_term()
@@ -196,7 +194,7 @@ class _LineParser:
                 annot = self.parse_type()
             self.expect(".")
             body = self.parse_term()
-            return _RLam(name.text, annot, body, name.column)
+            return _RLam(name.text, annot, body)
         return None
 
 

@@ -99,12 +99,10 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
     graph: list[Step] = []
     if options.disprove:
         seeds = disprove_seeds(system)
-        # one redex table per include_beta, shared by the relations using it
-        tables = {True: {}, False: {}}
-        beta = options.internal_beta
+        table = {}  # the redex table both relations read
         for relation, successors in (
-            ("rewrite", rewrite_successors(system, tables[True])),
-            ("chain", chain_successors(system, pairs, beta, tables[beta])),
+            ("rewrite", rewrite_successors(system, table)),
+            ("chain", chain_successors(system, pairs, options.internal_beta, table)),
         ):
             for seed in seeds:
                 result = bounded_explore(

@@ -280,7 +280,7 @@ def test_07_positive_verdicts_survive_exploration():
         system = load_system(name)
         report = run_pipeline(system, Options())
         assert report.verdict == "YES"
-        succ = rewrite_successors(system)
+        succ = rewrite_successors(system, {})
         table = dict(system.signature.symbols)
         seeds = [random_closed_term(rng, size_cap=14, symbols=table) for _ in range(25)]
         seeds += rule_instance_seeds(rng, system, per_rule=6)[:25]
@@ -299,14 +299,14 @@ def test_08_selfloop_is_disproved_with_a_replayable_cycle():
     assert len(report.witness["trace"]) == 1
 
     (seed,) = disprove_seeds(system)
-    ex = bounded_explore(seed, rewrite_successors(system))
+    ex = bounded_explore(seed, rewrite_successors(system, {}))
     assert ex.kind == "cycle"
     assert len(ex.trace) == 1
     assert replay_trace(ex.trace, system, ())
     assert has_alpha_repeat(seed, ex.trace)
 
     pairs = extract_pairs(system)
-    chain = bounded_explore(seed, chain_successors(system, pairs))
+    chain = bounded_explore(seed, chain_successors(system, pairs, True, {}))
     assert chain.kind == "cycle"
     assert replay_trace(chain.trace, system, pairs)
     print("PASS: 08 selfloop is NO with a replayable one step cycle in both relations")

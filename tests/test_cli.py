@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from conftest import SYSTEMS_DIR
-from hodp.cli import main
+from hodp.cli import build_arg_parser, main
+from hodp.pipeline import Options
 
 
 def run(capsys, *argv):
@@ -248,6 +249,18 @@ class TestFlags:
         )
         assert code == 0
         assert out.splitlines()[0] == "NO"
+
+    def test_budget_defaults_are_the_options_defaults(self, capsys):
+        defaults = Options()
+        args = build_arg_parser().parse_args(["check", "system.hodp"])
+        budgets = ("max_symbols", "explore_depth", "explore_nodes")
+        assert [getattr(args, b) for b in budgets] == [getattr(defaults, b) for b in budgets]
+        assert (args.internal == "all") == defaults.internal_beta
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for b in budgets:
+            assert f"(default {getattr(defaults, b)})" in help_text
 
     def test_json_and_trace_are_exclusive_channels(self, capsys):
         code, out, _ = run(capsys, "check", path("map"), "--json", "--trace")

@@ -25,7 +25,6 @@ from hodp.engine import (
     format_step,
     ground_term,
     has_alpha_repeat,
-    internal_steps,
     pair_root_steps,
     replay_trace,
     rewrite_steps,
@@ -67,7 +66,7 @@ def map_seed(system):
 class TestSteps:
     def test_single_rule_step(self):
         system = load_system("map")
-        steps = rewrite_steps(map_seed(system), system)
+        steps = rewrite_steps(map_seed(system), system, True, {})
         assert [format_step(s) for s in steps] == [
             "rule(r2)@ε: map s (cons 0 nil) => cons (s 0) (map s nil)"
         ]
@@ -77,14 +76,14 @@ class TestSteps:
         sig = system.signature
         x = Var("x", Base("N"))
         t = App(Lam(x, App(sig.symbol("s"), x)), sig.symbol("0"))
-        steps = rewrite_steps(t, system)
+        steps = rewrite_steps(t, system, True, {})
         assert [s.kind for s in steps] == ["beta"]
         assert show_term(steps[0].target) == "s 0"
 
     def test_steps_preserve_types(self):
         system = load_system("filter")
         for seed in disprove_seeds(system):
-            for step in rewrite_steps(seed, system):
+            for step in rewrite_steps(seed, system, True, {}):
                 assert type_of(step.target) == type_of(seed)
 
     def test_internal_steps_exclude_the_root(self):
@@ -93,38 +92,41 @@ class TestSteps:
         s = system.signature.symbol("s")
         z = system.signature.symbol("0")
         t = App(s, App(f, z))
-        all_steps = rewrite_steps(t, system)
-        inner = internal_steps(t, system)
+        all_steps = rewrite_steps(t, system, True, {})
+        inner = rewrite_steps(t, system, True, {}, at_root=False)
         assert [st.position for st in all_steps] == [(2,)]
         assert [st.position for st in inner] == [(2,)]
         root = App(f, z)
-        assert [st.position for st in rewrite_steps(root, system)] == [()]
-        assert internal_steps(root, system) == []
+        assert [st.position for st in rewrite_steps(root, system, True, {})] == [()]
+        assert rewrite_steps(root, system, True, {}, at_root=False) == []
 
     def test_internal_steps_can_drop_beta(self):
         system = load_system("map")
         sig = system.signature
         x = Var("x", Base("N"))
         t = App(sig.symbol("s"), App(Lam(x, x), sig.symbol("0")))
-        assert [st.kind for st in internal_steps(t, system)] == ["beta"]
-        assert internal_steps(t, system, include_beta=False) == []
+        assert [st.kind for st in rewrite_steps(t, system, True, {}, at_root=False)] == ["beta"]
+        assert rewrite_steps(t, system, False, {}, at_root=False) == []
 
     def test_pair_steps_fire_at_the_root_only(self):
         system = load_system("map")
         pairs = extract_pairs(system)
         seed = map_seed(system)
-        steps = pair_root_steps(seed, pairs)
+        table = {}
+        rewrite_steps(seed, system, True, table)  # tabulates the seed
+        steps = pair_root_steps(seed, pairs, table)
         assert [format_step(s) for s in steps] == [
             "dp(d1)@ε: map s (cons 0 nil) => map s nil"
         ]
         buried = App(App(system.signature.symbol("cons"), system.signature.symbol("0")), seed)
-        assert pair_root_steps(buried, pairs) == []
+        rewrite_steps(buried, system, True, table)
+        assert pair_root_steps(buried, pairs, table) == []
 
 
 class TestExploration:
     def test_terminating_run_reports_longest_path(self):
         system = load_system("map")
-        ex = bounded_explore(map_seed(system), rewrite_successors(system))
+        ex = bounded_explore(map_seed(system), rewrite_successors(system, {}))
         assert ex.kind == "all-terminated"
         assert ex.longest == 2
         assert ex.trace is None
@@ -134,18 +136,18 @@ class TestExploration:
         sig = system.signature
         x = Var("x", Base("N"))
         t = App(Lam(x, App(sig.symbol("s"), x)), sig.symbol("0"))
-        ex = bounded_explore(t, rewrite_successors(system))
+        ex = bounded_explore(t, rewrite_successors(system, {}))
         assert (ex.kind, ex.longest) == ("all-terminated", 1)
 
     def test_normal_form_has_length_zero(self):
         system = load_system("map")
-        ex = bounded_explore(system.signature.symbol("0"), rewrite_successors(system))
+        ex = bounded_explore(system.signature.symbol("0"), rewrite_successors(system, {}))
         assert (ex.kind, ex.longest) == ("all-terminated", 0)
 
     def test_depth_bound_produces_a_replayable_trace(self):
         system = parse_system(GROW)
         seed = App(system.signature.symbol("f"), system.signature.symbol("0"))
-        ex = bounded_explore(seed, rewrite_successors(system), max_depth=5)
+        ex = bounded_explore(seed, rewrite_successors(system, {}), max_depth=5)
         assert ex.kind == "bound-exceeded"
         assert len(ex.trace) == 6
         assert replay_trace(ex.trace, system, ())
@@ -155,12 +157,12 @@ class TestExploration:
         system = parse_system(GROW)
         seed = App(system.signature.symbol("f"), system.signature.symbol("0"))
         with pytest.raises(ResourceLimitError):
-            bounded_explore(seed, rewrite_successors(system), max_depth=50, max_nodes=3)
+            bounded_explore(seed, rewrite_successors(system, {}), max_depth=50, max_nodes=3)
 
     def test_cycle_detection_modulo_renaming(self):
         system = load_system("selfloop")
         (seed,) = disprove_seeds(system)
-        ex = bounded_explore(seed, rewrite_successors(system))
+        ex = bounded_explore(seed, rewrite_successors(system, {}))
         assert ex.kind == "cycle"
         assert len(ex.trace) == 1
         assert has_alpha_repeat(seed, ex.trace)
@@ -172,7 +174,7 @@ class TestExploration:
         plus, s, z = sig.symbol("plus"), sig.symbol("s"), sig.symbol("0")
         one = App(s, z)
         t = App(App(plus, App(App(plus, one), one)), App(App(plus, one), one))
-        ex = bounded_explore(t, rewrite_successors(system))
+        ex = bounded_explore(t, rewrite_successors(system, {}))
         assert ex.kind == "all-terminated"
         assert ex.longest >= 4
 
@@ -184,7 +186,7 @@ class TestExploration:
 
         def successors(t):
             seen.add(sys.getrecursionlimit())
-            return rewrite_steps(t, system)
+            return rewrite_steps(t, system, True, {})
 
         ex = bounded_explore(seed, successors, max_depth=400)
         assert ex.kind == "bound-exceeded"
@@ -195,7 +197,7 @@ class TestExploration:
     def test_recorded_edges_feed_the_dot_renderer(self):
         system = parse_system(GROW)
         seed = App(system.signature.symbol("f"), system.signature.symbol("0"))
-        ex = bounded_explore(seed, rewrite_successors(system), max_depth=4, record=True)
+        ex = bounded_explore(seed, rewrite_successors(system, {}), max_depth=4, record=True)
         dg = dot_graph(ex.edges)
         assert dg.startswith("digraph")
         assert dg.rstrip().endswith("}")
@@ -210,8 +212,8 @@ class TestChains:
         x = Var("x", Base("N"))
         redex = App(Lam(x, x), sig.symbol("0"))
         t = App(App(sig.symbol("map"), sig.symbol("s")), App(App(sig.symbol("cons"), redex), sig.symbol("nil")))
-        with_beta = chain_successors(system, pairs)(t)
-        without = chain_successors(system, pairs, include_beta=False)(t)
+        with_beta = chain_successors(system, pairs, True, {})(t)
+        without = chain_successors(system, pairs, False, {})(t)
         assert any(s.kind == "beta" for s in with_beta)
         assert all(s.kind != "beta" for s in without)
 
@@ -253,7 +255,7 @@ class TestReplay:
     def test_tampered_traces_are_rejected(self):
         system = load_system("selfloop")
         (seed,) = disprove_seeds(system)
-        ex = bounded_explore(seed, rewrite_successors(system))
+        ex = bounded_explore(seed, rewrite_successors(system, {}))
         step = ex.trace[0]
         forged = step.__class__(
             kind=step.kind,
@@ -266,7 +268,7 @@ class TestReplay:
 
     def test_wrong_label_is_rejected(self):
         system = load_system("map")
-        steps = rewrite_steps(map_seed(system), system)
+        steps = rewrite_steps(map_seed(system), system, True, {})
         step = steps[0]
         forged = step.__class__(
             kind=step.kind,
@@ -383,7 +385,7 @@ class TestExplorationOracle:
             seeds += [random_closed_term(rng, size_cap=20, symbols=symbols) for _ in range(6)]
         except ValueError:
             pass  # no inhabited sort
-        relations = (rewrite_successors(system), chain_successors(system, extract_pairs(system)))
+        relations = (rewrite_successors(system, {}), chain_successors(system, extract_pairs(system), True, {}))
         for seed in seeds:
             for successors in relations:
                 for depth in (0, 1, 2, 3, 5, 8, 60):
@@ -393,8 +395,9 @@ class TestExplorationOracle:
 
 
 # ------------------------------------------------------- redex table oracle
-# The eager step search and the recursive canonical renaming that the redex
-# table and the stored canonical forms replaced, kept as references.
+# The eager step search, the pair matching and the recursive canonical
+# renaming that the redex table and the stored canonical forms replaced,
+# kept as references.
 
 
 def _reference_rewrite_steps(t, system, include_beta=True):
@@ -407,6 +410,15 @@ def _reference_rewrite_steps(t, system, include_beta=True):
             if binding is not None:
                 target = replace_at(t, pos, apply_subst(rule.rhs, binding))
                 out.append(Step("rule", rule.name, pos, t, target))
+    return out
+
+
+def _reference_pair_root_steps(t, pairs):
+    out = []
+    for dp in pairs:
+        binding = match_pattern(dp.lhs, t)
+        if binding is not None:
+            out.append(Step("dp", dp.name, (), t, apply_subst(dp.rhs, binding)))
     return out
 
 
@@ -447,7 +459,7 @@ class TestRedexTableOracle:
         expected = _reference_rewrite_steps(t, system, include_beta)
         assert rewrite_steps(t, system, include_beta, table) == expected, show_term(t)
         inner = [s for s in expected if s.position != ()]
-        assert internal_steps(t, system, include_beta, table) == inner, show_term(t)
+        assert rewrite_steps(t, system, include_beta, table, at_root=False) == inner, show_term(t)
         return expected
 
     @pytest.mark.parametrize("include_beta", [True, False])
@@ -458,7 +470,7 @@ class TestRedexTableOracle:
             rng = random.Random(f"redex-table:{name}")
             table = {}  # one table for the whole walk of every seed
             for seed in self._seeds(rng, system):
-                assert rewrite_steps(seed, system, include_beta) == (
+                assert rewrite_steps(seed, system, include_beta, {}) == (
                     _reference_rewrite_steps(seed, system, include_beta)
                 )
                 t = seed
@@ -480,10 +492,10 @@ class TestRedexTableOracle:
             pairs = extract_pairs(system)
             rng = random.Random(f"builders:{name}")
             relations = [
-                (rewrite_successors(system), lambda t: _reference_rewrite_steps(t, system)),
+                (rewrite_successors(system, {}), lambda t: _reference_rewrite_steps(t, system)),
                 (
-                    chain_successors(system, pairs, include_beta=False),
-                    lambda t: pair_root_steps(t, pairs)
+                    chain_successors(system, pairs, False, {}),
+                    lambda t: _reference_pair_root_steps(t, pairs)
                     + [s for s in _reference_rewrite_steps(t, system, False) if s.position != ()],
                 ),
             ]
@@ -508,28 +520,32 @@ rule h X -> X
 """
 
 
+def _walk_starts(rng, system):
+    symbols = dict(system.signature.symbols)
+    starts = list(disprove_seeds(system))
+    for _ in range(25):
+        typ = Base(rng.choice(system.signature.sorts))
+        try:
+            starts.append(random_term(rng, symbols, typ, rng.randint(6, 20), redex_rate=0.6))
+        except ValueError:
+            pass  # an uninhabited sort
+    return starts
+
+
 class TestSharedTableOracle:
     """The rewrite relation and the chain relation of one analysis read one
-    redex table per include_beta value."""
-
-    def _starts(self, rng, system):
-        symbols = dict(system.signature.symbols)
-        starts = list(disprove_seeds(system))
-        for _ in range(25):
-            typ = Base(rng.choice(system.signature.sorts))
-            starts.append(random_term(rng, symbols, typ, rng.randint(6, 20), redex_rate=0.6))
-        return starts
+    redex table."""
 
     @pytest.mark.parametrize("name", ["twice", "map", "beta_only"])
     def test_rewrite_then_chain_over_one_table_equals_fresh_tables(self, name):
         system = load_system(name)
         pairs = extract_pairs(system)
         rng = random.Random(f"shared-table:{name}")
-        starts = self._starts(rng, system)
+        starts = _walk_starts(rng, system)
         table = {}
         relations = [
-            (rewrite_successors(system, table), lambda t: rewrite_successors(system)(t)),
-            (chain_successors(system, pairs, True, table), lambda t: chain_successors(system, pairs)(t)),
+            (rewrite_successors(system, table), lambda t: rewrite_successors(system, {})(t)),
+            (chain_successors(system, pairs, True, table), lambda t: chain_successors(system, pairs, True, {})(t)),
         ]
         kinds = {"beta": 0, "rule": 0, "dp": 0, "inner beta": 0}
         for successors, fresh in relations:
@@ -539,7 +555,7 @@ class TestSharedTableOracle:
                     steps = successors(t)
                     assert steps == fresh(t), show_term(t)
                     inner = [s for s in _reference_rewrite_steps(t, system) if s.position != ()]
-                    assert internal_steps(t, system, True, table) == inner, show_term(t)
+                    assert rewrite_steps(t, system, True, table, at_root=False) == inner, show_term(t)
                     for s in steps:
                         kinds[s.kind] += 1
                         kinds["inner beta"] += s.kind == "beta" and s.position != ()
@@ -557,7 +573,7 @@ class TestSharedTableOracle:
         assert show_term(seed) == "g (\\x:N. 0) 0"
         longest = {}
         for internal_beta in (True, False):
-            fresh = chain_successors(system, pairs, internal_beta)
+            fresh = chain_successors(system, pairs, internal_beta, {})
             longest[internal_beta] = bounded_explore(seed, fresh).longest
             report = run_pipeline(system, Options(disprove=True, internal_beta=internal_beta))
             note = f"chain exploration from {show_term(seed)}: all-terminated (longest trace "
@@ -565,6 +581,57 @@ class TestSharedTableOracle:
         # the rewrite relation, which runs first, tabulates the beta redex
         # that only the chain relation with beta may step
         assert longest == {True: 2, False: 1}
+
+
+# Pairs whose extraction check fails: y escapes its binder, and the binder
+# X shadows the rule variable X.  From f 0 the shadowed pair steps to f 0,
+# while the rule's contractum g (\X:N. f X) holds f X at the pair's
+# position, so pair targets cannot be read off the contractum.
+PAIR_CHECK_FAILS = {
+    name: "sort N\n0 : N\ns : N -> N\nf : N -> N\ng : (N -> N) -> N\n" + rule
+    for name, rule in (
+        ("escape", "rule f X -> g (\\y:N. f y)\n"),
+        ("shadow", "rule f X -> g (\\X:N. f X)\n"),
+    )
+}
+
+
+class TestPairStepsFromTheTable:
+    """Chain successors take each pair step from its rule's binding in the
+    table the rewrite relation filled first; the reference matches every
+    pair afresh."""
+
+    @pytest.mark.parametrize("include_beta", [True, False])
+    @pytest.mark.parametrize("name", ["map", "twice", "filter", "foldr", *PAIR_CHECK_FAILS])
+    def test_chain_after_the_rewrite_relation_matches_fresh_pair_matches(self, name, include_beta):
+        text = PAIR_CHECK_FAILS.get(name)
+        system = load_system(name) if text is None else parse_system(text)
+        pairs = extract_pairs(system)
+        rng = random.Random(f"pair-steps:{name}")
+        starts = _walk_starts(rng, system)
+        table = {}
+        rewrite = rewrite_successors(system, table)
+        for start in starts:
+            t = start
+            for _ in range(15):
+                steps = rewrite(t)
+                if not steps:
+                    break
+                t = rng.choice(steps).target
+        chain = chain_successors(system, pairs, include_beta, table)
+        dp_steps = 0
+        for start in starts:
+            t = start
+            for _ in range(15):
+                steps = chain(t)
+                inner = _reference_rewrite_steps(t, system, include_beta)
+                reference = _reference_pair_root_steps(t, pairs) + [s for s in inner if s.position != ()]
+                assert steps == reference, show_term(t)
+                dp_steps += sum(s.kind == "dp" for s in steps)
+                if not steps:
+                    break
+                t = rng.choice(steps).target
+        assert (dp_steps > 0) == bool(pairs)
 
 
 def _rebind(rng, t):

@@ -298,7 +298,7 @@ class TestPositions:
             assert len(positions(t)) == 18
             assert len(beta_reducts(t)) == 1
             assert match_pattern(pattern, t) is not None
-            assert bounded_explore(seed, rewrite_successors(system)).longest == 2
+            assert bounded_explore(seed, rewrite_successors(system, {})).longest == 2
             assert ground_term(sig, Arrow(nil.type, nil.type)) == Lam(Var("x", nil.type), nil)
             assert call_positions(seed, sig) == ((),)
             derivations = closure.derivations.values()
