@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from hodp.engine import dot_graph
 from hodp.errors import InputError, LimitError
 from hodp.parser import parse_precedence_arg, parse_system
-from hodp.pipeline import Options, render_json, render_text, run_pipeline
+from hodp.pipeline import Options, dot_graph, render_json, render_text, run_pipeline
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from hodp.signature import Rule, Signature, accessible_args, lhs_head
+from hodp.signature import Rule, Signature, lhs_head
 from hodp.terms import (
     App,
     Arrow,
@@ -123,7 +123,7 @@ def computability_closure(
         t = d.term
         head, sp = spine(t)
         if isinstance(head, Sym) and sp and head.name in sig.symbols:
-            for i in sorted(accessible_args(sig, head.name)):
+            for i in sorted(sig.accessible[head.name]):
                 if i <= len(sp):
                     add(sp[i - 1], Derivation(sp[i - 1], "acc", (d,), index=i))
         if isinstance(t, Lam):
@@ -168,7 +168,7 @@ def _replay(d: Derivation, args: tuple[Term, ...], arg_vars: frozenset[Var], sig
         head, sp = spine(prem)
         if not isinstance(head, Sym) or head.name not in sig.symbols:
             return False
-        if d.index is None or d.index not in accessible_args(sig, head.name):
+        if d.index is None or d.index not in sig.accessible[head.name]:
             return False
         return d.index <= len(sp) and alpha_eq(d.term, sp[d.index - 1])
     if d.step == "lam":
@@ -222,10 +222,6 @@ class RuleAdmissibility:
     @property
     def admissible(self) -> bool:
         return all(e.derivable for e in self.entries)
-
-    @property
-    def missing(self) -> tuple[Var, ...]:
-        return tuple(e.variable for e in self.entries if not e.derivable)
 
 
 def rule_admissibility(rule: Rule, sig: Signature) -> RuleAdmissibility:

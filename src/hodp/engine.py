@@ -42,7 +42,6 @@ from hodp.terms import (
     make_app,
     match_pattern,
     replace_at,
-    show_position,
     show_term,
     subterm_at,
     term_size,
@@ -56,11 +55,6 @@ class Step:
     position: Position
     source: Term
     target: Term
-
-
-def format_step(s: Step) -> str:
-    kind = s.kind if s.kind == "beta" else f"{s.kind}({s.label})"
-    return f"{kind}@{show_position(s.position)}: {show_term(s.source)} => {show_term(s.target)}"
 
 
 # A redex table maps each node it has seen to the redexes at its root, as
@@ -382,32 +376,3 @@ def disprove_seeds(system: RewriteSystem, depth: int = 3) -> tuple[Term, ...]:
             seen.add(key)
             seeds.append(seed)
     return tuple(seeds)
-
-
-# ---------------------------------------------------------------------- dot
-
-
-def dot_graph(steps: Iterable[Step]) -> str:
-    """Graphviz rendering of explored edges, states merged modulo alpha."""
-    ids: dict[Term, int] = {}
-    lines = ["digraph exploration {", '  node [shape=box, fontname="monospace"];']
-
-    def node(t: Term) -> int:
-        key = alpha_canonical(t)
-        if key not in ids:
-            ids[key] = len(ids)
-            label = show_term(key).replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  n{ids[key]} [label="{label}"];')
-        return ids[key]
-
-    seen_edges = set()
-    for s in steps:
-        a, b = node(s.source), node(s.target)
-        kind = s.kind if s.kind == "beta" else f"{s.kind}({s.label})"
-        key = (a, b, kind, show_position(s.position))
-        if key in seen_edges:
-            continue
-        seen_edges.add(key)
-        lines.append(f'  n{a} -> n{b} [label="{kind}@{show_position(s.position)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

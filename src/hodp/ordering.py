@@ -65,10 +65,6 @@ class Precedence:
     edges: frozenset[tuple[str, str]]  # transitively closed, irreflexive
     statuses: dict[str, str] = field(default_factory=dict)  # 'lex' | 'mul'
 
-    @classmethod
-    def make(cls, pairs, statuses=None) -> "Precedence":
-        return cls(transitive_closure(pairs), dict(statuses or {}))
-
     def greater(self, f: str, g: str) -> bool:
         return (f, g) in self.edges
 

@@ -3,9 +3,14 @@
 Stages run in order: admissibility of every rule, extraction side
 conditions on every dependency pair, then certificate search.  The verdict
 is YES when all three succeed, NO when a disprove exploration replays a
-cycle, and MAYBE otherwise with the first failing stage named.  Reports
-render as text (verdict on the first line) or JSON with fixed field names;
-both are deterministic except for the timing entry.
+cycle, and MAYBE otherwise with the first failing stage named.
+
+report_dict is the one walk over the analysis objects: it turns a report
+into the JSON model, with fixed field names.  The JSON report prints that
+model, and the text report (verdict on the first line) is rendered from
+it, so the two cannot drift apart.  Both are deterministic except for the
+timing entry.  The --dot graph of an exploration names its steps as the
+text witness does.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 from hodp.closure import Derivation, RuleAdmissibility, rule_admissibility
 from hodp.engine import (
@@ -20,7 +26,6 @@ from hodp.engine import (
     bounded_explore,
     chain_successors,
     disprove_seeds,
-    format_step,
     rewrite_successors,
 )
 from hodp.ordering import (
@@ -30,8 +35,8 @@ from hodp.ordering import (
     search_certificate,
 )
 from hodp.pairs import DepPair, extract_pairs
-from hodp.signature import RewriteSystem, accessible_args, basic_sorts
-from hodp.terms import show_position, show_term, show_type
+from hodp.signature import RewriteSystem, basic_sorts
+from hodp.terms import Term, alpha_canonical, show_position, show_term, show_type
 
 
 @dataclass
@@ -151,7 +156,7 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
     )
 
 
-# ------------------------------------------------------------ serialization
+# ---------------------------------------------------------------- the model
 
 
 def _derivation_dict(d: Derivation) -> dict:
@@ -208,7 +213,7 @@ def report_dict(report: AnalysisReport) -> dict:
                     "name": n,
                     "type": show_type(sig.symbols[n]),
                     "defined": n in sig.defined,
-                    "accessible": sorted(accessible_args(sig, n)),
+                    "accessible": sorted(sig.accessible[n]),
                 }
                 for n in sorted(sig.symbols)
             ],
@@ -300,123 +305,146 @@ def render_json(report: AnalysisReport) -> str:
 # ------------------------------------------------------------- text report
 
 
-def _trace_lines(g: GtTrace, indent: int) -> list[str]:
-    detail = ", ".join(
-        show_position(x) if isinstance(x, tuple) else str(x) for x in g.detail
-    )
-    head = g.clause if not detail else f"{g.clause}({detail})"
+def _trace_lines(g: dict, indent: int) -> list[str]:
+    detail = ", ".join(str(x) for x in g["detail"])
+    head = g["clause"] if not detail else f"{g['clause']}({detail})"
     lines = ["  " * indent + head]
-    for c in g.children:
+    for c in g["children"]:
         lines.extend(_trace_lines(c, indent + 1))
     return lines
 
 
-def _derivation_lines(d: Derivation, indent: int) -> list[str]:
-    param = ""
-    if d.index is not None:
-        param = f"({d.index})"
-    elif d.variable is not None:
-        param = f"({d.variable.name})"
-    lines = ["  " * indent + f"{d.step}{param}: {show_term(d.term)}"]
-    for p in d.premises:
+def _derivation_lines(d: dict, indent: int) -> list[str]:
+    param = d.get("index", d.get("variable"))
+    param = "" if param is None else f"({param})"
+    lines = ["  " * indent + f"{d['step']}{param}: {d['term']}"]
+    for p in d["premises"]:
         lines.extend(_derivation_lines(p, indent + 1))
     return lines
 
 
-def _weak_lines(w: GtTrace, indent: int) -> list[str]:
+def _weak_lines(w: dict, indent: int) -> list[str]:
     pad = "  " * indent
-    if w.clause == "alpha":
+    if w["kind"] == "alpha":
         return [pad + "alpha-equal"]
-    return [pad + "strict:"] + _trace_lines(w, indent + 1)
+    return [pad + "strict:"] + _trace_lines(w["strict"], indent + 1)
+
+
+def _step_label(kind: str, label: str, position: str) -> str:
+    """A step as witness lines and --dot edges name it: kind@position."""
+    return f"{kind if kind == 'beta' else f'{kind}({label})'}@{position}"
 
 
 def render_text(report: AnalysisReport, show_traces: bool = False) -> str:
-    sig = report.system.signature
-    basics = basic_sorts(sig)
-    lines = [report.verdict]
-    if report.stage is not None:
-        lines.append(f"stage: {report.stage}")
-    basic_note = " ".join(s for s in sig.sorts if s in basics) or "none"
-    lines.append(f"sorts: {' '.join(sig.sorts)}  (basic: {basic_note})")
+    r = report_dict(report)
+    sig = r["signature"]
+    lines = [r["verdict"]]
+    if r["stage"] is not None:
+        lines.append(f"stage: {r['stage']}")
+    sorts = " ".join(s["name"] for s in sig["sorts"])
+    basic_note = " ".join(s["name"] for s in sig["sorts"] if s["basic"]) or "none"
+    lines.append(f"sorts: {sorts}  (basic: {basic_note})")
     lines.append("symbols:")
-    for n in sorted(sig.symbols):
-        role = "defined" if n in sig.defined else "constructor"
-        acc = ",".join(str(i) for i in sorted(accessible_args(sig, n))) or "none"
-        lines.append(f"  {n} : {show_type(sig.symbols[n])}  [{role}, accessible {acc}]")
+    for s in sig["symbols"]:
+        role = "defined" if s["defined"] else "constructor"
+        acc = ",".join(map(str, s["accessible"])) or "none"
+        lines.append(f"  {s['name']} : {s['type']}  [{role}, accessible {acc}]")
     lines.append("rules:")
-    if not report.admissibility:
+    if not r["rules"]:
         lines.append("  none")
-    for a in report.admissibility:
-        lines.append(f"  {a.rule.name}: {a.rule.show()}")
-        if a.admissible:
-            lines.append(f"    admissible (closure size {a.closure_size})")
+    for rule in r["rules"]:
+        lines.append(f"  {rule['name']}: {rule['lhs']} -> {rule['rhs']}")
+        if rule["admissible"]:
+            lines.append(f"    admissible (closure size {rule['closure_size']})")
         else:
-            miss = ", ".join(v.name for v in a.missing)
+            miss = ", ".join(v["name"] for v in rule["variables"] if not v["derivable"])
             lines.append(f"    not admissible: cannot derive {miss}")
         if show_traces:
-            for e in a.entries:
-                if e.derivation is not None:
-                    lines.append(f"    {e.variable.name}:")
-                    lines.extend(_derivation_lines(e.derivation, 3))
+            for v in rule["variables"]:
+                if v["derivation"] is not None:
+                    lines.append(f"    {v['name']}:")
+                    lines.extend(_derivation_lines(v["derivation"], 3))
     lines.append("dependency pairs:")
-    if not report.pairs:
+    if not r["pairs"]:
         lines.append("  none")
-    for dp in report.pairs:
+    for dp in r["pairs"]:
         lines.append(
-            f"  {dp.name}: {show_term(dp.lhs)} -> {show_term(dp.rhs)}"
-            f"  at {show_position(dp.position)}  [rule {dp.rule.name}]"
+            f"  {dp['name']}: {dp['lhs']} -> {dp['rhs']}"
+            f"  at {dp['position']}  [rule {dp['rule']}]"
         )
-        c = dp.check
-        if c.ok:
+        c = dp["conditions"]
+        if c["ok"]:
             lines.append("    conditions ok")
         else:
             problems = []
-            if not c.variables_ok:
-                names = ", ".join(v.name for v in c.escaped)
-                problems.append(f"bound variable {names} escapes")
-            if not c.type_ok:
+            if not c["variables_ok"]:
+                problems.append(f"bound variable {', '.join(c['escaped'])} escapes")
+            if not c["type_ok"]:
                 problems.append(
-                    f"type {show_type(c.extracted_type)} differs from "
-                    f"{show_type(c.lhs_type)}"
+                    f"type {c['extracted_type']} differs from {c['lhs_type']}"
                 )
             lines.append(f"    conditions fail: {'; '.join(problems)}")
-    if report.certificate is not None:
-        cert = report.certificate
+    cert = r["certificate"]
+    if cert is not None:
         lines.append("certificate:")
-        if cert.edges:
+        edges = ", ".join(f"{a} > {b}" for a, b in cert["precedence"])
+        lines.append(f"  precedence: {edges or 'empty'}")
+        if cert["statuses"]:
             lines.append(
-                "  precedence: " + ", ".join(f"{a} > {b}" for a, b in cert.edges)
-            )
-        else:
-            lines.append("  precedence: empty")
-        if cert.statuses:
-            lines.append(
-                "  statuses: " + ", ".join(f"{n}/{s}" for n, s in cert.statuses)
+                "  statuses: " + ", ".join(f"{n}/{s}" for n, s in cert["statuses"].items())
             )
         if show_traces:
-            for name, w in cert.rule_witnesses:
-                lines.append(f"  {name} weakly decreases:")
-                lines.extend(_weak_lines(w, 2))
-            for name, g in cert.pair_witnesses:
-                lines.append(f"  {name} strictly decreases:")
-                lines.extend(_trace_lines(g, 2))
+            for w in cert["rules"]:
+                lines.append(f"  {w['name']} weakly decreases:")
+                lines.extend(_weak_lines(w["witness"], 2))
+            for w in cert["pairs"]:
+                lines.append(f"  {w['name']} strictly decreases:")
+                lines.extend(_trace_lines(w["witness"], 2))
     else:
         lines.append("certificate: none")
-    for v in report.violations:
-        what = "not weakly decreasing" if v.kind == "rule" else "not strictly decreasing"
+    for v in r["violations"]:
+        what = "not weakly decreasing" if v["kind"] == "rule" else "not strictly decreasing"
+        lines.append(f"  violation: {v['label']} {what}: {v['lhs']} -> {v['rhs']}")
+    witness = r["witness"]
+    if witness is not None:
         lines.append(
-            f"  violation: {v.label} {what}: {show_term(v.lhs)} -> {show_term(v.rhs)}"
+            f"nontermination witness ({witness['relation']} relation) "
+            f"from {witness['start']}:"
         )
-    if report.witness is not None:
-        lines.append(
-            f"nontermination witness ({report.witness['relation']} relation) "
-            f"from {show_term(report.witness['start'])}:"
-        )
-        for s in report.witness["trace"]:
-            lines.append(f"  {format_step(s)}")
-    if report.notes:
+        for s in witness["trace"]:
+            step = _step_label(s["kind"], s["label"], s["position"])
+            lines.append(f"  {step}: {s['from']} => {s['to']}")
+    if r["notes"]:
         lines.append("notes:")
-        for n in report.notes:
+        for n in r["notes"]:
             lines.append(f"  - {n}")
     lines.append(f"elapsed: {report.elapsed:.4f}s")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------- dot
+
+
+def dot_graph(steps: Iterable[Step]) -> str:
+    """Graphviz rendering of explored edges, states merged modulo alpha."""
+    ids: dict[Term, int] = {}
+    lines = ["digraph exploration {", '  node [shape=box, fontname="monospace"];']
+
+    def node(t: Term) -> int:
+        key = alpha_canonical(t)
+        if key not in ids:
+            ids[key] = len(ids)
+            label = show_term(key).replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{ids[key]} [label="{label}"];')
+        return ids[key]
+
+    seen_edges = set()
+    for s in steps:
+        a, b = node(s.source), node(s.target)
+        label = _step_label(s.kind, s.label, show_position(s.position))
+        if (a, b, label) in seen_edges:
+            continue
+        seen_edges.add((a, b, label))
+        lines.append(f'  n{a} -> n{b} [label="{label}"];')
+    lines.append("}")
     return "\n".join(lines) + "\n"

@@ -37,9 +37,6 @@ class Rule:
     def name(self) -> str:
         return f"r{self.index}"
 
-    def show(self) -> str:
-        return f"{show_term(self.lhs)} -> {show_term(self.rhs)}"
-
 
 @dataclass
 class Signature:
@@ -55,9 +52,6 @@ class Signature:
     def __post_init__(self) -> None:
         self.constructors = frozenset(self.symbols) - self.defined
         self.accessible = {n: _accessible(t) for n, t in self.symbols.items()}
-
-    def symbol(self, name: str) -> Sym:
-        return Sym(name, self.symbols[name])
 
 
 @dataclass
@@ -146,13 +140,9 @@ def sort_positions(t: Type, sort: str) -> frozenset[Position]:
     return frozenset({(1,) + p for p in dom} | {(2,) + p for p in cod})
 
 
-def accessible_args(sig: Signature, name: str) -> frozenset[int]:
-    """1-based argument indices in which the symbol's output sort occurs
-    only positively."""
-    return sig.accessible[name]
-
-
 def _accessible(typ: Type) -> frozenset[int]:
+    """1-based argument indices in which the output sort of a symbol of
+    this type occurs only positively."""
     args, out = flatten_type(typ)
     return frozenset(
         i

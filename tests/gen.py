@@ -8,8 +8,9 @@ still assert type_of on the results as a sanity check.
 import random
 from typing import Iterable
 
-from hodp.engine import ground_term
+from hodp.engine import Step, ground_term
 from hodp.errors import TypeCheckError
+from hodp.ordering import Precedence, transitive_closure
 from hodp.signature import RewriteSystem, Signature, build_system
 from hodp.terms import (
     App,
@@ -22,6 +23,8 @@ from hodp.terms import (
     Type,
     Var,
     beta_reducts,
+    show_position,
+    show_term,
     term_size,
 )
 
@@ -51,6 +54,22 @@ def _walk_positions(u: Term, p: Position, out: list[tuple[Position, Term]]) -> N
         _walk_positions(u.arg, p + (2,), out)
     elif isinstance(u, Lam):
         _walk_positions(u.body, p + (1,), out)
+
+
+def symbol(sig: Signature, name: str) -> Sym:
+    """The symbol of a signature by name."""
+    return Sym(name, sig.symbols[name])
+
+
+def precedence(pairs, statuses=()) -> Precedence:
+    """A precedence from edges that need not be transitively closed."""
+    return Precedence(transitive_closure(pairs), dict(statuses))
+
+
+def show_step(s: Step) -> str:
+    """A step as the text witness prints it: kind@position: from => to."""
+    kind = s.kind if s.kind == "beta" else f"{s.kind}({s.label})"
+    return f"{kind}@{show_position(s.position)}: {show_term(s.source)} => {show_term(s.target)}"
 
 
 def beta_normalize(t: Term, max_steps: int = 100_000) -> Term:

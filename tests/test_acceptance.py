@@ -15,6 +15,7 @@ from gen import (
     fo_defined_occurrences,
     fo_to_term,
     positions,
+    precedence,
     random_closed_term,
     random_fo_trs,
     random_pattern_args,
@@ -35,7 +36,6 @@ from hodp.engine import (
 )
 from hodp.ordering import (
     PathOrder,
-    Precedence,
     type_skeleton,
     weakly_decreases,
 )
@@ -89,7 +89,7 @@ def test_02_lim_diagnostics():
     adm = report.admissibility[0]
     assert adm.rule.name == "r1"
     assert not adm.admissible
-    assert [v.name for v in adm.missing] == ["F"]
+    assert [e.variable.name for e in adm.entries if not e.derivable] == ["F"]
     d1 = report.pairs[0]
     assert show_position(d1.position) == "2.1"
     assert [v.name for v in d1.check.escaped] == ["n"]
@@ -181,7 +181,7 @@ def test_05_closures_are_bounded_and_replayable():
 
 def test_06_ordering_axioms():
     rng = random.Random(606)
-    prec = Precedence.make(
+    prec = precedence(
         (("cons", "s"), ("s", "0"), ("k", "nil"), ("cons", "k")), (("cons", "lex"),)
     )
 

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -44,6 +45,37 @@ def run_with_hash_seed(seed: str, *argv: str) -> tuple[int, str]:
         return proc.returncode, json.dumps(d, indent=2, ensure_ascii=False)
     lines = proc.stdout.splitlines()
     return proc.returncode, "\n".join(line for line in lines if not line.startswith("elapsed"))
+
+
+def readme_examples() -> list[tuple[str, list[str]]]:
+    """Each `$ hodp check` command of README.md with the output lines it
+    shows, up to the next command or the end of its code block."""
+    examples, shown = [], None
+    readme = SYSTEMS_DIR.parent / "README.md"
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ hodp check "):
+            shown = []
+            examples.append((line[2:], shown))
+        elif line.startswith(("$ ", "```")):
+            shown = None
+        elif shown is not None:
+            shown.append(line)
+    return examples
+
+
+def test_readme_has_examples():
+    assert len(readme_examples()) >= 2
+
+
+@pytest.mark.parametrize("command, shown", readme_examples())
+def test_readme_example_matches_the_program(capsys, monkeypatch, command, shown):
+    """The lines an example shows, other than `...`, appear in this order
+    in what the command prints."""
+    monkeypatch.chdir(SYSTEMS_DIR.parent)
+    code, out, err = run(capsys, *shlex.split(command)[1:])
+    assert (code, err) == (0, "")
+    printed = iter(out.splitlines())
+    assert [line for line in shown if line != "..." and line not in printed] == []
 
 
 class TestExitCodes:

@@ -14,6 +14,8 @@ from gen import (
     random_term,
     random_var_pool,
     rule_instance_seeds,
+    show_step,
+    symbol,
 )
 from hodp.engine import (
     Exploration,
@@ -21,8 +23,6 @@ from hodp.engine import (
     bounded_explore,
     chain_successors,
     disprove_seeds,
-    dot_graph,
-    format_step,
     ground_term,
     has_alpha_repeat,
     pair_root_steps,
@@ -33,7 +33,7 @@ from hodp.engine import (
 from hodp.errors import ResourceLimitError
 from hodp.pairs import extract_pairs
 from hodp.parser import parse_system
-from hodp.pipeline import Options, run_pipeline
+from hodp.pipeline import Options, dot_graph, run_pipeline
 from hodp.terms import (
     App,
     Arrow,
@@ -58,8 +58,8 @@ GROW = "sort N\n0 : N\ns : N -> N\nf : N -> N\nrule f X -> f (s X)\n"
 def map_seed(system):
     sig = system.signature
     return App(
-        App(sig.symbol("map"), sig.symbol("s")),
-        App(App(sig.symbol("cons"), sig.symbol("0")), sig.symbol("nil")),
+        App(symbol(sig, "map"), symbol(sig, "s")),
+        App(App(symbol(sig, "cons"), symbol(sig, "0")), symbol(sig, "nil")),
     )
 
 
@@ -67,7 +67,7 @@ class TestSteps:
     def test_single_rule_step(self):
         system = load_system("map")
         steps = rewrite_steps(map_seed(system), system, True, {})
-        assert [format_step(s) for s in steps] == [
+        assert [show_step(s) for s in steps] == [
             "rule(r2)@ε: map s (cons 0 nil) => cons (s 0) (map s nil)"
         ]
 
@@ -75,7 +75,7 @@ class TestSteps:
         system = load_system("map")
         sig = system.signature
         x = Var("x", Base("N"))
-        t = App(Lam(x, App(sig.symbol("s"), x)), sig.symbol("0"))
+        t = App(Lam(x, App(symbol(sig, "s"), x)), symbol(sig, "0"))
         steps = rewrite_steps(t, system, True, {})
         assert [s.kind for s in steps] == ["beta"]
         assert show_term(steps[0].target) == "s 0"
@@ -88,9 +88,9 @@ class TestSteps:
 
     def test_internal_steps_exclude_the_root(self):
         system = parse_system(GROW)
-        f = system.signature.symbol("f")
-        s = system.signature.symbol("s")
-        z = system.signature.symbol("0")
+        f = symbol(system.signature, "f")
+        s = symbol(system.signature, "s")
+        z = symbol(system.signature, "0")
         t = App(s, App(f, z))
         all_steps = rewrite_steps(t, system, True, {})
         inner = rewrite_steps(t, system, True, {}, at_root=False)
@@ -104,7 +104,7 @@ class TestSteps:
         system = load_system("map")
         sig = system.signature
         x = Var("x", Base("N"))
-        t = App(sig.symbol("s"), App(Lam(x, x), sig.symbol("0")))
+        t = App(symbol(sig, "s"), App(Lam(x, x), symbol(sig, "0")))
         assert [st.kind for st in rewrite_steps(t, system, True, {}, at_root=False)] == ["beta"]
         assert rewrite_steps(t, system, False, {}, at_root=False) == []
 
@@ -115,10 +115,10 @@ class TestSteps:
         table = {}
         rewrite_steps(seed, system, True, table)  # tabulates the seed
         steps = pair_root_steps(seed, pairs, table)
-        assert [format_step(s) for s in steps] == [
+        assert [show_step(s) for s in steps] == [
             "dp(d1)@ε: map s (cons 0 nil) => map s nil"
         ]
-        buried = App(App(system.signature.symbol("cons"), system.signature.symbol("0")), seed)
+        buried = App(App(symbol(system.signature, "cons"), symbol(system.signature, "0")), seed)
         rewrite_steps(buried, system, True, table)
         assert pair_root_steps(buried, pairs, table) == []
 
@@ -135,18 +135,18 @@ class TestExploration:
         system = load_system("map")
         sig = system.signature
         x = Var("x", Base("N"))
-        t = App(Lam(x, App(sig.symbol("s"), x)), sig.symbol("0"))
+        t = App(Lam(x, App(symbol(sig, "s"), x)), symbol(sig, "0"))
         ex = bounded_explore(t, rewrite_successors(system, {}))
         assert (ex.kind, ex.longest) == ("all-terminated", 1)
 
     def test_normal_form_has_length_zero(self):
         system = load_system("map")
-        ex = bounded_explore(system.signature.symbol("0"), rewrite_successors(system, {}))
+        ex = bounded_explore(symbol(system.signature, "0"), rewrite_successors(system, {}))
         assert (ex.kind, ex.longest) == ("all-terminated", 0)
 
     def test_depth_bound_produces_a_replayable_trace(self):
         system = parse_system(GROW)
-        seed = App(system.signature.symbol("f"), system.signature.symbol("0"))
+        seed = App(symbol(system.signature, "f"), symbol(system.signature, "0"))
         ex = bounded_explore(seed, rewrite_successors(system, {}), max_depth=5)
         assert ex.kind == "bound-exceeded"
         assert len(ex.trace) == 6
@@ -155,7 +155,7 @@ class TestExploration:
 
     def test_node_budget_is_enforced(self):
         system = parse_system(GROW)
-        seed = App(system.signature.symbol("f"), system.signature.symbol("0"))
+        seed = App(symbol(system.signature, "f"), symbol(system.signature, "0"))
         with pytest.raises(ResourceLimitError):
             bounded_explore(seed, rewrite_successors(system, {}), max_depth=50, max_nodes=3)
 
@@ -171,7 +171,7 @@ class TestExploration:
     def test_shared_subterms_are_explored_once(self):
         system = load_system("plus")
         sig = system.signature
-        plus, s, z = sig.symbol("plus"), sig.symbol("s"), sig.symbol("0")
+        plus, s, z = symbol(sig, "plus"), symbol(sig, "s"), symbol(sig, "0")
         one = App(s, z)
         t = App(App(plus, App(App(plus, one), one)), App(App(plus, one), one))
         ex = bounded_explore(t, rewrite_successors(system, {}))
@@ -180,7 +180,7 @@ class TestExploration:
 
     def test_deep_exploration_leaves_the_recursion_limit_alone(self):
         system = parse_system(GROW)
-        seed = App(system.signature.symbol("f"), system.signature.symbol("0"))
+        seed = App(symbol(system.signature, "f"), symbol(system.signature, "0"))
         before = sys.getrecursionlimit()
         seen = set()
 
@@ -196,7 +196,7 @@ class TestExploration:
 
     def test_recorded_edges_feed_the_dot_renderer(self):
         system = parse_system(GROW)
-        seed = App(system.signature.symbol("f"), system.signature.symbol("0"))
+        seed = App(symbol(system.signature, "f"), symbol(system.signature, "0"))
         ex = bounded_explore(seed, rewrite_successors(system, {}), max_depth=4, record=True)
         dg = dot_graph(ex.edges)
         assert dg.startswith("digraph")
@@ -210,8 +210,8 @@ class TestChains:
         pairs = extract_pairs(system)
         sig = system.signature
         x = Var("x", Base("N"))
-        redex = App(Lam(x, x), sig.symbol("0"))
-        t = App(App(sig.symbol("map"), sig.symbol("s")), App(App(sig.symbol("cons"), redex), sig.symbol("nil")))
+        redex = App(Lam(x, x), symbol(sig, "0"))
+        t = App(App(symbol(sig, "map"), symbol(sig, "s")), App(App(symbol(sig, "cons"), redex), symbol(sig, "nil")))
         with_beta = chain_successors(system, pairs, True, {})(t)
         without = chain_successors(system, pairs, False, {})(t)
         assert any(s.kind == "beta" for s in with_beta)

@@ -34,7 +34,7 @@ FLAG_SETS = {
 SYSTEMS = sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp"))
 
 # (system, flag set) of every run; the hint names map's symbols, and it
-# is the only run whose report has a violation and the ordering stage
+# gives the only reports with a violation line
 RUNS = [
     (system, flag_set)
     for system in SYSTEMS

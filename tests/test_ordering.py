@@ -9,11 +9,13 @@ from conftest import SYSTEMS_DIR, load_system
 from gen import (
     GEN_SYMBOLS,
     positions,
+    precedence,
     random_fo_trs,
     random_subst,
     random_term,
     random_type,
     random_var_pool,
+    symbol,
 )
 from hodp import ordering
 from hodp.errors import PrecedenceCycleError, SearchSpaceExceededError
@@ -169,13 +171,13 @@ class TestPrecedence:
             transitive_closure(chain + [("c299", "c150"), ("c150", "c000")])
 
     def test_make_closes_and_compares(self):
-        prec = Precedence.make((("a", "b"), ("b", "c")), ())
+        prec = precedence((("a", "b"), ("b", "c")), ())
         assert prec.greater("a", "c")
         assert not prec.greater("c", "a")
         assert not prec.greater("a", "a")
 
     def test_status_defaults_to_multiset(self):
-        prec = Precedence.make((), (("f", "lex"),))
+        prec = precedence((), (("f", "lex"),))
         assert prec.status("f") == "lex"
         assert prec.status("g") == "mul"
 
@@ -191,18 +193,18 @@ class TestTypeSkeleton:
     def test_incompatible_shapes_block_the_order(self):
         s = Sym("s", Arrow(N, N))
         z = Sym("0", N)
-        assert PathOrder(Precedence.make((("s", "0"),), ())).greater(s, z) is None
+        assert PathOrder(precedence((("s", "0"),), ())).greater(s, z) is None
 
 
 class TestClauses:
     def setup_method(self):
         self.system = load_system("map")
         sig = self.system.signature
-        self.map = sig.symbol("map")
-        self.cons = sig.symbol("cons")
-        self.nil = sig.symbol("nil")
-        self.s = sig.symbol("s")
-        self.zero = sig.symbol("0")
+        self.map = symbol(sig, "map")
+        self.cons = symbol(sig, "cons")
+        self.nil = symbol(sig, "nil")
+        self.s = symbol(sig, "s")
+        self.zero = symbol(sig, "0")
         self.F = Var("F", Arrow(N, N))
         self.X = Var("X", N)
         self.L = Var("L", Base("List"))
@@ -210,7 +212,7 @@ class TestClauses:
 
     def test_subterm_clause_wins_before_precedence(self):
         t = App(App(self.map, self.F), self.nil)
-        tr = PathOrder(Precedence.make((("map", "nil"),), ())).greater(t, self.nil)
+        tr = PathOrder(precedence((("map", "nil"),), ())).greater(t, self.nil)
         assert tr.clause == "subterm"
         assert tr.detail == (2,)
 
@@ -218,7 +220,7 @@ class TestClauses:
         lhs = App(App(self.map, self.F), App(App(self.cons, self.X), self.L))
         rhs = App(App(self.cons, App(self.F, self.X)), App(App(self.map, self.F), self.L))
         assert PathOrder(self.empty).greater(lhs, rhs) is None
-        tr = PathOrder(Precedence.make((("map", "cons"),), ())).greater(lhs, rhs)
+        tr = PathOrder(precedence((("map", "cons"),), ())).greater(lhs, rhs)
         assert tr.clause == "precedence"
         assert tr.detail == ("map", "cons")
 
@@ -250,15 +252,15 @@ class TestClauses:
     def test_lex_and_mul_statuses_differ(self):
         system = parse_system(LEX_SYSTEM)
         pairs = extract_pairs(system)
-        lex = check_constraints(system, pairs, Precedence.make((("f", "s"),), (("f", "lex"),)))
-        mul = check_constraints(system, pairs, Precedence.make((("f", "s"),), (("f", "mul"),)))
+        lex = check_constraints(system, pairs, precedence((("f", "s"),), (("f", "lex"),)))
+        mul = check_constraints(system, pairs, precedence((("f", "s"),), (("f", "mul"),)))
         assert lex.certificate is not None
         assert mul.certificate is None
         assert [v.label for v in mul.violations] == ["r1", "d1"]
 
     def test_strictness_is_irreflexive_on_samples(self):
         rng = random.Random(5)
-        prec = Precedence.make((("cons", "nil"), ("s", "0")), ())
+        prec = precedence((("cons", "nil"), ("s", "0")), ())
         for _ in range(50):
             t = random_term(rng, GEN_SYMBOLS, N, 8, env=random_var_pool(rng))
             assert PathOrder(prec).greater(t, t) is None
@@ -272,7 +274,7 @@ class TestWeakDecrease:
 
     def test_strict_comparison_counts(self):
         system = load_system("map")
-        order = PathOrder(Precedence.make((("map", "cons"),), ()))
+        order = PathOrder(precedence((("map", "cons"),), ()))
         rule = system.rules[1]
         assert weakly_decreases(rule.lhs, rule.rhs, order).clause == "precedence"
 
@@ -280,9 +282,9 @@ class TestWeakDecrease:
         system = load_system("map")
         sig = system.signature
         x = Var("x", N)
-        redex = App(Lam(x, App(sig.symbol("s"), x)), sig.symbol("0"))
+        redex = App(Lam(x, App(symbol(sig, "s"), x)), symbol(sig, "0"))
         order = PathOrder(Precedence(frozenset()))
-        w = weakly_decreases(redex, App(sig.symbol("s"), sig.symbol("0")), order)
+        w = weakly_decreases(redex, App(symbol(sig, "s"), symbol(sig, "0")), order)
         assert w.clause == "beta"
 
     def test_unrelated_terms_do_not_decrease(self):
@@ -295,8 +297,8 @@ class TestWeakDecrease:
         edges = (("cons", "s"), ("s", "0"), ("k", "nil"), ("cons", "k"))
         precs = (
             Precedence(frozenset()),
-            Precedence.make(edges),
-            Precedence.make(edges, (("cons", "lex"), ("k", "lex"))),
+            precedence(edges),
+            precedence(edges, (("cons", "lex"), ("k", "lex"))),
         )
         rng = random.Random(2019)
         seen = set()
@@ -320,7 +322,7 @@ class TestStability:
         rng = random.Random(13)
         sig_s = Sym("s", Arrow(N, N))
         cons = Sym("cons", Arrow(N, Arrow(Base("L"), Base("L"))))
-        prec = Precedence.make((("cons", "s"),), ())
+        prec = precedence((("cons", "s"),), ())
         for _ in range(40):
             x = Var("X", N)
             l = Var("Ls", Base("L"))
@@ -336,7 +338,7 @@ class TestConstraints:
     def test_map_certificate(self):
         system = load_system("map")
         pairs = extract_pairs(system)
-        prec = Precedence.make((("map", "cons"),), ())
+        prec = precedence((("map", "cons"),), ())
         res = check_constraints(system, pairs, prec)
         cert = res.certificate
         assert cert is not None
@@ -360,14 +362,14 @@ class TestConstraints:
             first = search_certificate(system, pairs).certificate
             assert first is not None
             again = check_constraints(
-                system, pairs, Precedence.make(first.edges, first.statuses)
+                system, pairs, precedence(first.edges, first.statuses)
             ).certificate
             assert again == first
 
     def test_unused_edges_are_dropped_from_the_certificate(self):
         system = load_system("map")
         pairs = extract_pairs(system)
-        bloated = Precedence.make(
+        bloated = precedence(
             (("map", "cons"), ("map", "nil"), ("cons", "nil"), ("s", "0")), ()
         )
         cert = check_constraints(system, pairs, bloated).certificate

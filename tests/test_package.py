@@ -40,8 +40,6 @@ UNREFERENCED = {
     "closure.replay_derivation": "checker, waits for the certificate checker (ROADMAP item 2)",
     "engine.replay_trace": "checker, waits for the certificate checker (ROADMAP item 2)",
     "engine.has_alpha_repeat": "checker, waits for the certificate checker (ROADMAP item 2)",
-    "ordering.Precedence.make": "only tests use it: a precedence from unclosed edges",
-    "signature.Signature.symbol": "only tests use it: a symbol of a parsed system by name",
 }
 
 

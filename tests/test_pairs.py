@@ -1,6 +1,7 @@
 """Call position discovery and pair extraction."""
 
 from conftest import load_system
+from gen import symbol
 from hodp.pairs import (
     call_positions,
     check_extraction,
@@ -41,16 +42,16 @@ class TestCallPositions:
     def test_whole_term_can_be_a_call(self):
         system = load_system("map")
         sig = system.signature
-        mp = sig.symbol("map")
-        s = sig.symbol("s")
-        nil = sig.symbol("nil")
+        mp = symbol(sig, "map")
+        s = symbol(sig, "s")
+        nil = symbol(sig, "nil")
         assert call_positions(App(App(mp, s), nil), sig) == ((),)
 
     def test_partial_application_is_a_call(self):
         system = load_system("map")
         sig = system.signature
-        mp = sig.symbol("map")
-        s = sig.symbol("s")
+        mp = symbol(sig, "map")
+        s = symbol(sig, "s")
         h = Var("H", Arrow(type_of(App(mp, s)), Base("N")))
         t = App(h, App(mp, s))
         assert call_positions(t, sig) == ((2,),)
@@ -58,14 +59,14 @@ class TestCallPositions:
     def test_bare_defined_symbol_is_a_call(self):
         system = load_system("map")
         sig = system.signature
-        assert call_positions(sig.symbol("map"), sig) == ((),)
+        assert call_positions(symbol(sig, "map"), sig) == ((),)
 
     def test_maximal_spines_are_not_split(self):
         # inside plus (plus X Y) Z only two spines count: the whole
         # term and the nested sum, never the partial prefixes
         system = load_system("plus")
         sig = system.signature
-        plus = sig.symbol("plus")
+        plus = symbol(sig, "plus")
         x, y, z = (Var(n, Base("N")) for n in "XYZ")
         t = App(App(plus, App(App(plus, x), y)), z)
         assert call_positions(t, sig) == ((), (1, 2))

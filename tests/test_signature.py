@@ -6,7 +6,6 @@ from conftest import load_system
 from hodp.errors import MalformedLhsError, SystemSyntaxError, SystemTypeError
 from hodp.parser import parse_system
 from hodp.signature import (
-    accessible_args,
     basic_sorts,
     build_system,
     lhs_head,
@@ -43,18 +42,18 @@ class TestPolarity:
 class TestAccessibleArguments:
     def test_plain_constructors_are_fully_accessible(self):
         system = load_system("map")
-        assert accessible_args(system.signature, "cons") == frozenset({1, 2})
-        assert accessible_args(system.signature, "s") == frozenset({1})
-        assert accessible_args(system.signature, "nil") == frozenset()
+        assert system.signature.accessible["cons"] == frozenset({1, 2})
+        assert system.signature.accessible["s"] == frozenset({1})
+        assert system.signature.accessible["nil"] == frozenset()
 
     def test_functional_argument_over_same_sort_is_not_accessible(self):
         system = load_system("lim")
-        assert accessible_args(system.signature, "lim") == frozenset()
+        assert system.signature.accessible["lim"] == frozenset()
 
     def test_functional_argument_over_another_sort_is_accessible(self):
         text = "sort A B\ng : (A -> B) -> B\n"
         system = parse_system(text)
-        assert accessible_args(system.signature, "g") == frozenset({1})
+        assert system.signature.accessible["g"] == frozenset({1})
 
 
 class TestBasicSorts:

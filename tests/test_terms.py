@@ -8,7 +8,15 @@ import weakref
 import pytest
 
 from conftest import load_system
-from gen import GEN_SYMBOLS, arrow, beta_normalize, positions, random_closed_term, random_term
+from gen import (
+    GEN_SYMBOLS,
+    arrow,
+    beta_normalize,
+    positions,
+    random_closed_term,
+    random_term,
+    symbol,
+)
 from hodp.closure import computability_closure, replay_derivation
 from hodp.engine import bounded_explore, ground_term, rewrite_steps, rewrite_successors
 from hodp.errors import InvalidPositionError, TypeCheckError
@@ -287,8 +295,8 @@ class TestPositions:
         pattern = App(App(CONS, Var("X", N)), Var("Ls", L))
         system = load_system("map")
         sig = system.signature
-        cons, zero, nil = sig.symbol("cons"), sig.symbol("0"), sig.symbol("nil")
-        seed = App(App(sig.symbol("map"), sig.symbol("s")), App(App(cons, zero), nil))
+        cons, zero, nil = symbol(sig, "cons"), symbol(sig, "0"), symbol(sig, "nil")
+        seed = App(App(symbol(sig, "map"), symbol(sig, "s")), App(App(cons, zero), nil))
         _, args = spine(system.rules[1].lhs)
         closure = computability_closure(args, sig)
         grow = parse_system("sort N\n0 : N\ns : N -> N\nf : N -> N\nrule f X -> f (s X)\n")
@@ -305,7 +313,7 @@ class TestPositions:
             assert all(replay_derivation(d, args, sig) for d in derivations)
             # states that grow from the last one, with canonical forms
             # stored on their nodes, and one redex table for all of them
-            state, table = App(grow.signature.symbol("f"), grow.signature.symbol("0")), {}
+            state, table = App(symbol(grow.signature, "f"), symbol(grow.signature, "0")), {}
             for _ in range(20):
                 (step,) = rewrite_steps(state, grow, True, table)
                 assert alpha_canonical(step.target) is step.target
