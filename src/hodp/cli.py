@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
         system = parse_system(text)
         precedence = (
             parse_precedence_arg(args.precedence, system)
-            if args.precedence
+            if args.precedence is not None
             else None
         )
         options = Options(

@@ -118,16 +118,9 @@ class PathOrder:
             thead, targs = spine(t)
             if isinstance(thead, Sym):
                 if self.prec.greater(head.name, thead.name):
-                    legs = []
-                    for u in targs:
-                        leg = self.cover(s, args, u)
-                        if leg is None:
-                            break
-                        legs.append(leg)
-                    else:
-                        return GtTrace(
-                            "precedence", (head.name, thead.name), tuple(legs)
-                        )
+                    legs = self._covers(s, args, targs)
+                    if legs is not None:
+                        return GtTrace("precedence", (head.name, thead.name), legs)
                 elif thead == head and len(args) == len(targs):
                     status = self.prec.status(head.name)
                     ext = (
@@ -136,25 +129,16 @@ class PathOrder:
                         else self._mul(args, targs)
                     )
                     if ext is not None:
-                        legs = []
-                        for u in targs:
-                            leg = self.cover(s, args, u)
-                            if leg is None:
-                                break
-                            legs.append(leg)
-                        else:
+                        legs = self._covers(s, args, targs)
+                        if legs is not None:
                             return GtTrace(
-                                "same-symbol",
-                                (head.name, status),
-                                (ext,) + tuple(legs),
+                                "same-symbol", (head.name, status), (ext,) + legs
                             )
             elif isinstance(t, App):
                 # right side is an application headed by a variable or lambda
-                left = self.cover(s, args, t.fun)
-                if left is not None:
-                    right = self.cover(s, args, t.arg)
-                    if right is not None:
-                        return GtTrace("application", (), (left, right))
+                legs = self._covers(s, args, (t.fun, t.arg))
+                if legs is not None:
+                    return GtTrace("application", (), legs)
         elif isinstance(s, Lam) and isinstance(t, Lam) and s.var.type == t.var.type:
             avoid = {v.name for v in free_vars(s.body) | free_vars(t.body)}
             z = fresh_var(s.var.name, s.var.type, avoid)
@@ -189,6 +173,18 @@ class PathOrder:
         if g is not None:
             return GtTrace("whole-covers", (), (g,))
         return None
+
+    def _covers(
+        self, s: Term, args: tuple[Term, ...], targs: tuple[Term, ...]
+    ) -> tuple[GtTrace, ...] | None:
+        """A cover of every right argument, or None if one has none."""
+        legs = []
+        for u in targs:
+            leg = self.cover(s, args, u)
+            if leg is None:
+                return None
+            legs.append(leg)
+        return tuple(legs)
 
     def _lex(self, ss: tuple[Term, ...], ts: tuple[Term, ...]) -> GtTrace | None:
         for k in range(len(ss)):

@@ -2,20 +2,20 @@
 
 A signature declares base sorts and typed symbols.  Symbols are split into
 defined symbols (those heading some rule left-hand side) and constructors
-(the rest); the split is computed, never declared.  Sort analysis covers
-polarity of sort occurrences inside types, accessible argument indices, and
-basicness of sorts, all of which feed the admissibility check.
+(the rest); the split is computed, never declared.  Sort analysis reads
+each type in one walk over its base-sort leaves and their polarities; it
+gives the accessible argument indices of every symbol and the basicness of
+sorts, both of which feed the admissibility check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from hodp.errors import MalformedLhsError, SystemSyntaxError, SystemTypeError
 from hodp.terms import (
     Base,
-    Position,
     Sym,
     Term,
     Type,
@@ -81,10 +81,10 @@ def build_system(
     sort_set = set(sorts)
     symbols = dict(symbols)
     for name, typ in symbols.items():
-        for leaf in _base_leaves(typ):
-            if leaf.name not in sort_set:
+        for leaf, _ in _leaves(typ):
+            if leaf not in sort_set:
                 raise SystemSyntaxError(
-                    f"symbol {name} uses undeclared sort {leaf.name}"
+                    f"symbol {name} uses undeclared sort {leaf}"
                 )
     built = []
     defined = set()
@@ -109,35 +109,18 @@ def build_system(
     return RewriteSystem(sig, tuple(built), hints)
 
 
-def _base_leaves(t: Type) -> list[Base]:
-    if isinstance(t, Base):
-        return [t]
-    return _base_leaves(t.dom) + _base_leaves(t.cod)
-
-
 # ------------------------------------------------------------ sort analysis
 
 
-def polarity_positions(t: Type, positive: bool = True) -> frozenset[Position]:
-    """Positions of base-sort leaves occurring at the given polarity.
-
-    Crossing to the left of an arrow flips polarity; the right keeps it.
-    Together the positive and negative sets partition all leaf positions.
-    """
+def _leaves(t: Type, positive: bool = True) -> Iterator[tuple[str, bool]]:
+    """The base-sort leaves of a type from left to right, each with its
+    polarity.  Crossing to the left of an arrow flips polarity; the right
+    keeps it."""
     if isinstance(t, Base):
-        return frozenset({()}) if positive else frozenset()
-    dom = polarity_positions(t.dom, not positive)
-    cod = polarity_positions(t.cod, positive)
-    return frozenset({(1,) + p for p in dom} | {(2,) + p for p in cod})
-
-
-def sort_positions(t: Type, sort: str) -> frozenset[Position]:
-    """Leaf positions where the named sort occurs in the type."""
-    if isinstance(t, Base):
-        return frozenset({()}) if t.name == sort else frozenset()
-    dom = sort_positions(t.dom, sort)
-    cod = sort_positions(t.cod, sort)
-    return frozenset({(1,) + p for p in dom} | {(2,) + p for p in cod})
+        yield t.name, positive
+    else:
+        yield from _leaves(t.dom, not positive)
+        yield from _leaves(t.cod, positive)
 
 
 def _accessible(typ: Type) -> frozenset[int]:
@@ -147,7 +130,7 @@ def _accessible(typ: Type) -> frozenset[int]:
     return frozenset(
         i
         for i, t in enumerate(args, start=1)
-        if sort_positions(t, out.name) <= polarity_positions(t, True)
+        if all(positive for name, positive in _leaves(t) if name == out.name)
     )
 
 

@@ -4,7 +4,8 @@ Both are hash-consed: there is one immutable node per structure, so
 equality is identity and hashing is O(1), however deep the node.  Each node
 stores its type, free variables or skeleton once computed.  Positions
 address subterms with tuples of child indices: 1 is the function part of
-an application or the body of a lambda, 2 is the argument part.
+an application or the body of a lambda, 2 is the argument part; a walk
+that needs the binders above a position carries them down itself.
 Alpha-equivalence is decided through a canonical renaming of bound
 variables; canonical forms are interned too, so terms can be used as
 dictionary keys modulo alpha by canonicalizing first, and two terms are
@@ -316,28 +317,6 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
     if isinstance(t, Lam) and i == 1:
         return Lam(t.var, replace_at(t.body, pos[1:], new))
     raise InvalidPositionError(f"no position {show_position(pos)} in term")
-
-
-def binders_above(t: Term, pos: Position) -> dict[int, Var]:
-    """Binders crossed on the way to pos, keyed by their depth from the root.
-
-    Depth counts all binders passed so far, matching the numbering used by
-    alpha_canonical.
-    """
-    out: dict[int, Var] = {}
-    depth = 0
-    for i in pos:
-        if isinstance(t, Lam):
-            if i != 1:
-                raise InvalidPositionError(f"no position {show_position(pos)} in term")
-            out[depth] = t.var
-            depth += 1
-            t = t.body
-        elif isinstance(t, App) and i in (1, 2):
-            t = t.fun if i == 1 else t.arg
-        else:
-            raise InvalidPositionError(f"no position {show_position(pos)} in term")
-    return out
 
 
 # ---------------------------------------------------- alpha equivalence

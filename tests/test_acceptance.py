@@ -42,7 +42,7 @@ from hodp.ordering import (
 from hodp.pairs import extract_pairs
 from hodp.parser import parse_system
 from hodp.pipeline import Options, render_json, render_text, run_pipeline
-from hodp.signature import polarity_positions
+from hodp.signature import Signature
 from hodp.terms import (
     App,
     Arrow,
@@ -54,6 +54,7 @@ from hodp.terms import (
     alpha_eq,
     apply_subst,
     beta_reducts,
+    flatten_type,
     free_vars,
     show_position,
     show_term,
@@ -120,22 +121,39 @@ def test_03_first_order_extraction_matches_the_classical_one():
     print(f"PASS: 03 extraction agrees with the first order oracle on {systems} systems ({compared} pairs)")
 
 
-def test_04_polarity_partitions_every_type():
-    def leaf_positions(t):
+def test_04_accessibility_agrees_with_the_polarity_oracle():
+    # Positions of base-sort leaves at a polarity and of one sort, as sets;
+    # an argument is accessible when the second set lies in the first.
+    def polarity_positions(t, positive):
         if isinstance(t, Base):
-            return {()}
-        return {(1,) + p for p in leaf_positions(t.dom)} | {
-            (2,) + p for p in leaf_positions(t.cod)
+            return {()} if positive else set()
+        dom = polarity_positions(t.dom, not positive)
+        cod = polarity_positions(t.cod, positive)
+        return {(1,) + p for p in dom} | {(2,) + p for p in cod}
+
+    def sort_positions(t, sort):
+        if isinstance(t, Base):
+            return {()} if t.name == sort else set()
+        return {(1,) + p for p in sort_positions(t.dom, sort)} | {
+            (2,) + p for p in sort_positions(t.cod, sort)
         }
 
     rng = random.Random(404)
+    accessible = inaccessible = 0
     for _ in range(1000):
         t = random_type(rng, sorts=("N", "L", "B"), depth=rng.randint(0, 6))
-        pos = polarity_positions(t, True)
-        neg = polarity_positions(t, False)
-        assert pos & neg == frozenset()
-        assert pos | neg == leaf_positions(t)
-    print("PASS: 04 positive and negative positions partition 1000 random types")
+        args, out = flatten_type(t)
+        expected = frozenset(
+            i
+            for i, a in enumerate(args, start=1)
+            if sort_positions(a, out.name) <= polarity_positions(a, True)
+        )
+        sig = Signature(("B", "L", "N"), {"f": t}, frozenset())
+        assert sig.accessible["f"] == expected
+        accessible += len(expected)
+        inaccessible += len(args) - len(expected)
+    assert accessible >= 100 and inaccessible >= 100
+    print("PASS: 04 accessibility agrees with the polarity oracle on 1000 random types")
 
 
 def max_binder_depth(t, depth=0):

@@ -207,10 +207,19 @@ class TestExitCodes:
             errors.add(proc.stderr)
         assert errors == {f"error: precedence orders {symbol} above itself\n"}
 
-    def test_bad_precedence_argument(self, capsys):
-        code, _, err = run(capsys, "check", path("map"), "--precedence", "bogus>map")
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("bogus>map", "bogus"),
+            ("", "error: empty precedence"),
+            (" ", "error: empty precedence"),
+            (",", "error: empty precedence"),
+        ],
+    )
+    def test_bad_precedence_argument(self, capsys, value, message):
+        code, _, err = run(capsys, "check", path("map"), "--precedence", value)
         assert code == 2
-        assert "bogus" in err
+        assert message in err
 
 
 class TestFlags:

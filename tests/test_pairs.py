@@ -1,14 +1,12 @@
 """Call position discovery and pair extraction."""
 
-from conftest import load_system
-from gen import symbol
-from hodp.pairs import (
-    call_positions,
-    check_extraction,
-    escaped_variables,
-    extract_pairs,
-)
+import random
+
+from conftest import SYSTEMS_DIR, load_system
+from gen import GEN_SYMBOLS, random_term, random_type, symbol
+from hodp.pairs import calls, extract_pairs
 from hodp.parser import parse_system
+from hodp.signature import Signature
 from hodp.terms import (
     App,
     Arrow,
@@ -16,11 +14,26 @@ from hodp.terms import (
     Lam,
     Sym,
     Var,
+    free_vars,
     show_position,
     show_term,
+    spine,
     subterm_at,
     type_of,
 )
+
+
+def call_positions(t, sig):
+    return tuple(p for p, _, _ in calls(t, sig))
+
+
+def escapes(t, sig):
+    """Position and escaped variable names of each call in t."""
+    return [(show_position(p), [v.name for v in esc]) for p, _, esc in calls(t, sig)]
+
+
+def _sig(symbols, defined):
+    return Signature(("N",), symbols, frozenset(defined))
 
 
 class TestCallPositions:
@@ -124,11 +137,10 @@ class TestExtraction:
         assert [v.name for v in d2.check.escaped] == ["n"]
         assert not d2.check.ok
 
-    def test_escaped_variables_helper(self):
+    def test_escaped_variables_of_the_lim_call(self):
         system = load_system("lim")
-        rhs = system.rules[0].rhs
-        assert [v.name for v in escaped_variables(rhs, (2, 1))] == ["n"]
-        assert escaped_variables(rhs, ()) == ()
+        rhs = system.rules[0].rhs  # lim (\n. plus (F n) X)
+        assert escapes(rhs, system.signature) == [("2.1", ["n"])]
 
     def test_escape_through_a_binder_shadowing_a_free_variable(self):
         n = Base("N")
@@ -137,18 +149,20 @@ class TestExtraction:
         g = Sym("g", Arrow(n, n))
         h = Sym("h", Arrow(Arrow(n, n), n))
         rhs = App(App(c, x), App(h, Lam(x, App(g, x))))  # c X (h (\X. g X))
-        assert escaped_variables(rhs, (2, 2, 1)) == (x,)
-        assert escaped_variables(rhs, (1, 2)) == ()
-        assert escaped_variables(rhs, ()) == ()
+        sig = _sig({"c": c.type, "g": g.type, "h": h.type}, {"c", "g"})
+        # the free X at 1.2 escapes nothing; the shadowing binder does
+        assert list(calls(rhs, sig)) == [((), rhs, ()), ((2, 2, 1), App(g, x), (x,))]
 
     def test_nested_binders_of_one_variable_report_the_innermost(self):
         n = Base("N")
         x, y = Var("x", n), Var("y", n)
         c = Sym("c", Arrow(n, Arrow(n, n)))
-        rhs = Lam(x, Lam(y, Lam(x, App(App(c, x), y))))  # \x. \y. \x. c x y
+        d = Sym("d", Arrow(n, n))
+        rhs = Lam(x, Lam(y, Lam(x, App(App(c, App(d, x)), y))))  # \x. \y. \x. c (d x) y
+        sig = _sig({"c": c.type, "d": d.type}, {"c", "d"})
         # y is bound at depth 1 and the inner x at depth 2, so x comes last
-        assert escaped_variables(rhs, (1, 1, 1)) == (y, x)
-        assert escaped_variables(rhs, (1, 1, 1, 1, 2)) == (x,)
+        assert [esc for _, _, esc in calls(rhs, sig)] == [(y, x), (x,)]
+        assert call_positions(rhs, sig) == ((1, 1, 1), (1, 1, 1, 1, 2))
 
     def test_type_change_is_flagged(self):
         # the call position has a partially applied sum, so the
@@ -169,8 +183,122 @@ class TestExtraction:
         assert not bad[0].check.ok
         assert bad[0].check.lhs_type != bad[0].check.extracted_type
 
-    def test_check_extraction_matches_extracted_pairs(self):
-        system = load_system("lim")
-        for pair in extract_pairs(system):
-            again = check_extraction(pair.rule, pair.position)
-            assert again == pair.check
+    def test_checks_read_both_sides_and_the_reference_escapes(self):
+        for path in sorted(SYSTEMS_DIR.glob("*.hodp")):
+            system = load_system(path.stem)
+            for pair in extract_pairs(system):
+                assert pair.check.lhs_type == type_of(pair.rule.lhs)
+                assert pair.check.extracted_type == type_of(pair.rhs)
+                assert pair.check.escaped == ref_escaped_variables(pair.rule.rhs, pair.position)
+
+
+# ------------------------------------------------ reference implementations
+#
+# Extraction used to find the call positions first and then walk to each
+# one again for its subterm and the binders above it.  These are those
+# walks, kept here as an oracle for the single walk of `calls`.
+
+
+def ref_call_positions(t, sig):
+    """Positions of defined-symbol spines in t, sorted lexicographically."""
+    return tuple(sorted(_ref_calls(t, sig)))
+
+
+def _ref_calls(u, sig):
+    if isinstance(u, Var):
+        return []
+    if isinstance(u, Sym):
+        return [()] if u.name in sig.defined else []
+    if isinstance(u, Lam):
+        return [(1,) + p for p in _ref_calls(u.body, sig)]
+    head, args = spine(u)
+    if isinstance(head, Sym) and head.name in sig.defined:
+        n = len(args)
+        out = [()]
+        for i, a in enumerate(args, start=1):
+            prefix = (1,) * (n - i) + (2,)
+            out.extend(prefix + p for p in _ref_calls(a, sig))
+        return out
+    return [(1,) + p for p in _ref_calls(u.fun, sig)] + [(2,) + p for p in _ref_calls(u.arg, sig)]
+
+
+def ref_binders_above(t, pos):
+    """Binders crossed on the way to pos, keyed by their depth from the root."""
+    out = {}
+    for i in pos:
+        if isinstance(t, Lam):
+            out[len(out)] = t.var
+            t = t.body
+        else:
+            t = t.fun if i == 1 else t.arg
+    return out
+
+
+def ref_escaped_variables(rhs, pos):
+    """Variables bound above pos that occur free in the subterm at pos,
+    ordered by the depth of their innermost binder."""
+    innermost = {v: d for d, v in sorted(ref_binders_above(rhs, pos).items())}
+    sub = subterm_at(rhs, pos)
+    return tuple(sorted((v for v in free_vars(sub) if v in innermost), key=innermost.get))
+
+
+def _rebind(rng, t, names, env=None):
+    """t with every binder renamed to one of names, occurrences following
+    their binder; a rename may capture a free variable or shadow an outer
+    binder of the same name and type."""
+    env = env or {}
+    if isinstance(t, Var):
+        return env.get(t, t)
+    if isinstance(t, App):
+        return App(_rebind(rng, t.fun, names, env), _rebind(rng, t.arg, names, env))
+    if isinstance(t, Lam):
+        v = Var(rng.choice(names), t.var.type)
+        return Lam(v, _rebind(rng, t.body, names, {**env, t.var: v}))
+    return t
+
+
+class TestCallsOracle:
+    def test_walk_agrees_with_the_position_walks_on_random_terms(self):
+        n, lst = Base("N"), Base("L")
+        symbols = {
+            **GEN_SYMBOLS,
+            "f": Arrow(n, Arrow(lst, n)),
+            "g": Arrow(Arrow(n, n), n),
+            "h": Arrow(Arrow(n, Arrow(n, n)), lst),
+        }
+        sig = Signature(("L", "N"), symbols, frozenset({"cons", "f", "g", "h", "k", "s"}))
+        names = ("x", "y", "X")
+        free = (Var("x", n), Var("X", n), Var("y", Arrow(n, n)))
+        rng = random.Random(1212)
+        terms = calls_seen = shadowed = escaped_two = order_shows = 0
+        while terms < 1000:
+            # a body under one to four binders of its own, then every
+            # binder renamed into the small pool
+            bound = tuple(Var(rng.choice(names), n) for _ in range(rng.randint(1, 4)))
+            typ = random_type(rng, depth=2)
+            try:
+                t = random_term(rng, symbols, typ, rng.randint(4, 24), env=free + bound)
+            except ValueError:
+                continue
+            for v in reversed(bound):
+                t = Lam(v, t)
+            t = _rebind(rng, t, names)
+            got = list(calls(t, sig))
+            assert [p for p, _, _ in got] == list(ref_call_positions(t, sig))
+            for pos, sub, esc in got:
+                assert sub == subterm_at(t, pos)
+                assert esc == ref_escaped_variables(t, pos)
+                above = list(ref_binders_above(t, pos).values())
+                shadowed += len(set(above)) < len(above) or any(v in free for v in above)
+                escaped_two += len(esc) >= 2
+                outermost = tuple(v for k, v in enumerate(above) if v in esc and v not in above[:k])
+                order_shows += outermost != esc
+            calls_seen += len(got)
+            terms += 1
+        # the sample reaches what the walk has to get right: shadowing
+        # binders, several escaped variables, and calls where ordering
+        # them by their outermost binders would differ
+        assert calls_seen >= 500
+        assert shadowed >= 200
+        assert escaped_two >= 30
+        assert order_shows >= 5

@@ -1,42 +1,15 @@
-"""Signature analysis: polarity, accessibility, basic sorts, validation."""
+"""Signature analysis: accessibility, basic sorts, validation."""
 
 import pytest
 
 from conftest import load_system
 from hodp.errors import MalformedLhsError, SystemSyntaxError, SystemTypeError
 from hodp.parser import parse_system
-from hodp.signature import (
-    basic_sorts,
-    build_system,
-    lhs_head,
-    polarity_positions,
-    sort_positions,
-)
+from hodp.signature import basic_sorts, build_system, lhs_head
 from hodp.terms import App, Arrow, Base, Lam, Sym, Var
 
 N = Base("N")
 L = Base("L")
-
-
-class TestPolarity:
-    def test_base_type(self):
-        assert polarity_positions(N, True) == frozenset({()})
-        assert polarity_positions(N, False) == frozenset()
-
-    def test_first_order_arrow(self):
-        t = Arrow(N, Arrow(L, L))
-        assert polarity_positions(t, True) == frozenset({(2, 2)})
-        assert polarity_positions(t, False) == frozenset({(1,), (2, 1)})
-
-    def test_second_order_arrow_flips_twice(self):
-        t = Arrow(Arrow(N, N), N)
-        assert polarity_positions(t, True) == frozenset({(1, 1), (2,)})
-        assert polarity_positions(t, False) == frozenset({(1, 2)})
-
-    def test_sort_positions(self):
-        t = Arrow(Arrow(N, N), L)
-        assert sort_positions(t, "N") == frozenset({(1, 1), (1, 2)})
-        assert sort_positions(t, "L") == frozenset({(2,)})
 
 
 class TestAccessibleArguments:
@@ -52,6 +25,13 @@ class TestAccessibleArguments:
 
     def test_functional_argument_over_another_sort_is_accessible(self):
         text = "sort A B\ng : (A -> B) -> B\n"
+        system = parse_system(text)
+        assert system.signature.accessible["g"] == frozenset({1})
+
+    def test_second_order_argument_flips_polarity_twice(self):
+        # A sits left of two arrows in the first argument, so it occurs
+        # positively there; in the second it sits left of one
+        text = "sort A B\ng : ((A -> B) -> B) -> (A -> B) -> A\n"
         system = parse_system(text)
         assert system.signature.accessible["g"] == frozenset({1})
 

@@ -20,7 +20,7 @@ from gen import (
 from hodp.closure import computability_closure, replay_derivation
 from hodp.engine import bounded_explore, ground_term, rewrite_steps, rewrite_successors
 from hodp.errors import InvalidPositionError, TypeCheckError
-from hodp.pairs import call_positions
+from hodp.pairs import calls
 from hodp.parser import parse_system
 from hodp.terms import (
     App,
@@ -34,7 +34,6 @@ from hodp.terms import (
     apply_subst,
     beta_contract,
     beta_reducts,
-    binders_above,
     flatten_type,
     free_vars,
     fresh_var,
@@ -308,7 +307,7 @@ class TestPositions:
             assert match_pattern(pattern, t) is not None
             assert bounded_explore(seed, rewrite_successors(system, {})).longest == 2
             assert ground_term(sig, Arrow(nil.type, nil.type)) == Lam(Var("x", nil.type), nil)
-            assert call_positions(seed, sig) == ((),)
+            assert list(calls(seed, sig)) == [((), seed, ())]
             derivations = closure.derivations.values()
             assert all(replay_derivation(d, args, sig) for d in derivations)
             # states that grow from the last one, with canonical forms
@@ -342,13 +341,6 @@ class TestPositions:
     def test_invalid_position_raises(self):
         with pytest.raises(InvalidPositionError):
             subterm_at(ZERO, (1,))
-
-    def test_binders_above_reports_depths(self):
-        x, y = Var("x", N), Var("y", NN)
-        t = Lam(y, Lam(x, App(y, x)))
-        above = binders_above(t, (1, 1, 2))
-        assert above == {0: y, 1: x}
-        assert binders_above(t, ()) == {}
 
 
 class TestSpine:

@@ -1,0 +1,135 @@
+"""Compare what two hodp source trees print, run for run.
+
+    python3 tools/same_reports.py OLD_SRC NEW_SRC [MANIFEST_DIR ...]
+
+OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
+`src` of two checkouts).  Both trees run the same list of runs:
+
+- every system under systems/ with each flag set of tests/test_golden.py;
+- every instance of each MANIFEST_DIR/manifest.json, with its flags, as
+  `bench/workloads.py --out MANIFEST_DIR` writes them.
+
+A run is `hodp.cli.main(["check", FILE, *flags])`, with `--dot` added when
+the flags hold `--disprove`.  Each tree does all its runs in one Python
+subprocess started with -B, so neither tree gets bytecode written into it.
+Stdout without its timing lines (the text `elapsed:` line and the JSON
+`"seconds"` line), stderr, the exit code and the --dot file are compared.
+The runs that differ are listed; the exit code is 1 if any do, else 0.
+Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# Runs inside each tree's subprocess: the runs come as JSON on stdin, the
+# results go as JSON to the real stdout once every run is done.
+CHILD = r"""
+import contextlib, io, json, os, sys
+from hodp.cli import main
+
+results = []
+for flags in json.load(sys.stdin):
+    if os.path.exists("graph.dot"):
+        os.remove("graph.dot")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(flags)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+    dot = None
+    if os.path.exists("graph.dot"):
+        with open("graph.dot", encoding="utf-8") as handle:
+            dot = handle.read()
+    results.append([out.getvalue(), err.getvalue(), code, dot])
+json.dump(results, sys.__stdout__)
+"""
+
+
+def golden_flag_sets() -> dict[str, list[str]]:
+    """`FLAG_SETS` of tests/test_golden.py, read from its source."""
+    tree = ast.parse((ROOT / "tests" / "test_golden.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["FLAG_SETS"]:
+            flag_sets = ast.literal_eval(node.value)
+            return {name: list(flags) for name, (flags, _) in flag_sets.items()}
+    raise SystemExit("tests/test_golden.py defines no FLAG_SETS")
+
+
+def runs(manifest_dirs: list[str]) -> list[tuple[str, list[str]]]:
+    """(label, argv) of every run, in a fixed order."""
+    out, flag_sets = [], golden_flag_sets()
+    for path in sorted((ROOT / "systems").glob("*.hodp")):
+        for name, flags in flag_sets.items():
+            out.append((f"{path.stem} [{name}]", [str(path), *flags]))
+    for directory in manifest_dirs:
+        manifest = pathlib.Path(directory) / "manifest.json"
+        for inst in json.loads(manifest.read_text(encoding="utf-8")):
+            label = f"{inst['name']} {' '.join(inst['flags'])}"
+            out.append((label, [inst["file"], *inst["flags"]]))
+    return [
+        (label, ["check", *argv, *(["--dot", "graph.dot"] if "--disprove" in argv else [])])
+        for label, argv in out
+    ]
+
+
+def run_tree(src: str, argvs: list[list[str]]) -> list[list]:
+    """Every run of argvs in one subprocess that imports hodp from src."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(src).resolve()))
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run(
+            [sys.executable, "-B", "-c", CHILD],
+            input=json.dumps(argvs),
+            capture_output=True,
+            text=True,
+            cwd=cwd,
+            env=env,
+        )
+    if done.returncode != 0:
+        raise SystemExit(f"the runs under {src} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def untimed(report: str) -> str:
+    return "".join(
+        line
+        for line in report.splitlines(keepends=True)
+        if not line.startswith("elapsed:") and '"seconds":' not in line
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old_src")
+    ap.add_argument("new_src")
+    ap.add_argument("manifest_dirs", nargs="*", metavar="MANIFEST_DIR")
+    args = ap.parse_args(argv)
+    labelled = runs(args.manifest_dirs)
+    argvs = [argv for _, argv in labelled]
+    old, new = run_tree(args.old_src, argvs), run_tree(args.new_src, argvs)
+    fields = ("stdout", "stderr", "exit code", "dot")
+    differ = 0
+    for (label, _), a, b in zip(labelled, old, new):
+        a[0], b[0] = untimed(a[0]), untimed(b[0])
+        changed = [f for f, x, y in zip(fields, a, b) if x != y]
+        if changed:
+            differ += 1
+            print(f"differs: {label}: {', '.join(changed)}")
+    print(f"{len(labelled)} runs, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
