@@ -27,11 +27,6 @@ def call_positions(t, sig):
     return tuple(p for p, _, _ in calls(t, sig))
 
 
-def escapes(t, sig):
-    """Position and escaped variable names of each call in t."""
-    return [(show_position(p), [v.name for v in esc]) for p, _, esc in calls(t, sig)]
-
-
 def _sig(symbols, defined):
     return Signature(("N",), symbols, frozenset(defined))
 
@@ -140,7 +135,8 @@ class TestExtraction:
     def test_escaped_variables_of_the_lim_call(self):
         system = load_system("lim")
         rhs = system.rules[0].rhs  # lim (\n. plus (F n) X)
-        assert escapes(rhs, system.signature) == [("2.1", ["n"])]
+        found = calls(rhs, system.signature)
+        assert [(show_position(p), [v.name for v in esc]) for p, _, esc in found] == [("2.1", ["n"])]
 
     def test_escape_through_a_binder_shadowing_a_free_variable(self):
         n = Base("N")
@@ -150,7 +146,8 @@ class TestExtraction:
         h = Sym("h", Arrow(Arrow(n, n), n))
         rhs = App(App(c, x), App(h, Lam(x, App(g, x))))  # c X (h (\X. g X))
         sig = _sig({"c": c.type, "g": g.type, "h": h.type}, {"c", "g"})
-        # the free X at 1.2 escapes nothing; the shadowing binder does
+        # the root call lies outside the binder; the call below the binder
+        # that shadows the free X loses it
         assert list(calls(rhs, sig)) == [((), rhs, ()), ((2, 2, 1), App(g, x), (x,))]
 
     def test_nested_binders_of_one_variable_report_the_innermost(self):
