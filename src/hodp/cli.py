@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 when the analysis completed (whatever the verdict), 2 for
-input problems, 3 when a resource or search limit was hit, including terms
-nested too deeply for the recursion limit.
+input problems and for a stdout whose encoding cannot write the report, 3
+when a resource or search limit was hit, including terms nested too deeply
+for the recursion limit.
 """
 
 from __future__ import annotations
@@ -123,7 +124,12 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    sys.stdout.write(output)
+    try:
+        sys.stdout.write(output)
+    except UnicodeEncodeError as exc:  # the whole report is encoded before any is written
+        message = f"stdout's encoding {exc.encoding} cannot write the report: {exc}"
+        print(f"error: {message}", file=sys.stderr)
+        return 2
     return 0
 
 

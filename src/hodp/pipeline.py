@@ -7,17 +7,19 @@ cycle, and MAYBE otherwise with the first failing stage named.
 
 report_dict is the one walk over the analysis objects: it turns a report
 into the JSON model, with fixed field names.  The JSON report prints that
-model, and the text report (verdict on the first line) is rendered from
-it, so the two cannot drift apart.  Both are deterministic except for the
-timing entry.  The --dot graph of an exploration names its steps as the
-text witness does.
+model with a small emitter whose output is byte-identical to
+json.dumps(model, indent=2, ensure_ascii=False), which with indent runs
+Python's pure-Python encoder.  The text report (verdict on the first line)
+is rendered from the same model, so the two cannot drift apart.  Both are
+deterministic except for the timing entry.  The --dot graph of an
+exploration names its steps as the text witness does.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Iterable
 
 from hodp.closure import Derivation, RuleAdmissibility, rule_admissibility
@@ -179,13 +181,10 @@ def _trace_dict(g: GtTrace) -> dict:
 
 
 def _weak_dict(w: GtTrace) -> dict:
-    # kind and the always empty beta_path are part of the report format
-    alpha = w.clause == "alpha"
-    return {
-        "kind": "alpha" if alpha else "strict",
-        "beta_path": [],
-        "strict": None if alpha else _trace_dict(w),
-    }
+    # A rule witness is never alpha: a rule whose sides are alpha-equal has
+    # a pair at the root between alpha-equal sides, which no certificate
+    # orients.  kind and the always empty beta_path are part of the format.
+    return {"kind": "strict", "beta_path": [], "strict": _trace_dict(w)}
 
 
 def _step_dict(s: Step) -> dict:
@@ -298,8 +297,37 @@ def report_dict(report: AnalysisReport) -> dict:
     }
 
 
+_SCALARS = {None: "null", True: "true", False: "false"}
+
+
+def _json(value, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, ensure_ascii=False) writes it.
+
+    value is built from dicts with str keys, lists, str, int, finite float,
+    bool and None.  Anything else, a tuple too, is a TypeError, so that
+    json.loads of the output gives back value itself.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is dict or kind is list:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = indent + "  "
+        if kind is dict:
+            items = [f"{encode_basestring(k)}: {_json(v, inner)}" for k, v in value.items()]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is bool or value is None:
+        return _SCALARS[value]
+    if kind is int or kind is float:
+        return repr(value)
+    raise TypeError(f"not part of the report model: {kind.__name__}")
+
+
 def render_json(report: AnalysisReport) -> str:
-    return json.dumps(report_dict(report), indent=2, ensure_ascii=False) + "\n"
+    return _json(report_dict(report)) + "\n"
 
 
 # ------------------------------------------------------------- text report
@@ -324,10 +352,7 @@ def _derivation_lines(d: dict, indent: int) -> list[str]:
 
 
 def _weak_lines(w: dict, indent: int) -> list[str]:
-    pad = "  " * indent
-    if w["kind"] == "alpha":
-        return [pad + "alpha-equal"]
-    return [pad + "strict:"] + _trace_lines(w["strict"], indent + 1)
+    return ["  " * indent + "strict:"] + _trace_lines(w["strict"], indent + 1)
 
 
 def _step_label(kind: str, label: str, position: str) -> str:

@@ -1,5 +1,6 @@
 """Command line behavior: flags, exit codes, output channels."""
 
+import io
 import json
 import os
 import pathlib
@@ -116,6 +117,23 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
         assert out == ""
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_stdout_that_cannot_encode_the_report_is_an_error(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        # the pair of f X -> f X sits at the root, shown as ε in both formats
+        system = tmp_path / "a.hodp"
+        system.write_text("sort N\n0 : N\nf : N -> N\nrule f X -> f X\n", encoding="utf-8")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["check", str(system), *flags])
+        stdout.flush()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "ascii" in err
+        assert len(err.splitlines()) == 1
+        assert stdout.buffer.getvalue() == b""
 
     def test_search_limit_is_reported_separately(self, capsys):
         code, _, err = run(capsys, "check", path("map"), "--max-symbols", "1")

@@ -1,14 +1,25 @@
 """End to end analysis: staging, verdicts, reports, rendering."""
 
+import collections
 import json
+import random
 import sys
 
 import pytest
 
-from conftest import load_system, system_text
-from hodp.errors import SearchSpaceExceededError
+from conftest import SYSTEMS_DIR, load_system, system_text
+from gen import random_fo_trs
+from hodp.errors import LimitError, SearchSpaceExceededError
 from hodp.parser import parse_precedence_arg, parse_system
-from hodp.pipeline import AnalysisReport, Options, render_json, render_text, report_dict, run_pipeline
+from hodp.pipeline import (
+    AnalysisReport,
+    Options,
+    _json,
+    render_json,
+    render_text,
+    report_dict,
+    run_pipeline,
+)
 
 EXPECTED = {
     "map": ("YES", None),
@@ -217,3 +228,62 @@ class TestRendering:
     def test_non_ascii_position_symbol_survives_json(self):
         report = run_pipeline(load_system("selfloop"), Options(disprove=True))
         assert "ε" in render_json(report)
+
+    def test_a_rule_with_alpha_equal_sides_has_no_certificate(self):
+        # so no rule witness in a report is ever alpha-equal
+        text = "sort N\n0 : N\nf : N -> N\nrule f X -> f X\n"
+        report = run_pipeline(parse_system(text), Options())
+        d = report_dict(report)
+        assert [(p["name"], p["position"]) for p in d["pairs"]] == [("d1", "ε")]
+        assert (d["verdict"], d["stage"], d["certificate"]) == ("MAYBE", "ordering", None)
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, ensure_ascii=False)
+
+
+class TestJsonEmitter:
+    """render_json writes what json.dumps(indent=2, ensure_ascii=False) writes."""
+
+    @pytest.mark.parametrize("disprove", [False, True], ids=["plain", "disprove"])
+    def test_shipped_systems(self, disprove):
+        for path in sorted(SYSTEMS_DIR.glob("*.hodp")):
+            report = run_pipeline(parse_system(path.read_text()), Options(disprove=disprove))
+            assert render_json(report) == _dumps(report_dict(report)) + "\n", path.stem
+
+    def test_generated_systems(self):
+        rng = random.Random(1313)
+        seen = collections.Counter()
+        for i in range(60):
+            system, _, _, _ = random_fo_trs(rng)
+            options = Options(max_symbols=5, disprove=i % 2 == 1, explore_depth=8, explore_nodes=300)
+            try:
+                report = run_pipeline(system, options)
+            except LimitError:
+                continue
+            assert render_json(report) == _dumps(report_dict(report)) + "\n"
+            seen[report.verdict] += 1
+        assert min(seen[v] for v in ("YES", "NO", "MAYBE")) >= 5
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [{}, [[]], {"d": []}]},
+            ['"', "\\", "\n", "\x01", "ε", "\u2028", "\t\r\x7f", ""],
+            {'key "with" \\ ε\n': "value"},
+            [0, -1, -12345678901234567890, 7, True, False, None],
+            [1e-06, 0.1, 0.0, -2.5, 1e300, 123456.789],
+            {"verdict": "MAYBE", "timing": {"seconds": 0.000123}},
+        ],
+    )
+    def test_hand_made_values(self, value):
+        assert _json(value) == _dumps(value)
+        assert json.loads(_json(value)) == value
+
+    @pytest.mark.parametrize("value", [(), (1, "a"), {"a": (1,)}, {1: "a"}, {"a"}, b"a"])
+    def test_values_outside_the_model_are_rejected(self, value):
+        # json.dumps writes a tuple as a list, which json.loads would not give back
+        with pytest.raises(TypeError):
+            _json(value)

@@ -6,8 +6,10 @@ OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
 `src` of two checkouts).  Both trees run the same list of runs:
 
 - every system under systems/ with each flag set of tests/test_golden.py;
-- every instance of each MANIFEST_DIR/manifest.json, with its flags, as
-  `bench/workloads.py --out MANIFEST_DIR` writes them.
+- every instance of each MANIFEST_DIR/manifest.json, as
+  `bench/workloads.py --out MANIFEST_DIR` writes them, twice: with its
+  flags, and with its report flag swapped (`--json` for `--trace` and
+  back), so that each instance is compared in both report formats.
 
 A run is `hodp.cli.main(["check", FILE, *flags])`, with `--dot` added when
 the flags hold `--disprove`.  Each tree does all its runs in one Python
@@ -30,6 +32,7 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+SWAPPED = {"--json": "--trace", "--trace": "--json"}  # the two report formats
 
 # Runs inside each tree's subprocess: the runs come as JSON on stdin, the
 # results go as JSON to the real stdout once every run is done.
@@ -77,8 +80,9 @@ def runs(manifest_dirs: list[str]) -> list[tuple[str, list[str]]]:
     for directory in manifest_dirs:
         manifest = pathlib.Path(directory) / "manifest.json"
         for inst in json.loads(manifest.read_text(encoding="utf-8")):
-            label = f"{inst['name']} {' '.join(inst['flags'])}"
-            out.append((label, [inst["file"], *inst["flags"]]))
+            swapped = [SWAPPED.get(f, f) for f in inst["flags"]]
+            for flags in (inst["flags"], swapped):
+                out.append((f"{inst['name']} {' '.join(flags)}", [inst["file"], *flags]))
     return [
         (label, ["check", *argv, *(["--dot", "graph.dot"] if "--disprove" in argv else [])])
         for label, argv in out
