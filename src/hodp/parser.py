@@ -9,32 +9,43 @@
 
 Declarations: ``sort`` introduces base sorts, ``name : TYPE`` declares a
 symbol, ``rule`` adds a rewrite rule, ``prec`` records required precedence
-edges (a chain ``f > g > h`` adds f>g and g>h).  Identifiers start with a
-letter, digit, or underscore and may contain primes; ``sort``, ``rule``
-and ``prec`` are reserved.  In rule terms, application is juxtaposition
-and associates left; lambdas are written ``\\x. t`` or ``\\x:TYPE. t``.
-Identifiers that are not declared symbols are rule variables; their types
-are inferred from their uses, and a rule that leaves a variable or binder
-type undetermined is rejected.
+edges (a chain ``f > g > h`` adds f>g and g>h).  Identifiers are ASCII:
+they start with a letter, digit, or underscore and may contain primes;
+``sort``, ``rule`` and ``prec`` are reserved.  In rule terms, application
+is juxtaposition and associates left; lambdas are written ``\\x. t`` or
+``\\x:TYPE. t``.
+
+A rule line is read in one pass.  An identifier bound by an enclosing
+lambda is that binder, a declared symbol is that symbol, and any other
+identifier, whatever its case, is a rule variable.  Reading gives each
+subterm a builder and a type, in which metavariables ``?n``, numbered in
+reading order, stand for what is not yet known; each application adds an
+equation.  Once the line has parsed, the equations are solved in order,
+then the two sides' types are equated, so a line's syntax errors come
+before its type errors.  The builders then make the terms, rejecting a
+rule variable or binder whose type is still undetermined.
 """
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
+import re
+from typing import Callable, NamedTuple
 
 from hodp.errors import AmbiguousVariableType, SystemSyntaxError, SystemTypeError
 from hodp.ordering import transitive_closure
 from hodp.signature import RewriteSystem, build_system
 from hodp.terms import App, Arrow, Base, Lam, Sym, Term, Type, Var, show_type
 
-_IDENT_START = set(string.ascii_letters + string.digits + "_")
-_IDENT_CONT = _IDENT_START | {"'"}
 _KEYWORDS = {"sort", "rule", "prec"}
 
+# An unnamed match is punctuation, whose kind is its text.  Whitespace is
+# what no alternative matches: exactly the characters str.isspace accepts.
+_TOKEN = re.compile(
+    r"(?P<arrow>->)|(?P<ident>[A-Za-z0-9_][A-Za-z0-9_']*)|[():\\.>]|(?P<comment>#)|(?P<bad>\S)"
+)
 
-@dataclass(frozen=True)
-class _Tok:
+
+class _Tok(NamedTuple):
     kind: str  # 'ident' | 'arrow' | '(' | ')' | ':' | '\\' | '.' | '>'
     text: str
     column: int
@@ -42,63 +53,33 @@ class _Tok:
 
 def _tokenize(text: str, lineno: int) -> list[_Tok]:
     out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "#":
+    for m in _TOKEN.finditer(text):
+        kind, tok, column = m.lastgroup, m.group(), m.start() + 1
+        if kind == "comment":
             break
-        if text.startswith("->", i):
-            out.append(_Tok("arrow", "->", i + 1))
-            i += 2
-            continue
-        if c in "():\\.>":
-            out.append(_Tok(c, c, i + 1))
-            i += 1
-            continue
-        if c in _IDENT_START:
-            j = i + 1
-            while j < len(text) and text[j] in _IDENT_CONT:
-                j += 1
-            out.append(_Tok("ident", text[i:j], i + 1))
-            i = j
-            continue
-        raise SystemSyntaxError(f"unexpected character {c!r}", lineno, i + 1)
+        if kind == "bad":
+            raise SystemSyntaxError(f"unexpected character {tok!r}", lineno, column)
+        out.append(_Tok(kind or tok, tok, column))
     return out
 
 
-# ------------------------------------------------------------- raw syntax
-
-
-@dataclass(frozen=True)
-class _RIdent:
-    name: str
-
-
-@dataclass(frozen=True)
-class _RApp:
-    fun: "_Raw"
-    arg: "_Raw"
-
-
-@dataclass(frozen=True)
-class _RLam:
-    name: str
-    annot: Type | None
-    body: "_Raw"
-
-
-_Raw = _RIdent | _RApp | _RLam
+# Builders turn a parsed term into a Term once unification settles, which
+# replaces its metavariables by ground types.
+_Builder = Callable[[], Term]
 
 
 class _LineParser:
-    def __init__(self, tokens: list[_Tok], lineno: int, sorts: set[str]):
+    """Reads one line.  A rule term comes back as its builder and its type;
+    each application leaves an equation, solved only after the line parsed."""
+
+    def __init__(self, tokens: list[_Tok], lineno: int, sorts: list[str], symbols: dict[str, Type]):
         self.toks = tokens
         self.pos = 0
         self.lineno = lineno
         self.sorts = sorts
+        self.symbols = symbols
+        self.inf = _Inference(lineno)
+        self.equations: list[tuple[Type, Type]] = []
 
     def peek(self) -> _Tok | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -154,47 +135,60 @@ class _LineParser:
             f"expected a type, found {tok.text!r}", self.lineno, tok.column
         )
 
-    # terms
+    # terms; bound maps each enclosing binder's name to its type
 
-    def parse_term(self) -> _Raw:
-        atom = self.parse_atom()
-        if atom is None:
+    def parse_term(self, bound: dict[str, Type]) -> tuple[_Builder, Type]:
+        term = self.parse_atom(bound)
+        if term is None:
             tok = self.peek()
             where = (tok.text, tok.column) if tok else ("end of line", None)
             raise SystemSyntaxError(f"expected a term, found {where[0]!r}", self.lineno, where[1])
-        term = atom
-        while True:
-            nxt = self.parse_atom()
-            if nxt is None:
-                return term
-            term = _RApp(term, nxt)
+        while (arg := self.parse_atom(bound)) is not None:
+            (fb, ft), (ab, at) = term, arg
+            out = self.inf.fresh()
+            self.equations.append((ft, Arrow(at, out)))
+            term = (lambda fb=fb, ab=ab: App(fb(), ab())), out
+        return term
 
-    def parse_atom(self) -> _Raw | None:
+    def parse_atom(self, bound: dict[str, Type]) -> tuple[_Builder, Type] | None:
         tok = self.peek()
         if tok is None:
             return None
+        inf = self.inf
         if tok.kind == "ident":
-            if tok.text in _KEYWORDS:
+            name = tok.text
+            if name in _KEYWORDS:
                 raise SystemSyntaxError(
-                    f"{tok.text} is a reserved word", self.lineno, tok.column
+                    f"{name} is a reserved word", self.lineno, tok.column
                 )
             self.next()
-            return _RIdent(tok.text)
+            if name in bound:
+                t = bound[name]
+                return (lambda: Var(name, inf.zonk(t, f"binder {name}"))), t
+            if name in self.symbols:
+                typ = self.symbols[name]
+                return (lambda: Sym(name, typ)), typ
+            # fresh() runs at every occurrence: the ?n in messages count them
+            meta = inf.rule_vars.setdefault(name, inf.fresh())
+            return (lambda: Var(name, inf.zonk(meta, f"variable {name}"))), meta
         if tok.kind == "(":
             self.next()
-            inner = self.parse_term()
+            inner = self.parse_term(bound)
             self.expect(")")
             return inner
         if tok.kind == "\\":
             self.next()
-            name = self.expect("ident")
-            annot = None
+            name = self.expect("ident").text
             if self.peek() is not None and self.peek().kind == ":":
                 self.next()
                 annot = self.parse_type()
+            else:
+                annot = inf.fresh()
             self.expect(".")
-            body = self.parse_term()
-            return _RLam(name.text, annot, body)
+            bb, bt = self.parse_term({**bound, name: annot})
+            return (
+                lambda: Lam(Var(name, inf.zonk(annot, f"binder {name}")), bb())
+            ), Arrow(annot, bt)
         return None
 
 
@@ -267,36 +261,6 @@ class _Inference:
         return Arrow(self.zonk(t.dom, what), self.zonk(t.cod, what))
 
 
-def _elaborate(
-    raw: _Raw,
-    symbols: dict[str, Type],
-    inf: _Inference,
-    bound: tuple[tuple[str, Type], ...],
-):
-    """Returns a builder closure and the inferred type.  The builder is run
-    after unification settles, turning metavariables into ground types."""
-    if isinstance(raw, _RIdent):
-        for name, t in reversed(bound):
-            if name == raw.name:
-                return (lambda: Var(name, inf.zonk(t, f"binder {name}"))), t
-        if raw.name in symbols:
-            typ = symbols[raw.name]
-            return (lambda: Sym(raw.name, typ)), typ
-        meta = inf.rule_vars.setdefault(raw.name, inf.fresh())
-        return (lambda: Var(raw.name, inf.zonk(meta, f"variable {raw.name}"))), meta
-    if isinstance(raw, _RApp):
-        fb, ft = _elaborate(raw.fun, symbols, inf, bound)
-        ab, at = _elaborate(raw.arg, symbols, inf, bound)
-        out = inf.fresh()
-        inf.unify(ft, Arrow(at, out))
-        return (lambda: App(fb(), ab())), out
-    annot: Type = raw.annot if raw.annot is not None else inf.fresh()
-    bb, bt = _elaborate(raw.body, symbols, inf, bound + ((raw.name, annot),))
-    return (
-        lambda: Lam(Var(raw.name, inf.zonk(annot, f"binder {raw.name}")), bb())
-    ), Arrow(annot, bt)
-
-
 # ------------------------------------------------------------------ driver
 
 
@@ -311,9 +275,13 @@ def parse_system(text: str) -> RewriteSystem:
         if not tokens:
             continue
         head = tokens[0]
-        p = _LineParser(tokens, lineno, set(sorts))
-        if head.kind == "ident" and head.text == "sort":
-            p.next()
+        if head.kind != "ident":
+            raise SystemSyntaxError(
+                f"expected a declaration, found {head.text!r}", lineno, head.column
+            )
+        p = _LineParser(tokens, lineno, sorts, symbols)
+        p.next()
+        if head.text == "sort":
             names = []
             while not p.at_end():
                 tok = p.expect("ident")
@@ -328,9 +296,7 @@ def parse_system(text: str) -> RewriteSystem:
                 if n in sorts:
                     raise SystemSyntaxError(f"sort {n} already declared", lineno)
                 sorts.append(n)
-            continue
-        if head.kind == "ident" and head.text == "prec":
-            p.next()
+        elif head.text == "prec":
             first = p.expect("ident").text
             chain = [first]
             while not p.at_end():
@@ -344,25 +310,16 @@ def parse_system(text: str) -> RewriteSystem:
                         f"prec mentions undeclared symbol {name}", lineno
                     )
             hints.extend(zip(chain, chain[1:]))
-            continue
-        if head.kind == "ident" and head.text == "rule":
-            p.next()
-            raw_lhs = p.parse_term()
+        elif head.text == "rule":
+            lb, lt = p.parse_term({})
             p.expect("arrow")
-            raw_rhs = p.parse_term()
+            rb, rt = p.parse_term({})
             p.finish()
-            inf = _Inference(lineno)
-            lb, lt = _elaborate(raw_lhs, symbols, inf, ())
-            rb, rt = _elaborate(raw_rhs, symbols, inf, ())
-            inf.unify(lt, rt)  # rules must be type preserving
+            p.equations.append((lt, rt))  # rules must be type preserving
+            for a, b in p.equations:
+                p.inf.unify(a, b)
             rules.append((lb(), rb()))
-            continue
-        if head.kind == "ident":
-            if head.text in _KEYWORDS:
-                raise SystemSyntaxError(
-                    f"{head.text} is a reserved word", lineno, head.column
-                )
-            p.next()
+        else:
             p.expect(":")
             typ = p.parse_type()
             p.finish()
@@ -371,10 +328,6 @@ def parse_system(text: str) -> RewriteSystem:
                     f"symbol {head.text} already declared", lineno, head.column
                 )
             symbols[head.text] = typ
-            continue
-        raise SystemSyntaxError(
-            f"expected a declaration, found {head.text!r}", lineno, head.column
-        )
 
     # cyclic hints are rejected up front; the closure is recomputed later
     transitive_closure(hints)

@@ -1,10 +1,14 @@
 """Input format: tokens, grammar, type inference, error reporting."""
 
+import random
+import sys
+
 import pytest
 
-from conftest import load_system, system_text
+from conftest import SYSTEMS_DIR, load_system, same_reports_tool, system_text
 from hodp.errors import (
     AmbiguousVariableType,
+    InputError,
     PrecedenceCycleError,
     SystemSyntaxError,
     SystemTypeError,
@@ -51,6 +55,26 @@ class TestGrammar:
         system = parse_system("sort A\n1st : A -> A\nx0 : A\nrule 1st (1st X') -> 1st X'\n")
         rule = system.rules[0]
         assert (show_term(rule.lhs), show_term(rule.rhs)) == ("1st (1st X')", "1st X'")
+
+    # every character str.isspace accepts that does not end a line
+    @pytest.mark.parametrize(
+        "space",
+        [
+            c
+            for c in map(chr, range(sys.maxunicode + 1))
+            if c.isspace() and len(f"N{c}M".splitlines()) == 1
+        ],
+    )
+    def test_unicode_whitespace_separates_tokens(self, space):
+        system = parse_system(f"sort N{space}M\n")
+        assert system.signature.sorts == ("N", "M")
+
+    # identifiers are ASCII: letters, digits and marks elsewhere are rejected
+    @pytest.mark.parametrize("char", ["é", "α", "\uff11", "\ufeff"])
+    def test_non_ascii_characters_are_unexpected(self, char):
+        with pytest.raises(SystemSyntaxError) as exc:
+            parse_system(f"sort N{char}\n")
+        assert str(exc.value) == f"line 1, column 7: unexpected character {char!r}"
 
     def test_keywords_are_case_sensitive(self):
         # 'Sort' is an ordinary identifier, so the line is read as a
@@ -105,6 +129,21 @@ class TestInference:
             parse_system(text)
         assert str(exc.value) == message
 
+    # lines 1-4 declare N, 0, s and f; the whole line is parsed before any
+    # equation is solved, and metavariables are numbered in reading order
+    @pytest.mark.parametrize(
+        "rule,message",
+        [
+            ("f X Y -> )", "line 5, column 15: expected a term, found ')'"),
+            ("f X -> s (\\y. Y y) X", "line 5: rule cannot be typed (N versus ?3 -> ?5)"),
+            ("f X -> (\\y. y) X X", "line 5: rule cannot be typed (N versus N -> ?7)"),
+        ],
+    )
+    def test_syntax_errors_come_first_and_metavariables_keep_their_numbers(self, rule, message):
+        with pytest.raises(InputError) as exc:
+            parse_system("sort N\n0 : N\ns : N -> N\nf : N -> N\nrule " + rule + "\n")
+        assert str(exc.value) == message
+
     def test_fresh_right_side_variables_are_allowed_here(self):
         # they are rejected later by the admissibility stage, not by
         # the parser, so the failure is diagnosable
@@ -141,6 +180,22 @@ class TestErrors:
     def test_cyclic_precedence_hints_are_rejected(self):
         with pytest.raises(PrecedenceCycleError):
             parse_system("sort N\n0 : N\ns : N -> N\nprec s > 0\nprec 0 > s\n")
+
+
+class TestMutants:
+    def test_a_mutant_parses_or_raises_an_input_error(self):
+        mutate = same_reports_tool().mutate
+        texts = [p.read_text(encoding="utf-8") for p in sorted(SYSTEMS_DIR.glob("*.hodp"))]
+        rng = random.Random(7)
+        outcomes = set()
+        for k in range(2000):
+            try:
+                parse_system(mutate(texts[k % len(texts)], rng))
+                outcomes.add("parsed")
+            except InputError as exc:
+                outcomes.add(type(exc).__name__)
+        # the mutants reach past the tokenizer into the grammar and the types
+        assert {"parsed", "SystemSyntaxError", "SystemTypeError"} <= outcomes
 
 
 class TestPrecedenceArgument:

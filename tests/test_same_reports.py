@@ -1,27 +1,19 @@
 """tools/same_reports.py: the byte-identity check between two source trees."""
 
-import importlib.util
 import json
-import pathlib
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("same_reports", ROOT / "tools" / "same_reports.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from conftest import ROOT, SYSTEMS_DIR, same_reports_tool
 
 # every shipped system under every golden flag set
-SHIPPED_RUNS = len(_tool().runs([]))
+SHIPPED_RUNS = len(same_reports_tool().runs([]))
+MUTANT_RUNS = same_reports_tool().MUTANTS_PER_SYSTEM * len(list(SYSTEMS_DIR.glob("*.hodp")))
+ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS
 
 
 def test_a_tree_matches_itself(capsys):
     src = str(ROOT / "src")
-    assert _tool().main([src, src]) == 0
-    assert capsys.readouterr().out == f"{SHIPPED_RUNS} runs, 0 differ\n"
+    assert same_reports_tool().main([src, src]) == 0
+    assert capsys.readouterr().out == f"{ALL_RUNS} runs, 0 differ\n"
 
 
 def test_a_tree_that_prints_one_line_differs_on_every_run(tmp_path, capsys):
@@ -29,10 +21,10 @@ def test_a_tree_that_prints_one_line_differs_on_every_run(tmp_path, capsys):
     stub.mkdir()
     (stub / "__init__.py").write_text("")
     (stub / "cli.py").write_text("def main(argv=None):\n    print('stub')\n    return 0\n")
-    assert _tool().main([str(ROOT / "src"), str(tmp_path)]) == 1
+    assert same_reports_tool().main([str(ROOT / "src"), str(tmp_path)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == f"{SHIPPED_RUNS} runs, {SHIPPED_RUNS} differ"
-    assert len(lines) == SHIPPED_RUNS + 1
+    assert lines[-1] == f"{ALL_RUNS} runs, {ALL_RUNS} differ"
+    assert len(lines) == ALL_RUNS + 1
     assert all(line.startswith("differs: ") for line in lines[:-1])
 
 
@@ -42,9 +34,24 @@ def test_manifest_instances_run_in_both_report_formats(tmp_path):
         {"name": "b", "file": "b.hodp", "flags": ["--trace", "--disprove"]},
     ]
     (tmp_path / "manifest.json").write_text(json.dumps(instances))
-    assert _tool().runs([str(tmp_path)])[SHIPPED_RUNS:] == [
+    assert same_reports_tool().runs([str(tmp_path)])[SHIPPED_RUNS:] == [
         ("a --json --precedence f>g", ["check", "a.hodp", "--json", "--precedence", "f>g"]),
         ("a --trace --precedence f>g", ["check", "a.hodp", "--trace", "--precedence", "f>g"]),
         ("b --trace --disprove", ["check", "b.hodp", "--trace", "--disprove", "--dot", "graph.dot"]),
         ("b --json --disprove", ["check", "b.hodp", "--json", "--disprove", "--dot", "graph.dot"]),
     ]
+
+
+def test_mutants_are_seeded_and_run_with_json(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    labelled = same_reports_tool().mutant_runs(str(first))
+    assert labelled == same_reports_tool().mutant_runs(str(second))
+    assert len(labelled) == MUTANT_RUNS
+    for label, argv in labelled:
+        assert argv == ["check", argv[1], "--json"] and label == f"{argv[1]} --json"
+        assert (first / argv[1]).read_bytes() == (second / argv[1]).read_bytes()
+    originals = {p.read_text(encoding="utf-8") for p in SYSTEMS_DIR.glob("*.hodp")}
+    changed = [argv[1] for _, argv in labelled if (first / argv[1]).read_text(encoding="utf-8") not in originals]
+    assert len(changed) > MUTANT_RUNS * 9 // 10

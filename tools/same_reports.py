@@ -9,11 +9,15 @@ OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
 - every instance of each MANIFEST_DIR/manifest.json, as
   `bench/workloads.py --out MANIFEST_DIR` writes them, twice: with its
   flags, and with its report flag swapped (`--json` for `--trace` and
-  back), so that each instance is compared in both report formats.
+  back), so that each instance is compared in both report formats;
+- MUTANTS_PER_SYSTEM mutants of every system under systems/, each made
+  by 1 to 4 random edits from the constant MUTATION_SEED, with --json.
+  Most of them fail to parse, so the error paths are compared too.
 
 A run is `hodp.cli.main(["check", FILE, *flags])`, with `--dot` added when
 the flags hold `--disprove`.  Each tree does all its runs in one Python
-subprocess started with -B, so neither tree gets bytecode written into it.
+subprocess started with -B, so neither tree gets bytecode written into it,
+and both run in one temporary directory, where the mutants are written.
 Stdout without its timing lines (the text `elapsed:` line and the JSON
 `"seconds"` line), stderr, the exit code and the --dot file are compared.
 The runs that differ are listed; the exit code is 1 if any do, else 0.
@@ -27,12 +31,21 @@ import ast
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SWAPPED = {"--json": "--trace", "--trace": "--json"}  # the two report formats
+MUTATION_SEED = 1
+MUTANTS_PER_SYSTEM = 50
+# what an insertion adds: the input format's punctuation and keywords,
+# identifier characters, line breaks, and characters it rejects
+INSERTS = (
+    "(", ")", ":", "\\", ".", ">", "->", "#", " ", "\t", "\n", "'", "_", "-",
+    "X", "x", "0", "N", "s", "é", "rule ", "sort ", "prec ", "\\x. ", " -> ",
+)
 
 # Runs inside each tree's subprocess: the runs come as JSON on stdin, the
 # results go as JSON to the real stdout once every run is done.
@@ -89,18 +102,46 @@ def runs(manifest_dirs: list[str]) -> list[tuple[str, list[str]]]:
     ]
 
 
-def run_tree(src: str, argvs: list[list[str]]) -> list[list]:
+def mutate(text: str, rng: random.Random) -> str:
+    """text after 1 to 4 edits, each of which deletes a character, swaps
+    two, or inserts an item of INSERTS."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        edit = rng.randrange(3) if chars else 2
+        if edit == 0:
+            del chars[rng.randrange(len(chars))]
+        elif edit == 1:
+            i, j = rng.randrange(len(chars)), rng.randrange(len(chars))
+            chars[i], chars[j] = chars[j], chars[i]
+        else:
+            chars.insert(rng.randrange(len(chars) + 1), rng.choice(INSERTS))
+    return "".join(chars)
+
+
+def mutant_runs(directory: str) -> list[tuple[str, list[str]]]:
+    """Writes the mutants of every shipped system into directory and
+    returns (label, argv) of their runs, which name them relative to it."""
+    rng, out = random.Random(MUTATION_SEED), []
+    for path in sorted((ROOT / "systems").glob("*.hodp")):
+        text = path.read_text(encoding="utf-8")
+        for k in range(MUTANTS_PER_SYSTEM):
+            name = f"{path.stem}-mutant{k}.hodp"
+            (pathlib.Path(directory) / name).write_text(mutate(text, rng), encoding="utf-8")
+            out.append((f"{name} --json", ["check", name, "--json"]))
+    return out
+
+
+def run_tree(src: str, argvs: list[list[str]], cwd: str) -> list[list]:
     """Every run of argvs in one subprocess that imports hodp from src."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(src).resolve()))
-    with tempfile.TemporaryDirectory() as cwd:
-        done = subprocess.run(
-            [sys.executable, "-B", "-c", CHILD],
-            input=json.dumps(argvs),
-            capture_output=True,
-            text=True,
-            cwd=cwd,
-            env=env,
-        )
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", CHILD],
+        input=json.dumps(argvs),
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=env,
+    )
     if done.returncode != 0:
         raise SystemExit(f"the runs under {src} failed:\n{done.stderr}")
     return json.loads(done.stdout)
@@ -120,9 +161,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("new_src")
     ap.add_argument("manifest_dirs", nargs="*", metavar="MANIFEST_DIR")
     args = ap.parse_args(argv)
-    labelled = runs(args.manifest_dirs)
-    argvs = [argv for _, argv in labelled]
-    old, new = run_tree(args.old_src, argvs), run_tree(args.new_src, argvs)
+    with tempfile.TemporaryDirectory() as cwd:
+        labelled = runs(args.manifest_dirs) + mutant_runs(cwd)
+        argvs = [argv for _, argv in labelled]
+        old, new = run_tree(args.old_src, argvs, cwd), run_tree(args.new_src, argvs, cwd)
     fields = ("stdout", "stderr", "exit code", "dot")
     differ = 0
     for (label, _), a, b in zip(labelled, old, new):
