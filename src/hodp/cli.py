@@ -85,7 +85,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         with open(args.file, encoding="utf-8") as handle:
-            text = handle.read()
+            # a leading byte-order mark is not text; stripping it costs no
+            # codec import, which decoding as utf-8-sig does per process
+            text = handle.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from hodp.signature import Rule, Signature, lhs_head
+from hodp.signature import Rule, Signature
 from hodp.terms import (
     App,
     Arrow,
@@ -53,7 +53,6 @@ class Derivation:
 
 @dataclass
 class Closure:
-    args: tuple[Term, ...]
     derivations: dict[Term, Derivation]  # by alpha-canonical form, insertion order
 
     def __contains__(self, t: Term) -> bool:
@@ -143,7 +142,7 @@ def computability_closure(
             ):
                 add(t.arg, Derivation(t.arg, "app-right", (d,), variable=y))
 
-    return Closure(args, derivations)
+    return Closure(derivations)
 
 
 def replay_derivation(deriv: Derivation, args: tuple[Term, ...], sig: Signature) -> bool:
@@ -227,7 +226,6 @@ class RuleAdmissibility:
 def rule_admissibility(rule: Rule, sig: Signature) -> RuleAdmissibility:
     """Check that every right-hand side variable is in the closure of the
     left-hand side arguments."""
-    lhs_head(rule.lhs)  # raises on malformed rules
     _, args = spine(rule.lhs)
     targets = tuple(sorted(free_vars(rule.rhs), key=lambda v: v.name))
     clo = computability_closure(args, sig, targets)

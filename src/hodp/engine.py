@@ -9,11 +9,11 @@ match of its rule at the root.
 Exploration is a depth-first search on an explicit stack, so its depth
 does not depend on the interpreter's recursion limit, which it never
 changes; only new structure within one step, and input nesting, recurse.
-It detects repeated states modulo alpha along a path, memoizes finished
-states globally, and reports either exhaustive termination with the
-longest trace length, a trace that exceeds the depth bound, or a cycle
-witness.  Successor enumeration is deterministic, so results are
-reproducible.
+It detects repeated states modulo alpha along a path, memoizes the
+height of finished states globally, and reports exhaustive termination
+with the longest trace length, that some trace exceeds the depth bound,
+or a cycle witness; only a cycle carries a trace.  Successor enumeration
+is deterministic, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def chain_successors(
 class Exploration:
     kind: str  # 'all-terminated' | 'bound-exceeded' | 'cycle'
     longest: int | None = None
-    trace: tuple[Step, ...] | None = None
+    trace: tuple[Step, ...] | None = None  # a cycle's witness
     expanded: int = 0
     edges: tuple[Step, ...] = ()
 
@@ -164,11 +164,11 @@ class _Frame:
     one to visit (the first is visited as the frame is pushed), and the
     longest finished height below it so far."""
 
-    __slots__ = ("key", "succ", "next", "best", "best_step", "truncated")
+    __slots__ = ("key", "succ", "next", "best", "truncated")
 
     def __init__(self, key: Term, succ: list[Step]):
         self.key, self.succ, self.next = key, succ, 1
-        self.best, self.best_step, self.truncated = 0, None, False
+        self.best, self.truncated = 0, False
 
 
 def bounded_explore(
@@ -183,26 +183,22 @@ def bounded_explore(
     Returns all-terminated with the longest trace length if every trace
     reaches a normal form within max_depth steps; cycle with a witness
     trace whose final state repeats an earlier one modulo alpha; otherwise
-    bound-exceeded with a trace longer than max_depth.  Expanding more than
-    max_nodes distinct states raises ResourceLimitError.
+    bound-exceeded, with no trace.  Expanding more than max_nodes distinct
+    states raises ResourceLimitError.
     """
-    finished: dict[Term, tuple[int, Step | None]] = {}
+    finished: dict[Term, int] = {}  # heights of finished states
     on_path: set[Term] = set()
     stack: list[_Frame] = []
     edges: list[Step] = []
     expanded = 0
-    bound_trace: tuple[Step, ...] | None = None
     u = start
     while True:
         # visit u, reached by the current step of every frame on the stack;
         # h becomes its height, or None if some trace from it is too long
         key = alpha_canonical(u)
-        known = finished.get(key)
-        if known is not None:
-            h = known[0]
+        h = finished.get(key)
+        if h is not None:
             if len(stack) + h > max_depth:
-                if bound_trace is None:
-                    bound_trace = _path(stack) + _finished_suffix(finished, key)
                 h = None
         elif key in on_path:
             return Exploration("cycle", trace=_path(stack), expanded=expanded, edges=tuple(edges))
@@ -214,11 +210,8 @@ def bounded_explore(
             if record:
                 edges.extend(succ)
             if not succ:
-                finished[key] = (0, None)
-                h = 0
+                finished[key] = h = 0
             elif len(stack) >= max_depth:
-                if bound_trace is None:
-                    bound_trace = _path(stack) + (succ[0],)
                 h = None
             else:
                 on_path.add(key)
@@ -231,7 +224,7 @@ def bounded_explore(
             if h is None:
                 top.truncated = True
             elif h + 1 > top.best:
-                top.best, top.best_step = h + 1, top.succ[top.next - 1]
+                top.best = h + 1
             if top.next < len(top.succ):
                 u = top.succ[top.next].target
                 top.next += 1
@@ -241,27 +234,18 @@ def bounded_explore(
             if top.truncated:
                 h = None
             else:
-                finished[top.key] = (top.best, top.best_step)
-                h = top.best
+                finished[top.key] = h = top.best
         else:
             break
-    if bound_trace is not None:
-        return Exploration("bound-exceeded", trace=bound_trace, expanded=expanded, edges=tuple(edges))
+    # a trace too long for the bound leaves every frame above it truncated
+    if h is None:
+        return Exploration("bound-exceeded", expanded=expanded, edges=tuple(edges))
     return Exploration("all-terminated", longest=h, expanded=expanded, edges=tuple(edges))
 
 
 def _path(stack: list[_Frame]) -> tuple[Step, ...]:
     """The steps from the start to the state being visited."""
     return tuple(f.succ[f.next - 1] for f in stack)
-
-
-def _finished_suffix(finished: dict[Term, tuple[int, Step | None]], key: Term) -> tuple[Step, ...]:
-    """The longest trace recorded from a finished state."""
-    steps = []
-    while (step := finished[key][1]) is not None:
-        steps.append(step)
-        key = alpha_canonical(step.target)
-    return tuple(steps)
 
 
 def replay_trace(trace: Iterable[Step], system: RewriteSystem, pairs: tuple[DepPair, ...]) -> bool:
@@ -317,10 +301,13 @@ def has_alpha_repeat(start: Term, trace: tuple[Step, ...]) -> bool:
 # -------------------------------------------------------------------- seeds
 
 
-def ground_term(sig: Signature, typ: Type, depth: int = 3) -> Term | None:
+_GROUND_DEPTH = 3  # how deep ground terms may nest
+
+
+def ground_term(sig: Signature, typ: Type) -> Term | None:
     """Smallest ground constructor term of the given type, if one exists
-    within the generation depth.  Ties break on the printed form."""
-    return _ground(sig, typ, depth, {})
+    within _GROUND_DEPTH.  Ties break on the printed form."""
+    return _ground(sig, typ, _GROUND_DEPTH, {})
 
 
 def _ground(
@@ -358,7 +345,7 @@ def _ground(
     return best
 
 
-def disprove_seeds(system: RewriteSystem, depth: int = 3) -> tuple[Term, ...]:
+def disprove_seeds(system: RewriteSystem) -> tuple[Term, ...]:
     """One seed per rule: the left-hand side with each variable replaced by
     the smallest ground term of its type.  Variables of uninhabited types
     stay as they are, so the seed is still explorable."""
@@ -367,7 +354,7 @@ def disprove_seeds(system: RewriteSystem, depth: int = 3) -> tuple[Term, ...]:
     for rule in system.rules:
         subst = {}
         for v in sorted(free_vars(rule.lhs), key=lambda v: v.name):
-            g = ground_term(system.signature, v.type, depth)
+            g = ground_term(system.signature, v.type)
             if g is not None:
                 subst[v] = g
         seed = apply_subst(rule.lhs, subst)

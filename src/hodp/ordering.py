@@ -99,7 +99,10 @@ class PathOrder:
         hit = self._memo.get(key, False)
         if hit is not False:
             return hit
-        # guard in-progress pairs so accidental reentry fails fast
+        # a reentrant query would read this placeholder, a failed comparison;
+        # none occurs, as each recursive call shrinks the pair: it takes a
+        # subterm of either side or a beta reduct of the left, and simply
+        # typed beta reduction terminates
         self._memo[key] = None
         result = self._greater(s, t)
         self._memo[key] = result

@@ -38,6 +38,9 @@ from hodp.terms import App, Arrow, Base, Lam, Sym, Term, Type, Var, show_type
 
 _KEYWORDS = {"sort", "rule", "prec"}
 
+# A line ends at \n, \r\n or \r only, not at every break str.splitlines knows.
+_LINE_END = re.compile(r"\r\n|\r|\n")
+
 # An unnamed match is punctuation, whose kind is its text.  Whitespace is
 # what no alternative matches: exactly the characters str.isspace accepts.
 _TOKEN = re.compile(
@@ -270,7 +273,7 @@ def parse_system(text: str) -> RewriteSystem:
     rules: list[tuple[Term, Term]] = []
     hints: list[tuple[str, str]] = []
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_LINE_END.split(text), start=1):
         tokens = _tokenize(line, lineno)
         if not tokens:
             continue

@@ -103,7 +103,7 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
     verdict = "YES" if stage is None else "MAYBE"
 
     witness = None
-    graph: list[Step] = []
+    graph: dict[tuple, Step] = {}  # each edge once, states modulo alpha
     if options.disprove:
         seeds = disprove_seeds(system)
         table = {}  # the redex table both relations read
@@ -119,8 +119,9 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
                     max_nodes=options.explore_nodes,
                     record=options.record_graph,
                 )
-                if options.record_graph:
-                    graph.extend(result.edges)
+                for step in result.edges:
+                    source, target = alpha_canonical(step.source), alpha_canonical(step.target)
+                    graph.setdefault((source, target, step.kind, step.label, step.position), step)
                 if result.kind == "cycle":
                     witness = {
                         "relation": relation,
@@ -154,7 +155,7 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
         witness,
         tuple(notes),
         elapsed,
-        tuple(graph),
+        tuple(graph.values()),
     )
 
 
@@ -451,7 +452,8 @@ def render_text(report: AnalysisReport, show_traces: bool = False) -> str:
 
 
 def dot_graph(steps: Iterable[Step]) -> str:
-    """Graphviz rendering of explored edges, states merged modulo alpha."""
+    """Graphviz rendering of explored edges, states merged modulo alpha.
+    Each edge is drawn as given: run_pipeline collects every edge once."""
     ids: dict[Term, int] = {}
     lines = ["digraph exploration {", '  node [shape=box, fontname="monospace"];']
 
@@ -463,13 +465,9 @@ def dot_graph(steps: Iterable[Step]) -> str:
             lines.append(f'  n{ids[key]} [label="{label}"];')
         return ids[key]
 
-    seen_edges = set()
     for s in steps:
         a, b = node(s.source), node(s.target)
         label = _step_label(s.kind, s.label, show_position(s.position))
-        if (a, b, label) in seen_edges:
-            continue
-        seen_edges.add((a, b, label))
         lines.append(f'  n{a} -> n{b} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -4,8 +4,9 @@ A signature declares base sorts and typed symbols.  Symbols are split into
 defined symbols (those heading some rule left-hand side) and constructors
 (the rest); the split is computed, never declared.  Sort analysis reads
 each type in one walk over its base-sort leaves and their polarities; it
-gives the accessible argument indices of every symbol and the basicness of
-sorts, both of which feed the admissibility check.
+gives the accessible argument indices of every symbol, which feed the
+admissibility check, and the basicness of sorts, which only the report
+reads.  build_system trusts the parser to have checked its input.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from hodp.errors import MalformedLhsError, SystemSyntaxError, SystemTypeError
+from hodp.errors import MalformedLhsError
 from hodp.terms import (
     Base,
     Sym,
@@ -21,9 +22,7 @@ from hodp.terms import (
     Type,
     flatten_type,
     show_term,
-    show_type,
     spine,
-    type_of,
 )
 
 
@@ -76,37 +75,13 @@ def build_system(
     rules: Iterable[tuple[Term, Term]],
     precedence_hints: Iterable[tuple[str, str]] = (),
 ) -> RewriteSystem:
-    """Validated constructor: checks sorts, typing, and head symbols."""
-    sorts = tuple(sorts)
-    sort_set = set(sorts)
-    symbols = dict(symbols)
-    for name, typ in symbols.items():
-        for leaf, _ in _leaves(typ):
-            if leaf not in sort_set:
-                raise SystemSyntaxError(
-                    f"symbol {name} uses undeclared sort {leaf}"
-                )
-    built = []
-    defined = set()
-    for k, (lhs, rhs) in enumerate(rules, start=1):
-        lt, rt = type_of(lhs), type_of(rhs)
-        if lt != rt:
-            raise SystemTypeError(
-                f"rule r{k} is not type preserving: "
-                f"{show_type(lt)} versus {show_type(rt)}"
-            )
-        head = lhs_head(lhs)
-        if head.name not in symbols:
-            raise MalformedLhsError(f"rule r{k} is headed by undeclared {head.name}")
-        defined.add(head.name)
-        built.append(Rule(k, lhs, rhs))
-    hints = tuple(precedence_hints)
-    for a, b in hints:
-        for n in (a, b):
-            if n not in symbols:
-                raise SystemSyntaxError(f"precedence mentions undeclared symbol {n}")
-    sig = Signature(sorts, symbols, frozenset(defined))
-    return RewriteSystem(sig, tuple(built), hints)
+    """The system of declarations the parser has checked: sorts, rule types
+    and hints.  This only rejects a left-hand side not headed by a symbol,
+    which the parser reads as any other term."""
+    built = tuple(Rule(k, lhs, rhs) for k, (lhs, rhs) in enumerate(rules, start=1))
+    defined = frozenset(lhs_head(r.lhs).name for r in built)
+    sig = Signature(tuple(sorts), dict(symbols), defined)
+    return RewriteSystem(sig, built, tuple(precedence_hints))
 
 
 # ------------------------------------------------------------ sort analysis

@@ -25,6 +25,7 @@ from hodp.terms import (
     beta_reducts,
     show_position,
     show_term,
+    show_type,
     term_size,
 )
 
@@ -64,6 +65,16 @@ def symbol(sig: Signature, name: str) -> Sym:
 def precedence(pairs, statuses=()) -> Precedence:
     """A precedence from edges that need not be transitively closed."""
     return Precedence(transitive_closure(pairs), dict(statuses))
+
+
+def system_text(system: RewriteSystem) -> str:
+    """The system in the input format, one declaration per line."""
+    sig = system.signature
+    lines = [f"sort {' '.join(sig.sorts)}"] if sig.sorts else []
+    lines += [f"{name} : {show_type(typ)}" for name, typ in sig.symbols.items()]
+    lines += [f"rule {show_term(r.lhs)} -> {show_term(r.rhs)}" for r in system.rules]
+    lines += [f"prec {a} > {b}" for a, b in system.precedence_hints]
+    return "\n".join(lines) + "\n"
 
 
 def show_step(s: Step) -> str:

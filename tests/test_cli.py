@@ -1,18 +1,23 @@
 """Command line behavior: flags, exit codes, output channels."""
 
+import collections
+import contextlib
 import io
 import json
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
 
 import pytest
 
-from conftest import SYSTEMS_DIR
+from conftest import SYSTEMS_DIR, load_system
+from gen import random_fo_trs, system_text
 from hodp.cli import build_arg_parser, main
-from hodp.pipeline import Options
+from hodp.parser import parse_system
+from hodp.pipeline import Options, report_dict, run_pipeline
 
 
 def run(capsys, *argv):
@@ -347,3 +352,85 @@ class TestDeterminism:
             second = run_with_hash_seed("1", *argv)
             assert first[0] == 0, system.name
             assert first == second, system.name
+
+
+class TestByteOrderMark:
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        text = (SYSTEMS_DIR / "map.hodp").read_text(encoding="utf-8")
+        plain, marked = tmp_path / "plain.hodp", tmp_path / "marked.hodp"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        outs = []
+        for file in (plain, marked):
+            code, out, err = run(capsys, "check", str(file))
+            assert (code, err) == (0, "")
+            outs.append([line for line in out.splitlines() if not line.startswith("elapsed:")])
+        assert outs[0] == outs[1]
+
+
+# ------------------------------------------------------------ crash freedom
+# Generated and shipped systems under a fixed list of flag sets: every run
+# ends with exit 0, 2 or 3, never with a traceback.
+
+DISPROVE = ["--disprove", "--explore-depth", "6", "--explore-nodes", "40"]
+
+
+def _flag_sets(symbols: list[str]) -> list[list[str]]:
+    a, b = symbols[0], symbols[-1]  # with one symbol, both precedences are cyclic
+    return [
+        [],
+        ["--trace"],
+        DISPROVE,
+        DISPROVE + ["--internal", "rules-only"],
+        ["--max-symbols", "3"],
+        ["--precedence", f"{a}>{b}"],
+        ["--precedence", f"{a}>{b},{b}>{a}"],
+    ]
+
+
+def _run_in_process(argv: list[str]) -> tuple[object, str, str]:
+    """Exit code, stdout and stderr of main(argv); only SystemExit is caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _untimed_report(system) -> dict:
+    model = report_dict(run_pipeline(system, Options()))
+    model.pop("timing")
+    return model
+
+
+class TestCrashFreedom:
+    def test_generated_and_shipped_systems_end_with_an_exit_code(self, tmp_path):
+        rng = random.Random(2024)
+        systems = [(f"gen{i}", random_fo_trs(rng)[0]) for i in range(150)]
+        systems += [(p.stem, load_system(p.stem)) for p in sorted(SYSTEMS_DIR.glob("*.hodp"))]
+        codes = collections.Counter()
+        for k, (name, system) in enumerate(systems):
+            text = system_text(system)
+            assert _untimed_report(parse_system(text)) == _untimed_report(system), name
+            file = tmp_path / f"{name}.hodp"
+            file.write_text(text, encoding="utf-8")
+            flag_sets = _flag_sets(sorted(system.signature.symbols))
+            flags = flag_sets[k % len(flag_sets)]
+            text_run = _run_in_process(["check", str(file), *flags])
+            json_run = _run_in_process(["check", str(file), "--json", *flags])
+            for code, out, err in (text_run, json_run):
+                assert code in (0, 2, 3), (name, flags, code)
+                if code == 0:
+                    assert err == "", (name, flags)
+                else:
+                    assert err.count("\n") == 1 and err.endswith("\n"), (name, flags, err)
+                    assert err.startswith(("error:", "limit:")), (name, flags, err)
+            assert json_run[0] == text_run[0], (name, flags)
+            if text_run[0] == 0:
+                verdict = json.loads(json_run[1])["verdict"]
+                assert verdict == text_run[1].splitlines()[0], (name, flags)
+            codes[text_run[0]] += 1
+        # the cyclic precedence exits 2; the flag sets reach all three codes
+        assert set(codes) == {0, 2, 3}

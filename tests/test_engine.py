@@ -144,14 +144,46 @@ class TestExploration:
         ex = bounded_explore(symbol(system.signature, "0"), rewrite_successors(system, {}))
         assert (ex.kind, ex.longest) == ("all-terminated", 0)
 
-    def test_depth_bound_produces_a_replayable_trace(self):
+    def test_depth_bound_is_reported_without_a_trace(self):
         system = parse_system(GROW)
         seed = App(symbol(system.signature, "f"), symbol(system.signature, "0"))
         ex = bounded_explore(seed, rewrite_successors(system, {}), max_depth=5)
-        assert ex.kind == "bound-exceeded"
-        assert len(ex.trace) == 6
-        assert replay_trace(ex.trace, system, ())
-        assert ex.trace[0].source == seed
+        assert (ex.kind, ex.longest, ex.trace) == ("bound-exceeded", None, None)
+        assert ex.expanded == 6  # f 0 to f (s^5 0), whose step passes the bound
+
+    def test_a_finished_state_reached_past_the_bound_exceeds_it(self):
+        # from a, the branch a -> b -> d finishes b at height 1; the branch
+        # a -> c -> b then meets b at depth 2, one step past a bound of 2
+        system = parse_system(
+            "sort S\na : S\nb : S\nc : S\nd : S\n"
+            "rule a -> b\nrule a -> c\nrule c -> b\nrule b -> d\n"
+        )
+        a = symbol(system.signature, "a")
+        ex = bounded_explore(a, rewrite_successors(system, {}), max_depth=2)
+        assert (ex.kind, ex.longest, ex.trace, ex.expanded) == ("bound-exceeded", None, None, 4)
+        ex = bounded_explore(a, rewrite_successors(system, {}), max_depth=3)
+        assert (ex.kind, ex.longest, ex.trace, ex.expanded) == ("all-terminated", 3, None, 4)
+
+    def test_the_longest_trace_is_the_smallest_bound_that_holds(self):
+        checked = 0
+        for path in sorted(SYSTEMS_DIR.glob("*.hodp")):
+            system = load_system(path.stem)
+            pairs = extract_pairs(system)
+            for successors in (
+                rewrite_successors(system, {}),
+                chain_successors(system, pairs, True, {}),
+            ):
+                for seed in disprove_seeds(system):
+                    ex = bounded_explore(seed, successors)
+                    if ex.kind != "all-terminated" or ex.longest < 1:
+                        continue
+                    longest = ex.longest
+                    ex = bounded_explore(seed, successors, max_depth=longest)
+                    assert (ex.kind, ex.longest) == ("all-terminated", longest), path.stem
+                    ex = bounded_explore(seed, successors, max_depth=longest - 1)
+                    assert (ex.kind, ex.longest, ex.trace) == ("bound-exceeded", None, None), path.stem
+                    checked += 1
+        assert checked == 27  # every seed of every shipped system that terminates in a step or more
 
     def test_node_budget_is_enforced(self):
         system = parse_system(GROW)
@@ -190,7 +222,7 @@ class TestExploration:
 
         ex = bounded_explore(seed, successors, max_depth=400)
         assert ex.kind == "bound-exceeded"
-        assert len(ex.trace) == 401
+        assert ex.expanded == 401
         assert seen == {before}
         assert sys.getrecursionlimit() == before
 
@@ -294,27 +326,15 @@ class _CycleHit(Exception):
 def _reference_explore(start, successors, max_depth=200, max_nodes=100_000, record=False):
     finished = {}
     on_path = {}
-    state = {"expanded": 0, "bound_trace": None}
+    state = {"expanded": 0, "exceeded": False}
     edges = []
-
-    def memo_suffix(u):
-        steps = []
-        key = alpha_canonical(u)
-        while True:
-            _, st = finished[key]
-            if st is None:
-                return steps
-            steps.append(st)
-            key = alpha_canonical(st.target)
 
     def visit(u, depth, path):
         key = alpha_canonical(u)
-        known = finished.get(key)
-        if known is not None:
-            h = known[0]
+        h = finished.get(key)
+        if h is not None:
             if depth + h > max_depth:
-                if state["bound_trace"] is None:
-                    state["bound_trace"] = tuple(path) + tuple(memo_suffix(u))
+                state["exceeded"] = True
                 return None
             return h
         if key in on_path:
@@ -328,15 +348,13 @@ def _reference_explore(start, successors, max_depth=200, max_nodes=100_000, reco
         if record:
             edges.extend(succ)
         if not succ:
-            finished[key] = (0, None)
+            finished[key] = 0
             return 0
         if depth >= max_depth:
-            if state["bound_trace"] is None:
-                state["bound_trace"] = tuple(path) + (succ[0],)
+            state["exceeded"] = True
             return None
         on_path[key] = depth
         best = None
-        best_step = None
         truncated = False
         for s in succ:
             path.append(s)
@@ -345,24 +363,19 @@ def _reference_explore(start, successors, max_depth=200, max_nodes=100_000, reco
             if h is None:
                 truncated = True
             elif best is None or h + 1 > best:
-                best, best_step = h + 1, s
+                best = h + 1
         del on_path[key]
         if truncated:
             return None
-        finished[key] = (best, best_step)
+        finished[key] = best
         return best
 
     try:
         h = visit(start, 0, [])
     except _CycleHit as hit:
         return Exploration("cycle", trace=hit.trace, expanded=state["expanded"], edges=tuple(edges))
-    if state["bound_trace"] is not None:
-        return Exploration(
-            "bound-exceeded",
-            trace=state["bound_trace"],
-            expanded=state["expanded"],
-            edges=tuple(edges),
-        )
+    if state["exceeded"]:
+        return Exploration("bound-exceeded", expanded=state["expanded"], edges=tuple(edges))
     return Exploration("all-terminated", longest=h, expanded=state["expanded"], edges=tuple(edges))
 
 

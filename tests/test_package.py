@@ -126,3 +126,18 @@ def test_every_name_the_benchmark_wraps_resolves():
             missing.append(f"{module_name}:{attr}")
     assert targets
     assert missing == []
+
+
+def test_only_the_parser_builds_a_system():
+    """build_system trusts its input; parse_system is where a system file
+    is checked, so no other module may build a system."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "build_system":
+                    callers.add(path.stem)
+    assert callers == {"parser"}

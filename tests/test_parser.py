@@ -18,6 +18,9 @@ from hodp.terms import Arrow, Base, Lam, Var, free_vars, show_term, show_type, t
 
 BASE = "sort N\n0 : N\ns : N -> N\nplus : N -> N -> N\n"
 
+# str.splitlines breaks lines at these too; the input format does not
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 class TestGrammar:
     def test_full_file(self):
@@ -59,15 +62,32 @@ class TestGrammar:
     # every character str.isspace accepts that does not end a line
     @pytest.mark.parametrize(
         "space",
-        [
-            c
-            for c in map(chr, range(sys.maxunicode + 1))
-            if c.isspace() and len(f"N{c}M".splitlines()) == 1
-        ],
+        [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c not in "\n\r"],
     )
     def test_unicode_whitespace_separates_tokens(self, space):
         system = parse_system(f"sort N{space}M\n")
         assert system.signature.sorts == ("N", "M")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_line_ends_at_a_line_feed_or_carriage_return(self, end):
+        with pytest.raises(SystemSyntaxError) as exc:
+            parse_system(f"sort N{end}0 : N{end}f @ N{end}")
+        assert str(exc.value) == "line 3, column 3: unexpected character '@'"
+
+    def test_the_other_breaks_of_splitlines_end_no_line(self):
+        breaks = {c for c in map(chr, range(sys.maxunicode + 1)) if len(f"N{c}M".splitlines()) == 2}
+        assert breaks == {"\n", "\r", *NOT_LINE_ENDS}
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_inside_a_comment_it_ends_nothing(self, char):
+        system = parse_system(f"sort N # a{char}b\n0 : N\n")
+        assert system.signature.sorts == ("N",)
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_after_one_in_a_comment_line_numbers_hold(self, char):
+        with pytest.raises(SystemSyntaxError) as exc:
+            parse_system(f"sort N # a{char}b\n0 @ N\n")
+        assert str(exc.value) == "line 2, column 3: unexpected character '@'"
 
     # identifiers are ASCII: letters, digits and marks elsewhere are rejected
     @pytest.mark.parametrize("char", ["é", "α", "\uff11", "\ufeff"])

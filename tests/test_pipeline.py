@@ -3,6 +3,7 @@
 import collections
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -15,6 +16,7 @@ from hodp.pipeline import (
     AnalysisReport,
     Options,
     _json,
+    dot_graph,
     render_json,
     render_text,
     report_dict,
@@ -183,6 +185,12 @@ class TestDisproving:
         report = run_pipeline(load_system("selfloop"), Options())
         assert report.verdict == "MAYBE"
         assert report.witness is None
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp")))
+    def test_the_graph_holds_each_edge_once(self, name):
+        report = run_pipeline(load_system(name), Options(disprove=True, record_graph=True))
+        drawn = [line for line in dot_graph(report.graph).splitlines() if re.match(r"  n\d+ -> n\d+ ", line)]
+        assert len(report.graph) == len(drawn)
 
 
 class TestRendering:
