@@ -4,19 +4,25 @@ Exit codes: 0 when the analysis completed (whatever the verdict), 2 for
 input problems and for a stdout whose encoding cannot write the report, 3
 when a resource or search limit was hit, including terms nested too deeply
 for the recursion limit.
+
+A plain `check FILE [options]` is read by a loop over argv; argparse reads
+anything else, so it alone writes help, usage and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from hodp.errors import InputError, LimitError
 from hodp.parser import parse_precedence_arg, parse_system
 from hodp.pipeline import Options, dot_graph, render_json, render_text, run_pipeline
 
+_INTERNAL = ("all", "rules-only")  # the choices of --internal
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    import argparse  # only for what _read_plain leaves to it
+
     defaults = Options()
     parser = argparse.ArgumentParser(
         prog="hodp",
@@ -62,7 +68,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--internal",
-        choices=("all", "rules-only"),
+        choices=_INTERNAL,
         default="all",
         help="steps allowed below the root in the chain relation (default all)",
     )
@@ -74,12 +80,72 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _internal(value: str) -> str:
+    if value not in _INTERNAL:
+        raise ValueError(value)
+    return value
+
+
+# The options of check as build_arg_parser declares them: the attribute
+# each sets, and how its value is read (None for a switch).
+_OPTIONS = {
+    "--json": ("json", None),
+    "--trace": ("trace", None),
+    "--precedence": ("precedence", str),
+    "--max-symbols": ("max_symbols", int),
+    "--disprove": ("disprove", None),
+    "--explore-depth": ("explore_depth", int),
+    "--explore-nodes": ("explore_nodes", int),
+    "--internal": ("internal", _internal),
+    "--dot": ("dot", str),
+}
+_BUDGETS = ("max_symbols", "explore_depth", "explore_nodes")
+
+
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for `check FILE` with options spelled
+    out in full, each value its own item and none starting with '-'; None
+    for any other argv, and for one argparse would reject."""
+    if not argv or argv[0] != "check":
+        return None
+    defaults = Options()
+    args = {"command": "check", "file": None, "json": False, "trace": False, "precedence": None,
+            "disprove": False, "internal": "all", "dot": None}
+    args.update((b, getattr(defaults, b)) for b in _BUDGETS)
+    items = iter(argv[1:])
+    for item in items:
+        if not item.startswith("-"):
+            if args["file"] is not None:
+                return None
+            args["file"] = item
+            continue
+        name, read = _OPTIONS.get(item, (None, None))
+        if name is None:
+            return None
+        if read is None:
+            args[name] = True
+            continue
+        value = next(items, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            args[name] = read(value)
+        except ValueError:
+            return None
+    if args["file"] is None or any(args[b] < 0 for b in _BUDGETS):
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
-    for budget in ("max_symbols", "explore_depth", "explore_nodes"):
-        if getattr(args, budget) < 0:
-            parser.error(f"argument --{budget.replace('_', '-')}: must not be negative")
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv)
+    if args is None:
+        parser = build_arg_parser()
+        args = parser.parse_args(argv)
+        for budget in _BUDGETS:
+            if getattr(args, budget) < 0:
+                parser.error(f"argument --{budget.replace('_', '-')}: must not be negative")
     if args.dot and not args.disprove:
         print("error: --dot requires --disprove", file=sys.stderr)
         return 2

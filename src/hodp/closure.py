@@ -18,7 +18,7 @@ canonical body.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from hodp.signature import Rule, Signature
 from hodp.terms import (
@@ -39,8 +39,7 @@ from hodp.terms import (
 )
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """One membership proof: the term, the destructor used, its premises,
     and the destructor's parameter (argument index or stripped variable)."""
 
@@ -49,20 +48,6 @@ class Derivation:
     premises: tuple["Derivation", ...]
     index: int | None = None
     variable: Var | None = None
-
-
-@dataclass
-class Closure:
-    derivations: dict[Term, Derivation]  # by alpha-canonical form, insertion order
-
-    def __contains__(self, t: Term) -> bool:
-        return alpha_canonical(t) in self.derivations
-
-    def derivation_for(self, t: Term) -> Derivation | None:
-        return self.derivations.get(alpha_canonical(t))
-
-    def __len__(self) -> int:
-        return len(self.derivations)
 
 
 def _projects_to(var_type: Type, arg_type: Type) -> bool:
@@ -100,9 +85,10 @@ def _binder_choices(t: Lam, arg_vars: frozenset[Var], targets: tuple[Var, ...]) 
 
 def computability_closure(
     args: tuple[Term, ...], sig: Signature, targets: tuple[Var, ...] = ()
-) -> Closure:
-    """Closure of the argument list; targets bias binder renaming so that
-    membership queries for those variables are alpha-complete."""
+) -> dict[Term, Derivation]:
+    """Closure of the argument list: each member's derivation, keyed by its
+    alpha-canonical form, in insertion order.  targets bias binder renaming
+    so that membership queries for those variables are alpha-complete."""
     derivations: dict[Term, Derivation] = {}
     queue: deque[Derivation] = deque()
     arg_vars = frozenset().union(*(free_vars(a) for a in args)) if args else frozenset()
@@ -142,7 +128,7 @@ def computability_closure(
             ):
                 add(t.arg, Derivation(t.arg, "app-right", (d,), variable=y))
 
-    return Closure(derivations)
+    return derivations
 
 
 def replay_derivation(deriv: Derivation, args: tuple[Term, ...], sig: Signature) -> bool:
@@ -202,25 +188,14 @@ def _replay(d: Derivation, args: tuple[Term, ...], arg_vars: frozenset[Var], sig
 # ------------------------------------------------------------- admissibility
 
 
-@dataclass(frozen=True)
-class VariableEntry:
-    variable: Var
-    derivation: Derivation | None
-
-    @property
-    def derivable(self) -> bool:
-        return self.derivation is not None
-
-
-@dataclass(frozen=True)
-class RuleAdmissibility:
+class RuleAdmissibility(NamedTuple):
     rule: Rule
-    entries: tuple[VariableEntry, ...]
+    entries: tuple[tuple[Var, Derivation | None], ...]  # each variable's derivation
     closure_size: int
 
     @property
     def admissible(self) -> bool:
-        return all(e.derivable for e in self.entries)
+        return all(d is not None for _, d in self.entries)
 
 
 def rule_admissibility(rule: Rule, sig: Signature) -> RuleAdmissibility:
@@ -229,5 +204,5 @@ def rule_admissibility(rule: Rule, sig: Signature) -> RuleAdmissibility:
     _, args = spine(rule.lhs)
     targets = tuple(sorted(free_vars(rule.rhs), key=lambda v: v.name))
     clo = computability_closure(args, sig, targets)
-    entries = tuple(VariableEntry(v, clo.derivation_for(v)) for v in targets)
+    entries = tuple((v, clo.get(alpha_canonical(v))) for v in targets)
     return RuleAdmissibility(rule, entries, len(clo))

@@ -18,8 +18,8 @@ is deterministic, so results are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
+from typing import NamedTuple
 
 from hodp.errors import InvalidPositionError, ResourceLimitError
 from hodp.pairs import DepPair
@@ -48,8 +48,7 @@ from hodp.terms import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
     kind: str  # 'beta' | 'rule' | 'dp'
     label: str  # rule or pair name; empty for beta
     position: Position
@@ -150,8 +149,7 @@ def chain_successors(
 # -------------------------------------------------------------- exploration
 
 
-@dataclass
-class Exploration:
+class Exploration(NamedTuple):
     kind: str  # 'all-terminated' | 'bound-exceeded' | 'cycle'
     longest: int | None = None
     trace: tuple[Step, ...] | None = None  # a cycle's witness

@@ -14,7 +14,7 @@ constraint; only precedence edges actually used by some witness are kept.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from hodp.errors import PrecedenceCycleError, SearchSpaceExceededError
 from hodp.pairs import DepPair
@@ -60,10 +60,12 @@ def transitive_closure(pairs) -> frozenset[tuple[str, str]]:
     return frozenset(edges)
 
 
-@dataclass
 class Precedence:
-    edges: frozenset[tuple[str, str]]  # transitively closed, irreflexive
-    statuses: dict[str, str] = field(default_factory=dict)  # 'lex' | 'mul'
+    __slots__ = ("edges", "statuses")
+
+    def __init__(self, edges: frozenset[tuple[str, str]], statuses: dict[str, str] | None = None):
+        self.edges = edges  # transitively closed, irreflexive
+        self.statuses = {} if statuses is None else statuses  # 'lex' | 'mul'
 
     def greater(self, f: str, g: str) -> bool:
         return (f, g) in self.edges
@@ -72,8 +74,7 @@ class Precedence:
         return self.statuses.get(f, "mul")
 
 
-@dataclass(frozen=True)
-class GtTrace:
+class GtTrace(NamedTuple):
     """Evidence for one successful comparison.
 
     clause is one of: alpha, subterm, precedence, same-symbol, application,
@@ -235,24 +236,21 @@ def weakly_decreases(s: Term, t: Term, order: PathOrder) -> GtTrace | None:
 # ------------------------------------------------------------ constraints
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # 'rule' | 'pair'
     label: str
     lhs: Term
     rhs: Term
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     edges: tuple[tuple[str, str], ...]  # only edges some witness used
     statuses: tuple[tuple[str, str], ...]
     rule_witnesses: tuple[tuple[str, GtTrace], ...]
     pair_witnesses: tuple[tuple[str, GtTrace], ...]
 
 
-@dataclass
-class ConstraintCheck:
+class ConstraintCheck(NamedTuple):
     certificate: Certificate | None
     violations: tuple[Violation, ...]
 

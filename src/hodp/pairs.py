@@ -12,8 +12,8 @@ right-hand side finds each call with its subterm and escaped variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
+from typing import NamedTuple
 
 from hodp.signature import RewriteSystem, Rule, Signature
 from hodp.terms import Lam, Position, Sym, Term, Type, Var, free_vars, spine, type_of
@@ -48,8 +48,7 @@ def calls(
         yield from calls(u.arg, sig, pos + (2,), binders)
 
 
-@dataclass(frozen=True)
-class ExtractionCheck:
+class ExtractionCheck(NamedTuple):
     escaped: tuple[Var, ...]
     lhs_type: Type
     extracted_type: Type
@@ -67,8 +66,7 @@ class ExtractionCheck:
         return self.variables_ok and self.type_ok
 
 
-@dataclass(frozen=True)
-class DepPair:
+class DepPair(NamedTuple):
     index: int
     rule: Rule
     position: Position

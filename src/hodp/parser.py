@@ -29,7 +29,8 @@ rule variable or binder whose type is still undetermined.
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from collections.abc import Callable
+from typing import NamedTuple
 
 from hodp.errors import AmbiguousVariableType, SystemSyntaxError, SystemTypeError
 from hodp.ordering import transitive_closure

@@ -18,9 +18,9 @@ exploration names its steps as the text witness does.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Iterable
 from json.encoder import encode_basestring
-from typing import Iterable
+from typing import NamedTuple
 
 from hodp.closure import Derivation, RuleAdmissibility, rule_admissibility
 from hodp.engine import (
@@ -41,8 +41,7 @@ from hodp.signature import RewriteSystem, basic_sorts
 from hodp.terms import Term, alpha_canonical, show_position, show_term, show_type
 
 
-@dataclass
-class Options:
+class Options(NamedTuple):
     precedence: tuple[tuple[str, str], ...] | None = None  # overrides file hints
     max_symbols: int = 8
     disprove: bool = False
@@ -52,8 +51,7 @@ class Options:
     record_graph: bool = False
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     verdict: str  # 'YES' | 'NO' | 'MAYBE'
     stage: str | None  # failing stage when MAYBE
     system: RewriteSystem
@@ -227,16 +225,12 @@ def report_dict(report: AnalysisReport) -> dict:
                 "closure_size": a.closure_size,
                 "variables": [
                     {
-                        "name": e.variable.name,
-                        "type": show_type(e.variable.type),
-                        "derivable": e.derivable,
-                        "derivation": (
-                            _derivation_dict(e.derivation)
-                            if e.derivation is not None
-                            else None
-                        ),
+                        "name": v.name,
+                        "type": show_type(v.type),
+                        "derivable": d is not None,
+                        "derivation": _derivation_dict(d) if d is not None else None,
                     }
-                    for e in a.entries
+                    for v, d in a.entries
                 ],
             }
             for a in report.admissibility

@@ -11,8 +11,8 @@ reads.  build_system trusts the parser to have checked its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from typing import NamedTuple
 
 from hodp.errors import MalformedLhsError
 from hodp.terms import (
@@ -26,8 +26,7 @@ from hodp.terms import (
 )
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     index: int
     lhs: Term
     rhs: Term
@@ -37,24 +36,24 @@ class Rule:
         return f"r{self.index}"
 
 
-@dataclass
 class Signature:
     """Declared sorts and symbols.  The constructors and each symbol's
     accessible arguments are computed once, when the signature is made."""
 
-    sorts: tuple[str, ...]
-    symbols: dict[str, Type]
-    defined: frozenset[str]
-    constructors: frozenset[str] = field(init=False)
-    accessible: dict[str, frozenset[int]] = field(init=False)
+    __slots__ = ("sorts", "symbols", "defined", "constructors", "accessible")
 
-    def __post_init__(self) -> None:
-        self.constructors = frozenset(self.symbols) - self.defined
-        self.accessible = {n: _accessible(t) for n, t in self.symbols.items()}
+    def __init__(self, sorts: tuple[str, ...], symbols: dict[str, Type], defined: frozenset[str]):
+        self.sorts, self.symbols, self.defined = sorts, symbols, defined
+        self.constructors = frozenset(symbols) - defined
+        self.accessible = {n: _accessible(t) for n, t in symbols.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Signature:
+            return NotImplemented
+        return (self.sorts, self.symbols, self.defined) == (other.sorts, other.symbols, other.defined)
 
 
-@dataclass
-class RewriteSystem:
+class RewriteSystem(NamedTuple):
     signature: Signature
     rules: tuple[Rule, ...]
     precedence_hints: tuple[tuple[str, str], ...] = ()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from hodp.errors import InvalidPositionError, TypeCheckError
 

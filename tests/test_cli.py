@@ -1,5 +1,6 @@
 """Command line behavior: flags, exit codes, output channels."""
 
+import argparse
 import collections
 import contextlib
 import io
@@ -15,6 +16,7 @@ import pytest
 
 from conftest import SYSTEMS_DIR, load_system
 from gen import random_fo_trs, system_text
+from hodp import cli
 from hodp.cli import build_arg_parser, main
 from hodp.parser import parse_system
 from hodp.pipeline import Options, report_dict, run_pipeline
@@ -434,3 +436,94 @@ class TestCrashFreedom:
             codes[text_run[0]] += 1
         # the cyclic precedence exits 2; the flag sets reach all three codes
         assert set(codes) == {0, 2, 3}
+
+
+# ------------------------------------------------------------- plain argv
+# main reads a plain `check FILE [options]` without argparse; whatever that
+# reader accepts, argparse must read the same way.
+
+ARGV_VALUES = ["3", "0", "-1", " -1", "+4", "1_0", "\u0663", "", "x", "a>b", "all", "rules-only"]
+ARGV_TOKENS = [
+    "-h", "--help", "--", "-", "--js", "--prec", "--max", "--int", "--do", "--explore",
+    "--max-symbols=3", "--precedence=a>b", "--internal=all", "check", "a.hodp", "b.hodp",
+    *ARGV_VALUES,
+]
+
+
+def _check_parser() -> argparse.ArgumentParser:
+    sub = next(a for a in build_arg_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["check"]
+
+
+def _seeded_argv(rng: random.Random) -> list[str]:
+    """Mostly `check` and exact options with values, each item sometimes
+    swapped for an abbreviation, an `=` form, a value that argparse or
+    the budget check rejects, a second file or help."""
+    argv = ["check"] if rng.random() < 0.95 else [rng.choice(ARGV_TOKENS)]
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.3:
+            argv.append(rng.choice(ARGV_TOKENS))
+            continue
+        item = rng.choice([*cli._OPTIONS, "a.hodp", "a.hodp"])
+        argv.append(item)
+        if cli._OPTIONS.get(item, ("", None))[1] is not None and rng.random() < 0.8:
+            argv.append(rng.choice(ARGV_VALUES))
+    return argv
+
+
+class TestPlainArgv:
+    def test_the_reader_agrees_with_argparse(self):
+        parser, rng, read = build_arg_parser(), random.Random(16), 0
+        for _ in range(20_000):
+            argv = _seeded_argv(rng)
+            args = cli._read_plain(argv)
+            if args is None:
+                continue
+            read += 1
+            with contextlib.redirect_stderr(io.StringIO()):
+                expected = parser.parse_args(argv)  # SystemExit would fail the test
+            assert vars(args) == vars(expected), argv
+            assert min(args.max_symbols, args.explore_depth, args.explore_nodes) >= 0, argv
+        assert read > 1000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--help"],
+            ["check", "a.hodp", "--js"],
+            ["check", "a.hodp", "--precedence=a>b"],
+            ["check", "a.hodp", "--max-symbols", " -1"],
+            ["check", "--", "a.hodp"],
+            ["check", "a.hodp", "b.hodp"],
+            ["check", "a.hodp", "--internal", "bad", "--internal", "all"],
+            ["check", "a.hodp", "--explore-depth", "1.5"],
+            ["check", "a.hodp", "--dot"],
+            ["check"],
+            ["--help"],
+            [],
+        ],
+    )
+    def test_everything_else_is_left_to_argparse(self, argv):
+        assert cli._read_plain(argv) is None
+
+    def test_the_reader_knows_exactly_the_options_of_check(self):
+        actions = _check_parser()._option_string_actions
+        assert set(actions) == {*cli._OPTIONS, "-h", "--help"}
+        for option, (name, read) in cli._OPTIONS.items():
+            assert actions[option].dest == name
+            assert (actions[option].nargs == 0) == (read is None), option
+
+    def test_a_plain_run_does_not_build_the_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("build_arg_parser was called")
+
+        monkeypatch.setattr(cli, "build_arg_parser", refuse)
+        argv = ["--json", "--disprove", "--internal", "rules-only", "--dot", os.devnull]
+        code, out, err = run(capsys, "check", path("selfloop"), *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["verdict"] == "NO"
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["hodp", "check", path("map"), "--max-symbols", "1"])
+        assert main() == 3
+        assert capsys.readouterr().err.startswith("limit:")

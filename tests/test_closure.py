@@ -17,6 +17,7 @@ from hodp.terms import (
     Lam,
     Sym,
     Var,
+    alpha_canonical,
     free_vars,
     show_term,
     term_size,
@@ -29,7 +30,7 @@ PLAIN_SIG = Signature(("N",), {"c": NN, "0": N}, frozenset())
 
 
 def members(clo):
-    return sorted(show_term(d.term) for d in clo.derivations.values())
+    return sorted(show_term(d.term) for d in clo.values())
 
 
 def max_binder_depth(t, depth=0):
@@ -44,15 +45,15 @@ class TestDestructors:
     def test_arguments_are_members(self):
         x = Var("X", N)
         clo = computability_closure((x,), PLAIN_SIG)
-        assert x in clo
-        assert clo.derivation_for(x).step == "arg"
+        assert alpha_canonical(x) in clo
+        assert clo[alpha_canonical(x)].step == "arg"
 
     def test_accessible_argument_destructor(self):
         x = Var("X", N)
         arg = App(Sym("c", NN), x)
         clo = computability_closure((arg,), PLAIN_SIG)
-        assert x in clo
-        d = clo.derivation_for(x)
+        assert alpha_canonical(x) in clo
+        d = clo[alpha_canonical(x)]
         assert d.step == "acc" and d.index == 1
         assert d.premises[0].step == "arg"
 
@@ -61,8 +62,8 @@ class TestDestructors:
         y = Var("y", N)
         args = (Lam(y, App(f, y)),)
         clo = computability_closure(args, PLAIN_SIG, targets=(f,))
-        assert f in clo
-        d = clo.derivation_for(f)
+        assert alpha_canonical(f) in clo
+        d = clo[alpha_canonical(f)]
         assert d.step == "app-left"
         assert d.premises[0].step == "lam"
         assert replay_derivation(d, args, PLAIN_SIG)
@@ -72,8 +73,8 @@ class TestDestructors:
         f = Var("F", N)
         args = (Lam(y, App(y, f)),)
         clo = computability_closure(args, PLAIN_SIG, targets=(f,))
-        assert f in clo
-        d = clo.derivation_for(f)
+        assert alpha_canonical(f) in clo
+        d = clo[alpha_canonical(f)]
         assert d.step == "app-right"
         assert replay_derivation(d, args, PLAIN_SIG)
 
@@ -85,14 +86,14 @@ class TestDestructors:
         y = Var("y", Arrow(N, Lx))
         f = Var("F", N)
         clo = computability_closure((Lam(y, App(y, f)),), sig, targets=(f,))
-        assert f not in clo
+        assert alpha_canonical(f) not in clo
 
     def test_binder_can_be_renamed_to_a_target(self):
         g = Var("G", N)
         args = (Lam(Var("y", N), App(Sym("c", NN), Var("y", N))),)
         clo = computability_closure(args, PLAIN_SIG, targets=(g,))
-        assert g in clo
-        assert replay_derivation(clo.derivation_for(g), args, PLAIN_SIG)
+        assert alpha_canonical(g) in clo
+        assert replay_derivation(clo[alpha_canonical(g)], args, PLAIN_SIG)
 
     def test_stripping_requires_binder_fresh_for_arguments(self):
         # the bound name is free elsewhere in the arguments, so the
@@ -100,8 +101,8 @@ class TestDestructors:
         y = Var("y", N)
         args = (Lam(y, y), y)
         clo = computability_closure(args, PLAIN_SIG)
-        assert y in clo  # as the second argument itself
-        assert clo.derivation_for(y).step == "arg"
+        assert alpha_canonical(y) in clo  # as the second argument itself
+        assert clo[alpha_canonical(y)].step == "arg"
 
 
 class TestRuleClosures:
@@ -113,17 +114,17 @@ class TestRuleClosures:
         assert adm1.admissible and adm2.admissible
         assert adm1.closure_size == 2
         assert adm2.closure_size == 4
-        steps = {e.variable.name: e.derivation.step for e in adm2.entries}
+        steps = {v.name: d.step for v, d in adm2.entries}
         assert steps == {"F": "arg", "X": "acc", "L": "acc"}
 
     def test_lim_rule_is_rejected_with_a_named_variable(self):
         system = load_system("lim")
         adm = rule_admissibility(system.rules[0], system.signature)
         assert not adm.admissible
-        assert [e.variable.name for e in adm.entries if not e.derivable] == ["F"]
-        entry = {e.variable.name: e for e in adm.entries}
-        assert entry["X"].derivation is not None
-        assert entry["F"].derivation is None
+        assert [v.name for v, d in adm.entries if d is None] == ["F"]
+        entry = {v.name: d for v, d in adm.entries}
+        assert entry["X"] is not None
+        assert entry["F"] is None
 
     def test_plus_rules_are_admissible(self):
         system = load_system("plus")
@@ -156,5 +157,5 @@ class TestClosureBounds:
             args = random_pattern_args(rng)
             fvs = sorted(set().union(*(free_vars(a) for a in args)), key=lambda v: v.name)
             clo = computability_closure(args, sig, targets=tuple(fvs))
-            for d in clo.derivations.values():
+            for d in clo.values():
                 assert replay_derivation(d, args, sig)

@@ -5,8 +5,11 @@ import ast
 import collections
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -141,3 +144,39 @@ def test_only_the_parser_builds_a_system():
                 if name == "build_system":
                     callers.add(path.stem)
     assert callers == {"parser"}
+
+
+def test_no_module_imports_dataclasses():
+    """Building dataclasses cost a fresh `hodp check` more than checking a
+    typical system, and importing dataclasses loads inspect."""
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                importers.append(path.stem)
+    assert importers == []
+
+
+def test_a_plain_check_loads_no_argparse_dataclasses_or_inspect():
+    """In a fresh interpreter: import the front end, check a system, and
+    list which of the three modules are loaded."""
+    code = (
+        "import sys\n"
+        "from hodp.cli import main\n"
+        "main(['check', 'systems/map.hodp'])\n"
+        "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    root = PACKAGE.parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", code], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "YES"
+    assert done.stdout.splitlines()[-1] == "[]"

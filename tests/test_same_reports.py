@@ -4,7 +4,7 @@ import json
 
 from conftest import ROOT, SYSTEMS_DIR, same_reports_tool
 
-# every shipped system under every golden flag set
+# the argv edge cases, then every shipped system under every golden flag set
 SHIPPED_RUNS = len(same_reports_tool().runs([]))
 MUTANT_RUNS = same_reports_tool().MUTANTS_PER_SYSTEM * len(list(SYSTEMS_DIR.glob("*.hodp")))
 ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS

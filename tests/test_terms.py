@@ -308,7 +308,7 @@ class TestPositions:
             assert bounded_explore(seed, rewrite_successors(system, {})).longest == 2
             assert ground_term(sig, Arrow(nil.type, nil.type)) == Lam(Var("x", nil.type), nil)
             assert list(calls(seed, sig)) == [((), seed, ())]
-            derivations = closure.derivations.values()
+            derivations = closure.values()
             assert all(replay_derivation(d, args, sig) for d in derivations)
             # states that grow from the last one, with canonical forms
             # stored on their nodes, and one redex table for all of them

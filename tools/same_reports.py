@@ -5,6 +5,9 @@
 OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
 `src` of two checkouts).  Both trees run the same list of runs:
 
+- each argv of ARGV_EDGES, which sit on either side of the line between
+  the plain argv reader of hodp.cli and argparse: help, usage errors,
+  `=` forms, `--`, a value that starts with a blank, a missing file;
 - every system under systems/ with each flag set of tests/test_golden.py;
 - every instance of each MANIFEST_DIR/manifest.json, as
   `bench/workloads.py --out MANIFEST_DIR` writes them, twice: with its
@@ -14,8 +17,8 @@ OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
   by 1 to 4 random edits from the constant MUTATION_SEED, with --json.
   Most of them fail to parse, so the error paths are compared too.
 
-A run is `hodp.cli.main(["check", FILE, *flags])`, with `--dot` added when
-the flags hold `--disprove`.  Each tree does all its runs in one Python
+Apart from ARGV_EDGES, a run is `hodp.cli.main(["check", FILE, *flags])`,
+with `--dot` added when the flags hold `--disprove`.  Each tree does all its runs in one Python
 subprocess started with -B, so neither tree gets bytecode written into it,
 and both run in one temporary directory, where the mutants are written.
 Stdout without its timing lines (the text `elapsed:` line and the JSON
@@ -32,11 +35,25 @@ import json
 import os
 import pathlib
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+MAP = str(ROOT / "systems" / "map.hodp")
+ARGV_EDGES = (
+    ["--help"],
+    ["check", "--help"],
+    ["check", MAP, "--unknown"],
+    ["check", MAP, "--js"],
+    ["check", MAP, "--precedence=a>b"],
+    ["check", MAP, "--precedence=map>cons"],
+    ["check", MAP, "--max-symbols", " -1"],
+    ["check", "--", MAP],
+    ["check", "no-such-file.hodp"],
+    ["check", MAP, "--internal", "none"],
+)
 SWAPPED = {"--json": "--trace", "--trace": "--json"}  # the two report formats
 MUTATION_SEED = 1
 MUTANTS_PER_SYSTEM = 50
@@ -85,7 +102,7 @@ def golden_flag_sets() -> dict[str, list[str]]:
 
 
 def runs(manifest_dirs: list[str]) -> list[tuple[str, list[str]]]:
-    """(label, argv) of every run, in a fixed order."""
+    """(label, argv) of every run, in a fixed order: ARGV_EDGES first."""
     out, flag_sets = [], golden_flag_sets()
     for path in sorted((ROOT / "systems").glob("*.hodp")):
         for name, flags in flag_sets.items():
@@ -96,7 +113,7 @@ def runs(manifest_dirs: list[str]) -> list[tuple[str, list[str]]]:
             swapped = [SWAPPED.get(f, f) for f in inst["flags"]]
             for flags in (inst["flags"], swapped):
                 out.append((f"{inst['name']} {' '.join(flags)}", [inst["file"], *flags]))
-    return [
+    return [(f"hodp {shlex.join(argv)}", list(argv)) for argv in ARGV_EDGES] + [
         (label, ["check", *argv, *(["--dot", "graph.dot"] if "--disprove" in argv else [])])
         for label, argv in out
     ]
