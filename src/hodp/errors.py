@@ -42,7 +42,7 @@ class AmbiguousVariableType(InputError):
     """A rule variable whose type is not determined by its uses."""
 
 
-class MalformedLhsError(InputError):
+class MalformedLhsError(SystemSyntaxError):
     """A rule left-hand side whose head is not a declared symbol."""
 
 

@@ -23,7 +23,8 @@ reading order, stand for what is not yet known; each application adds an
 equation.  Once the line has parsed, the equations are solved in order,
 then the two sides' types are equated, so a line's syntax errors come
 before its type errors.  The builders then make the terms, rejecting a
-rule variable or binder whose type is still undetermined.
+rule variable or binder whose type is still undetermined.  Last, the
+left-hand side must be headed by a declared symbol.
 """
 
 from __future__ import annotations
@@ -32,10 +33,15 @@ import re
 from collections.abc import Callable
 from typing import NamedTuple
 
-from hodp.errors import AmbiguousVariableType, SystemSyntaxError, SystemTypeError
+from hodp.errors import (
+    AmbiguousVariableType,
+    MalformedLhsError,
+    SystemSyntaxError,
+    SystemTypeError,
+)
 from hodp.ordering import transitive_closure
 from hodp.signature import RewriteSystem, build_system
-from hodp.terms import App, Arrow, Base, Lam, Sym, Term, Type, Var, show_type
+from hodp.terms import App, Arrow, Base, Lam, Sym, Term, Type, Var, show_term, show_type, spine
 
 _KEYWORDS = {"sort", "rule", "prec"}
 
@@ -322,7 +328,14 @@ def parse_system(text: str) -> RewriteSystem:
             p.equations.append((lt, rt))  # rules must be type preserving
             for a, b in p.equations:
                 p.inf.unify(a, b)
-            rules.append((lb(), rb()))
+            lhs = lb()
+            if not isinstance(spine(lhs)[0], Sym):
+                raise MalformedLhsError(
+                    f"left-hand side {show_term(lhs)} is not headed by a declared symbol",
+                    lineno,
+                    tokens[1].column,
+                )
+            rules.append((lhs, rb()))
         else:
             p.expect(":")
             typ = p.parse_type()

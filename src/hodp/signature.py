@@ -14,16 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from typing import NamedTuple
 
-from hodp.errors import MalformedLhsError
-from hodp.terms import (
-    Base,
-    Sym,
-    Term,
-    Type,
-    flatten_type,
-    show_term,
-    spine,
-)
+from hodp.terms import Base, Term, Type, flatten_type, spine
 
 
 class Rule(NamedTuple):
@@ -59,26 +50,16 @@ class RewriteSystem(NamedTuple):
     precedence_hints: tuple[tuple[str, str], ...] = ()
 
 
-def lhs_head(lhs: Term) -> Sym:
-    head, _ = spine(lhs)
-    if not isinstance(head, Sym):
-        raise MalformedLhsError(
-            f"left-hand side {show_term(lhs)} is not headed by a declared symbol"
-        )
-    return head
-
-
 def build_system(
     sorts: Iterable[str],
     symbols: Mapping[str, Type],
     rules: Iterable[tuple[Term, Term]],
     precedence_hints: Iterable[tuple[str, str]] = (),
 ) -> RewriteSystem:
-    """The system of declarations the parser has checked: sorts, rule types
-    and hints.  This only rejects a left-hand side not headed by a symbol,
-    which the parser reads as any other term."""
+    """The system of declarations the parser has checked: sorts, rule types,
+    left-hand side heads and hints.  It checks nothing itself."""
     built = tuple(Rule(k, lhs, rhs) for k, (lhs, rhs) in enumerate(rules, start=1))
-    defined = frozenset(lhs_head(r.lhs).name for r in built)
+    defined = frozenset(spine(r.lhs)[0].name for r in built)
     sig = Signature(tuple(sorts), dict(symbols), defined)
     return RewriteSystem(sig, built, tuple(precedence_hints))
 

@@ -5,11 +5,7 @@ import pytest
 from conftest import load_system
 from hodp.errors import MalformedLhsError, SystemSyntaxError, SystemTypeError
 from hodp.parser import parse_system
-from hodp.signature import basic_sorts, build_system, lhs_head
-from hodp.terms import App, Arrow, Base, Lam, Sym, Var
-
-N = Base("N")
-L = Base("L")
+from hodp.signature import basic_sorts
 
 
 class TestAccessibleArguments:
@@ -79,18 +75,19 @@ class TestBuildSystem:
 
     def test_lambda_headed_lhs_is_rejected(self):
         text = "sort A\na : A\nrule (\\x:A. x) Y -> Y\n"
-        with pytest.raises(MalformedLhsError):
+        with pytest.raises(MalformedLhsError) as exc:
             parse_system(text)
-
-    def test_lhs_head_helper(self):
-        system = load_system("map")
-        assert lhs_head(system.rules[0].lhs).name == "map"
-        with pytest.raises(MalformedLhsError):
-            lhs_head(Var("X", N))
+        assert str(exc.value) == (
+            "line 3, column 6: left-hand side (\\x:A. x) Y is not headed by a declared symbol"
+        )
 
     def test_variable_headed_lhs_is_rejected(self):
-        f = Sym("f", Arrow(Arrow(N, N), N))
-        g = Var("G", Arrow(N, N))
-        x = Var("X", N)
+        text = "sort A\na : A\n\nrule  F a -> a\n"
+        with pytest.raises(MalformedLhsError) as exc:
+            parse_system(text)
+        assert str(exc.value) == "line 4, column 7: left-hand side F a is not headed by a declared symbol"
+
+    def test_a_bad_head_is_reported_before_later_lines(self):
+        text = "sort A\na : A\nrule F a -> a\nrule a -> @\n"
         with pytest.raises(MalformedLhsError):
-            build_system(("N",), {"f": Arrow(Arrow(N, N), N), "0": N}, [(App(g, x), x)])
+            parse_system(text)
