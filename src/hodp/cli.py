@@ -20,6 +20,7 @@ from hodp.pipeline import Options, dot_graph, render_json, render_text, run_pipe
 
 _INTERNAL = ("all", "rules-only")  # the choices of --internal
 
+
 def build_arg_parser() -> argparse.ArgumentParser:
     import argparse  # only for what _read_plain leaves to it
 
