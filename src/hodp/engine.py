@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
-from hodp.errors import InvalidPositionError, ResourceLimitError
+from hodp.errors import InvalidPositionError, LimitError
 from hodp.pairs import DepPair
 from hodp.signature import RewriteSystem, Signature
 from hodp.terms import (
@@ -182,7 +182,7 @@ def bounded_explore(
     reaches a normal form within max_depth steps; cycle with a witness
     trace whose final state repeats an earlier one modulo alpha; otherwise
     bound-exceeded, with no trace.  Expanding more than max_nodes distinct
-    states raises ResourceLimitError.
+    states raises LimitError.
     """
     finished: dict[Term, int] = {}  # heights of finished states
     on_path: set[Term] = set()
@@ -203,7 +203,7 @@ def bounded_explore(
         else:
             expanded += 1
             if expanded > max_nodes:
-                raise ResourceLimitError(f"exploration expanded more than {max_nodes} states")
+                raise LimitError(f"exploration expanded more than {max_nodes} states")
             succ = successors(u)
             if record:
                 edges.extend(succ)

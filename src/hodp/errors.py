@@ -52,11 +52,3 @@ class PrecedenceCycleError(InputError):
 
 class LimitError(HodpError):
     """A configured resource budget ran out.  The CLI maps these to exit code 3."""
-
-
-class ResourceLimitError(LimitError):
-    """The exploration engine expanded more states than allowed."""
-
-
-class SearchSpaceExceededError(LimitError):
-    """Too many symbols for exhaustive precedence search."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from hodp.errors import PrecedenceCycleError, SearchSpaceExceededError
+from hodp.errors import LimitError, PrecedenceCycleError
 from hodp.pairs import DepPair
 from hodp.signature import RewriteSystem, Signature
 from hodp.terms import (
@@ -287,25 +287,27 @@ def constraint_symbols(system: RewriteSystem, pairs: tuple[DepPair, ...]) -> tup
     return tuple(sorted(syms))
 
 
-def _decide(
-    kind: str,
-    lhs: Term,
-    rhs: Term,
-    prec: Precedence,
-    decided: dict,
-) -> GtTrace | None:
-    """A rule's weak witness or a pair's strict one, None if there is none.
-
-    Each comparison it makes has a left side built from lhs and a right
-    side built from rhs, so it reads only edges from a symbol of lhs to
-    one of rhs and statuses of symbols of lhs.  decided, the table of one
-    search, keeps the outcome under exactly those, whatever the rest."""
+def _entry(kind: str, lhs: Term, rhs: Term, decided: dict) -> tuple:
+    """A constraint's entry in decided: its left symbols, its cross edges
+    from a left symbol to a right one, and its table of outcomes."""
     entry = decided.get((kind, lhs, rhs))
     if entry is None:
         left = tuple(term_symbols(lhs))
         cross = frozenset(itertools.product(left, term_symbols(rhs)))
         entry = decided[kind, lhs, rhs] = (left, cross, {})
-    left, cross, outcomes = entry
+    return entry
+
+
+def _decide(kind: str, lhs: Term, rhs: Term, prec: Precedence, decided: dict) -> GtTrace | None:
+    """A rule's weak witness or a pair's strict one, None if there is none.
+
+    Each comparison it makes has a left side built from lhs and a right
+    side built from rhs, so it reads only edges from a symbol of lhs to
+    one of rhs and statuses of symbols of lhs.  decided, the table of one
+    search, keeps the outcome under exactly those, whatever the rest: under
+    the edge view (the cross edges in prec) and the status view (the
+    statuses of the left symbols)."""
+    left, cross, outcomes = _entry(kind, lhs, rhs, decided)
     key = (cross & prec.edges, tuple(map(prec.status, left)))
     w = outcomes.get(key, False)
     if w is False:
@@ -354,6 +356,43 @@ def _symbol_arity(sig: Signature, name: str) -> int:
     return len(args)
 
 
+def _rows(system: RewriteSystem, pairs: tuple[DepPair, ...], vary: tuple[str, ...], decided: dict):
+    """Per constraint: its position, kind, sides, cross edges and outcomes
+    (see _entry), and each left symbol's index in vary, or len(vary)."""
+    rows = []
+    for i, (kind, _, lhs, rhs) in enumerate(_constraints(system, pairs)):
+        left, cross, outcomes = _entry(kind, lhs, rhs, decided)
+        index = tuple(vary.index(n) if n in vary else len(vary) for n in left)
+        rows.append((i, kind, lhs, rhs, cross, outcomes, index))
+    return rows
+
+
+def _first_assignment(rows, vary: tuple[str, ...], decided: dict, view, edges) -> Precedence | None:
+    """The first status assignment of vary (multiset first) under which
+    every constraint holds, as a Precedence, in an order whose edge set is
+    edges() and in which a constraint's edge view is view(cross).  Edge
+    views are built once per order, when first needed, and status views
+    per assignment as _decide builds them, so the look-ups use the keys
+    _decide writes.  A Precedence is built only on a miss, which _decide
+    fills, or for the result."""
+    views = [None] * len(rows)
+    for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
+        statuses = combo + ("mul",)
+        prec = None
+        for i, kind, lhs, rhs, cross, outcomes, index in rows:
+            if views[i] is None:
+                views[i] = view(cross)
+            w = outcomes.get((views[i], tuple([statuses[j] for j in index])), False)
+            if w is False:
+                prec = prec or Precedence(edges(), dict(zip(vary, combo)))
+                w = _decide(kind, lhs, rhs, prec, decided)
+            if w is None:
+                break
+        else:
+            return prec or Precedence(edges(), dict(zip(vary, combo)))
+    return None
+
+
 def check_with_statuses(
     system: RewriteSystem,
     pairs: tuple[DepPair, ...],
@@ -362,20 +401,15 @@ def check_with_statuses(
     decided: dict | None = None,
 ) -> ConstraintCheck:
     """Fixed edge set, every status assignment of the symbols in vary
-    (multiset first).  An assignment is dropped at its first failing
-    constraint; the first one under which all hold gives the certificate,
-    built from the outcomes in decided (see _decide).  Without one, no
-    violations are listed."""
+    (multiset first), in the status loop of the search (see
+    _first_assignment), with outcomes shared in decided (see _decide).
+    Without a certificate, no violations are listed."""
     decided = {} if decided is None else decided
-    constraints = tuple(_constraints(system, pairs))
-    for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
-        prec = Precedence(edges, dict(zip(vary, combo)))
-        if all(
-            _decide(kind, lhs, rhs, prec, decided) is not None
-            for kind, _, lhs, rhs in constraints
-        ):
-            return check_constraints(system, pairs, prec, decided)
-    return ConstraintCheck(None, ())
+    rows = _rows(system, pairs, vary, decided)
+    prec = _first_assignment(rows, vary, decided, lambda cross: cross & edges, lambda: edges)
+    if prec is None:
+        return ConstraintCheck(None, ())
+    return check_constraints(system, pairs, prec, decided)
 
 
 def search_certificate(
@@ -394,10 +428,14 @@ def search_certificate(
     defined symbols with at least two arguments.  Derivability only grows
     with the precedence, so searching total orders is complete.  Each
     constraint's outcome is decided once per search, in a table that every
-    candidate shares and that is dropped on return (see _decide).  Without
-    a certificate, the violations are those of the hints under multiset
-    statuses, and none when no hints were given.  Raises
-    SearchSpaceExceededError if the constraints mention more symbols than
+    candidate shares and that is dropped on return (see _decide).  Each
+    constraint's row is built once per search; per order, a constraint's
+    edge view is built once, the first time it is needed, from the chain's
+    positions; per candidate, what remains is a status view and a look-up
+    for each constraint up to the first that fails (see
+    _first_assignment).  Without a certificate, the violations are those
+    of the hints under multiset statuses, and none when no hints were
+    given.  Raises LimitError if the constraints mention more symbols than
     max_symbols.
     """
     syms = constraint_symbols(system, pairs)
@@ -415,10 +453,11 @@ def search_certificate(
     if not syms:
         return ConstraintCheck(Certificate((), (), (), ()), ())
     if len(syms) > max_symbols:
-        raise SearchSpaceExceededError(
+        raise LimitError(
             f"{len(syms)} constraint symbols exceed the search limit of {max_symbols}"
         )
     required = tuple((a, b) for a, b in closed if a in syms and b in syms)
+    rows = _rows(system, pairs, vary, decided)
     top = set(defined)
     chains = itertools.chain(
         (
@@ -432,8 +471,11 @@ def search_certificate(
         index = {n: i for i, n in enumerate(chain)}
         if any(index[a] >= index[b] for a, b in required):
             continue
-        edges = frozenset(itertools.combinations(chain, 2))
-        result = check_with_statuses(system, pairs, edges, vary, decided)
-        if result.certificate is not None:
-            return result
+        prec = _first_assignment(
+            rows, vary, decided,
+            lambda cross: frozenset([(a, b) for a, b in cross if index[a] < index[b]]),
+            lambda: frozenset(itertools.combinations(chain, 2)),
+        )
+        if prec is not None:
+            return check_constraints(system, pairs, prec, decided)
     return failed

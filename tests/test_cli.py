@@ -18,6 +18,7 @@ from conftest import SYSTEMS_DIR, load_system
 from gen import random_fo_trs, system_text
 from hodp import cli
 from hodp.cli import build_arg_parser, main
+from hodp.engine import has_alpha_repeat, replay_trace
 from hodp.parser import parse_system
 from hodp.pipeline import Options, report_dict, run_pipeline
 
@@ -407,6 +408,24 @@ def _untimed_report(system) -> dict:
     return model
 
 
+def _assert_witness_replays(system, flags: list[str]) -> None:
+    """run_pipeline under the options main reads from flags, which hold no
+    --precedence, gives a NO whose witness replays and repeats a state."""
+    args = cli._read_plain(["check", "system.hodp", *flags])
+    options = Options(
+        max_symbols=args.max_symbols,
+        disprove=args.disprove,
+        explore_depth=args.explore_depth,
+        explore_nodes=args.explore_nodes,
+        internal_beta=(args.internal == "all"),
+    )
+    report = run_pipeline(system, options)
+    assert report.verdict == "NO", flags
+    trace = report.witness["trace"]
+    assert replay_trace(trace, system, report.pairs), flags
+    assert has_alpha_repeat(report.witness["start"], trace), flags
+
+
 class TestCrashFreedom:
     def test_generated_and_shipped_systems_end_with_an_exit_code(self, tmp_path):
         rng = random.Random(2024)
@@ -433,9 +452,12 @@ class TestCrashFreedom:
             if text_run[0] == 0:
                 verdict = json.loads(json_run[1])["verdict"]
                 assert verdict == text_run[1].splitlines()[0], (name, flags)
+                if verdict == "NO":
+                    _assert_witness_replays(parse_system(text), flags)
+                    codes["NO"] += 1
             codes[text_run[0]] += 1
         # the cyclic precedence exits 2; the flag sets reach all three codes
-        assert set(codes) == {0, 2, 3}
+        assert set(codes) == {0, 2, 3, "NO"}
 
 
 # ------------------------------------------------------------- plain argv

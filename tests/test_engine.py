@@ -30,7 +30,7 @@ from hodp.engine import (
     rewrite_steps,
     rewrite_successors,
 )
-from hodp.errors import ResourceLimitError
+from hodp.errors import LimitError
 from hodp.pairs import extract_pairs
 from hodp.parser import parse_system
 from hodp.pipeline import Options, dot_graph, run_pipeline
@@ -188,7 +188,7 @@ class TestExploration:
     def test_node_budget_is_enforced(self):
         system = parse_system(GROW)
         seed = App(symbol(system.signature, "f"), symbol(system.signature, "0"))
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(LimitError):
             bounded_explore(seed, rewrite_successors(system, {}), max_depth=50, max_nodes=3)
 
     def test_cycle_detection_modulo_renaming(self):
@@ -341,7 +341,7 @@ def _reference_explore(start, successors, max_depth=200, max_nodes=100_000, reco
             raise _CycleHit(tuple(path))
         state["expanded"] += 1
         if state["expanded"] > max_nodes:
-            raise ResourceLimitError(
+            raise LimitError(
                 f"exploration expanded more than {max_nodes} states"
             )
         succ = successors(u)
@@ -382,7 +382,7 @@ def _reference_explore(start, successors, max_depth=200, max_nodes=100_000, reco
 def _explore_outcome(explore, seed, successors, depth):
     try:
         ex = explore(seed, successors, max_depth=depth, max_nodes=60, record=True)
-    except ResourceLimitError as exc:
+    except LimitError as exc:
         return str(exc)
     return ex.kind, ex.longest, ex.trace, ex.expanded, ex.edges
 

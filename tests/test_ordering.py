@@ -18,7 +18,7 @@ from gen import (
     symbol,
 )
 from hodp import ordering
-from hodp.errors import PrecedenceCycleError, SearchSpaceExceededError
+from hodp.errors import LimitError, PrecedenceCycleError
 from hodp.ordering import (
     Certificate,
     GtTrace,
@@ -63,6 +63,25 @@ FOLDR_EXTRAS = {
     "rule len nil -> 0\nrule len (cons X L) -> s (len L)\n"
     "rule plus 0 Y -> Y\nrule plus (s X) Y -> s (plus X Y)\n",
 }
+
+
+def _foldr_system(size):
+    text = (SYSTEMS_DIR / "foldr.hodp").read_text(encoding="utf-8")
+    return parse_system(text + FOLDR_EXTRAS.get(size, ""))
+
+
+def _exhausting_foldr_counts(calls):
+    """By the number of symbols: how many items the foldr search of that
+    size, which finds no certificate, appends to calls."""
+    counts = {}
+    for size in (3, *FOLDR_EXTRAS):
+        system = _foldr_system(size)
+        pairs = extract_pairs(system)
+        assert len(constraint_symbols(system, pairs)) == size
+        calls.clear()
+        assert search_certificate(system, pairs).certificate is None
+        counts[size] = len(calls)
+    return counts
 
 
 def _fixed_point_closure(pairs):
@@ -397,7 +416,7 @@ class TestSearch:
 
     def test_symbol_budget_is_enforced(self):
         system = load_system("map")
-        with pytest.raises(SearchSpaceExceededError):
+        with pytest.raises(LimitError):
             search_certificate(system, extract_pairs(system), max_symbols=1)
 
     def test_fixed_edges_search_over_statuses(self):
@@ -440,15 +459,18 @@ class TestSearch:
         monkeypatch.setattr(
             ordering, "weakly_decreases", lambda *args: calls.append(args) or weak(*args)
         )
-        text = (SYSTEMS_DIR / "foldr.hodp").read_text(encoding="utf-8")
-        counts = {}
-        for size, extra in {3: "", **FOLDR_EXTRAS}.items():
-            system = parse_system(text + extra)
-            pairs = extract_pairs(system)
-            assert len(constraint_symbols(system, pairs)) == size
-            calls.clear()
-            assert search_certificate(system, pairs).certificate is None
-            counts[size] = len(calls)
+        counts = _exhausting_foldr_counts(calls)
+        assert set(counts.values()) == {counts[3]}, counts
+
+    def test_candidates_build_no_precedence(self, monkeypatch):
+        """A Precedence is built only on a miss in the table of outcomes or
+        for a certificate, not per candidate, so the exhausting foldr
+        searches build as many however many orders they enumerate."""
+        built = []
+        monkeypatch.setattr(
+            ordering, "Precedence", lambda *args: built.append(args) or Precedence(*args)
+        )
+        counts = _exhausting_foldr_counts(built)
         assert set(counts.values()) == {counts[3]}, counts
 
     def test_search_is_deterministic(self):
@@ -489,7 +511,7 @@ def _old_search_certificate(system, pairs, required=(), max_symbols=8):
     if not syms:
         return Certificate((), (), (), ())
     if len(syms) > max_symbols:
-        raise SearchSpaceExceededError(
+        raise LimitError(
             f"{len(syms)} constraint symbols exceed the search limit of {max_symbols}"
         )
     defined = sorted(n for n in syms if n in system.signature.defined)
@@ -549,7 +571,7 @@ def _old_ordering_stage(system, pairs, hints, max_symbols=8):
 def _outcome(stage):
     try:
         return stage()
-    except SearchSpaceExceededError as exc:
+    except LimitError as exc:
         return str(exc)
 
 
@@ -579,6 +601,12 @@ class TestSearchOracle:
         system = load_system(name)
         _assert_same_stage(system)
         _assert_same_stage(system, max_symbols=1)
+
+    @pytest.mark.parametrize("size", [5, 6])
+    def test_exhausting_foldr_searches_agree(self, size):
+        """foldr's status varies, and no order orients its first rule, so
+        both searches try every candidate."""
+        _assert_same_stage(_foldr_system(size))
 
     def test_generated_systems_agree(self):
         rng = random.Random(1804)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import SYSTEMS_DIR, load_system, system_text
 from gen import random_fo_trs
-from hodp.errors import LimitError, SearchSpaceExceededError
+from hodp.errors import LimitError
 from hodp.parser import parse_precedence_arg, parse_system
 from hodp.pipeline import (
     AnalysisReport,
@@ -139,7 +139,7 @@ class TestPrecedenceHints:
         assert report.verdict == "YES"
 
     def test_symbol_limit_surfaces_as_an_error(self):
-        with pytest.raises(SearchSpaceExceededError):
+        with pytest.raises(LimitError):
             run_pipeline(load_system("map"), Options(max_symbols=1))
 
 
