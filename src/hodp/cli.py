@@ -1,12 +1,15 @@
 """Command line front end.
 
-Exit codes: 0 when the analysis completed (whatever the verdict), 2 for
-input problems and for a stdout whose encoding cannot write the report, 3
-when a resource or search limit was hit, including terms nested too deeply
-for the recursion limit.
+Exit codes: 0 when the analysis completed (whatever the verdict), 2 for an
+InputError and for a stdout whose encoding cannot write the report, 3 for
+a LimitError, when a resource or search limit was hit, and for terms
+nested too deeply for the recursion limit.
 
-A plain `check FILE [options]` is read by a loop over argv; argparse reads
-anything else, so it alone writes help, usage and usage errors.
+Each option of `check` is declared once, in `_OPTIONS`, which both
+readers of argv are built from.  A plain `check FILE [options]` is read
+by a loop over argv; argparse reads anything else, so it alone writes
+help, usage and usage errors.  `--precedence` replaces the file's `prec`
+lines: main installs it as the system's precedence hints.
 """
 
 from __future__ import annotations
@@ -19,12 +22,60 @@ from hodp.parser import parse_precedence_arg, parse_system
 from hodp.pipeline import Options, dot_graph, render_json, render_text, run_pipeline
 
 _INTERNAL = ("all", "rules-only")  # the choices of --internal
+_DEFAULTS = Options()
+
+
+def _internal(value: str) -> str:
+    if value not in _INTERNAL:
+        raise ValueError(value)
+    return value
+
+
+# The options of check: the attribute each sets, how the plain reader reads
+# its value (None for a switch), and the rest of its argparse declaration.
+_OPTIONS = {
+    "--json": ("json", None, {"help": "emit the JSON report"}),
+    "--trace": ("trace", None, {
+        "help": "include derivations and ordering witnesses in the text report",
+    }),
+    "--precedence": ("precedence", str, {
+        "metavar": "PAIRS",
+        "help": "required precedence edges, e.g. 'map>cons,map>nil' "
+        "(replaces prec lines from the file)",
+    }),
+    "--max-symbols": ("max_symbols", int, {
+        "default": _DEFAULTS.max_symbols, "metavar": "N",
+        "help": "largest symbol count for exhaustive precedence search (default %(default)s)",
+    }),
+    "--disprove": ("disprove", None, {"help": "also explore seed terms for cycles"}),
+    "--explore-depth": ("explore_depth", int, {
+        "default": _DEFAULTS.explore_depth, "metavar": "N",
+        "help": "trace length bound for exploration (default %(default)s)",
+    }),
+    "--explore-nodes": ("explore_nodes", int, {
+        "default": _DEFAULTS.explore_nodes, "metavar": "N",
+        "help": "distinct state budget for exploration (default %(default)s)",
+    }),
+    "--internal": ("internal", _internal, {
+        "choices": _INTERNAL, "default": "all",
+        "help": "steps allowed below the root in the chain relation (default all)",
+    }),
+    "--dot": ("dot", str, {
+        "metavar": "PATH",
+        "help": "write the explored graph as Graphviz (requires --disprove)",
+    }),
+}
+_BUDGETS = ("max_symbols", "explore_depth", "explore_nodes")
+# the namespace of check before any item after `check` is read
+_UNSET = {"command": "check", "file": None} | {
+    name: declared.get("default", False if read is None else None)
+    for name, read, declared in _OPTIONS.values()
+}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
     import argparse  # only for what _read_plain leaves to it
 
-    defaults = Options()
     parser = argparse.ArgumentParser(
         prog="hodp",
         description=(
@@ -35,72 +86,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     check = sub.add_parser("check", help="analyse a system file")
     check.add_argument("file", help="system description")
-    check.add_argument("--json", action="store_true", help="emit the JSON report")
-    check.add_argument(
-        "--trace",
-        action="store_true",
-        help="include derivations and ordering witnesses in the text report",
-    )
-    check.add_argument(
-        "--precedence",
-        metavar="PAIRS",
-        help="required precedence edges, e.g. 'map>cons,map>nil' "
-        "(replaces prec lines from the file)",
-    )
-    check.add_argument(
-        "--max-symbols",
-        type=int,
-        default=defaults.max_symbols,
-        metavar="N",
-        help="largest symbol count for exhaustive precedence search (default %(default)s)",
-    )
-    check.add_argument(
-        "--disprove",
-        action="store_true",
-        help="also explore seed terms for cycles",
-    )
-    check.add_argument(
-        "--explore-depth", type=int, default=defaults.explore_depth, metavar="N",
-        help="trace length bound for exploration (default %(default)s)",
-    )
-    check.add_argument(
-        "--explore-nodes", type=int, default=defaults.explore_nodes, metavar="N",
-        help="distinct state budget for exploration (default %(default)s)",
-    )
-    check.add_argument(
-        "--internal",
-        choices=_INTERNAL,
-        default="all",
-        help="steps allowed below the root in the chain relation (default all)",
-    )
-    check.add_argument(
-        "--dot",
-        metavar="PATH",
-        help="write the explored graph as Graphviz (requires --disprove)",
-    )
+    for option, (_, read, declared) in _OPTIONS.items():
+        if read is None:
+            declared = {"action": "store_true", **declared}
+        elif read is int:
+            declared = {"type": int, **declared}
+        check.add_argument(option, **declared)
     return parser
-
-
-def _internal(value: str) -> str:
-    if value not in _INTERNAL:
-        raise ValueError(value)
-    return value
-
-
-# The options of check as build_arg_parser declares them: the attribute
-# each sets, and how its value is read (None for a switch).
-_OPTIONS = {
-    "--json": ("json", None),
-    "--trace": ("trace", None),
-    "--precedence": ("precedence", str),
-    "--max-symbols": ("max_symbols", int),
-    "--disprove": ("disprove", None),
-    "--explore-depth": ("explore_depth", int),
-    "--explore-nodes": ("explore_nodes", int),
-    "--internal": ("internal", _internal),
-    "--dot": ("dot", str),
-}
-_BUDGETS = ("max_symbols", "explore_depth", "explore_nodes")
 
 
 def _read_plain(argv: list[str]) -> SimpleNamespace | None:
@@ -109,10 +101,7 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     for any other argv, and for one argparse would reject."""
     if not argv or argv[0] != "check":
         return None
-    defaults = Options()
-    args = {"command": "check", "file": None, "json": False, "trace": False, "precedence": None,
-            "disprove": False, "internal": "all", "dot": None}
-    args.update((b, getattr(defaults, b)) for b in _BUDGETS)
+    args = dict(_UNSET)
     items = iter(argv[1:])
     for item in items:
         if not item.startswith("-"):
@@ -120,7 +109,7 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
                 return None
             args["file"] = item
             continue
-        name, read = _OPTIONS.get(item, (None, None))
+        name, read, _ = _OPTIONS.get(item, (None, None, None))
         if name is None:
             return None
         if read is None:
@@ -160,13 +149,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         system = parse_system(text)
-        precedence = (
-            parse_precedence_arg(args.precedence, system)
-            if args.precedence is not None
-            else None
-        )
+        if args.precedence is not None:
+            hints = parse_precedence_arg(args.precedence, system)
+            system = system._replace(precedence_hints=hints)
         options = Options(
-            precedence=precedence,
             max_symbols=args.max_symbols,
             disprove=args.disprove,
             explore_depth=args.explore_depth,

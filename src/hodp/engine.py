@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
-from hodp.errors import InvalidPositionError, LimitError
+from hodp.errors import LimitError, TermError
 from hodp.pairs import DepPair
 from hodp.signature import RewriteSystem, Signature
 from hodp.terms import (
@@ -257,7 +257,7 @@ def replay_trace(trace: Iterable[Step], system: RewriteSystem, pairs: tuple[DepP
             return False
         try:
             sub = subterm_at(s.source, s.position)
-        except InvalidPositionError:
+        except TermError:
             return False
         if s.kind == "beta":
             if not (isinstance(sub, App) and isinstance(sub.fun, Lam)):

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per way a
+caller reacts to an error."""
 
 
 class HodpError(Exception):
@@ -6,22 +7,16 @@ class HodpError(Exception):
 
 
 class TermError(HodpError):
-    """Structural problems with terms or positions."""
-
-
-class TypeCheckError(TermError):
-    """An application whose function and argument types do not fit."""
-
-
-class InvalidPositionError(TermError):
-    """A position that does not exist in the given term."""
+    """An application whose function and argument types do not fit, or a
+    position that does not exist in the given term."""
 
 
 class InputError(HodpError):
-    """Problems with a user-supplied system.  The CLI maps these to exit code 2."""
+    """A user-supplied system or precedence that cannot be used: bad syntax,
+    an untypable rule, a variable of undetermined type, a left-hand side not
+    headed by a declared symbol, or a precedence that orders a symbol above
+    itself.  The CLI maps these to exit code 2."""
 
-
-class SystemSyntaxError(InputError):
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
         self.column = column
@@ -32,22 +27,6 @@ class SystemSyntaxError(InputError):
                 where += f", column {column}"
             where += ": "
         super().__init__(where + message)
-
-
-class SystemTypeError(InputError):
-    """A rule that cannot be typed, or whose two sides have different types."""
-
-
-class AmbiguousVariableType(InputError):
-    """A rule variable whose type is not determined by its uses."""
-
-
-class MalformedLhsError(SystemSyntaxError):
-    """A rule left-hand side whose head is not a declared symbol."""
-
-
-class PrecedenceCycleError(InputError):
-    """Precedence requirements that order some symbol above itself."""
 
 
 class LimitError(HodpError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from hodp.errors import LimitError, PrecedenceCycleError
+from hodp.errors import InputError, LimitError
 from hodp.pairs import DepPair
 from hodp.signature import RewriteSystem, Signature
 from hodp.terms import (
@@ -56,7 +56,7 @@ def transitive_closure(pairs) -> frozenset[tuple[str, str]]:
         edges.update((a, b) for b in reached)
     cyclic = sorted(a for a, b in edges if a == b)
     if cyclic:
-        raise PrecedenceCycleError(f"precedence orders {cyclic[0]} above itself")
+        raise InputError(f"precedence orders {cyclic[0]} above itself")
     return frozenset(edges)
 
 

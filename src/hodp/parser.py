@@ -33,12 +33,7 @@ import re
 from collections.abc import Callable
 from typing import NamedTuple
 
-from hodp.errors import (
-    AmbiguousVariableType,
-    MalformedLhsError,
-    SystemSyntaxError,
-    SystemTypeError,
-)
+from hodp.errors import InputError
 from hodp.ordering import transitive_closure
 from hodp.signature import RewriteSystem, build_system
 from hodp.terms import App, Arrow, Base, Lam, Sym, Term, Type, Var, show_term, show_type, spine
@@ -68,7 +63,7 @@ def _tokenize(text: str, lineno: int) -> list[_Tok]:
         if kind == "comment":
             break
         if kind == "bad":
-            raise SystemSyntaxError(f"unexpected character {tok!r}", lineno, column)
+            raise InputError(f"unexpected character {tok!r}", lineno, column)
         out.append(_Tok(kind or tok, tok, column))
     return out
 
@@ -97,16 +92,14 @@ class _LineParser:
     def next(self) -> _Tok:
         tok = self.peek()
         if tok is None:
-            raise SystemSyntaxError("unexpected end of line", self.lineno)
+            raise InputError("unexpected end of line", self.lineno)
         self.pos += 1
         return tok
 
     def expect(self, kind: str) -> _Tok:
         tok = self.next()
         if tok.kind != kind:
-            raise SystemSyntaxError(
-                f"expected {kind!r}, found {tok.text!r}", self.lineno, tok.column
-            )
+            raise InputError(f"expected {kind!r}, found {tok.text!r}", self.lineno, tok.column)
         return tok
 
     def at_end(self) -> bool:
@@ -115,9 +108,7 @@ class _LineParser:
     def finish(self) -> None:
         tok = self.peek()
         if tok is not None:
-            raise SystemSyntaxError(
-                f"unexpected {tok.text!r}", self.lineno, tok.column
-            )
+            raise InputError(f"unexpected {tok.text!r}", self.lineno, tok.column)
 
     # types
 
@@ -137,13 +128,9 @@ class _LineParser:
             return inner
         if tok.kind == "ident":
             if tok.text not in self.sorts:
-                raise SystemSyntaxError(
-                    f"undeclared sort {tok.text}", self.lineno, tok.column
-                )
+                raise InputError(f"undeclared sort {tok.text}", self.lineno, tok.column)
             return Base(tok.text)
-        raise SystemSyntaxError(
-            f"expected a type, found {tok.text!r}", self.lineno, tok.column
-        )
+        raise InputError(f"expected a type, found {tok.text!r}", self.lineno, tok.column)
 
     # terms; bound maps each enclosing binder's name to its type
 
@@ -152,7 +139,7 @@ class _LineParser:
         if term is None:
             tok = self.peek()
             where = (tok.text, tok.column) if tok else ("end of line", None)
-            raise SystemSyntaxError(f"expected a term, found {where[0]!r}", self.lineno, where[1])
+            raise InputError(f"expected a term, found {where[0]!r}", self.lineno, where[1])
         while (arg := self.parse_atom(bound)) is not None:
             (fb, ft), (ab, at) = term, arg
             out = self.inf.fresh()
@@ -168,9 +155,7 @@ class _LineParser:
         if tok.kind == "ident":
             name = tok.text
             if name in _KEYWORDS:
-                raise SystemSyntaxError(
-                    f"{name} is a reserved word", self.lineno, tok.column
-                )
+                raise InputError(f"{name} is a reserved word", self.lineno, tok.column)
             self.next()
             if name in bound:
                 t = bound[name]
@@ -241,9 +226,7 @@ class _Inference:
             return
         if isinstance(a, _Meta):
             if self._occurs(a, b):
-                raise SystemTypeError(
-                    f"line {self.lineno}: rule cannot be typed (cyclic type)"
-                )
+                raise InputError("rule cannot be typed (cyclic type)", self.lineno)
             self.bindings[a] = b
             return
         if isinstance(b, _Meta):
@@ -253,9 +236,9 @@ class _Inference:
             self.unify(a.dom, b.dom)
             self.unify(a.cod, b.cod)
             return
-        raise SystemTypeError(
-            f"line {self.lineno}: rule cannot be typed "
-            f"({show_type(self.zonk(a))} versus {show_type(self.zonk(b))})"
+        raise InputError(
+            f"rule cannot be typed ({show_type(self.zonk(a))} versus {show_type(self.zonk(b))})",
+            self.lineno,
         )
 
     def zonk(self, t: Type, what: str | None = None) -> Type:
@@ -263,9 +246,7 @@ class _Inference:
         stays in place, or raises when what names the typed variable."""
         t = self.resolve(t)
         if isinstance(t, _Meta) and what is not None:
-            raise AmbiguousVariableType(
-                f"line {self.lineno}: cannot infer the type of {what}"
-            )
+            raise InputError(f"cannot infer the type of {what}", self.lineno)
         if isinstance(t, Base):
             return t
         return Arrow(self.zonk(t.dom, what), self.zonk(t.cod, what))
@@ -286,9 +267,7 @@ def parse_system(text: str) -> RewriteSystem:
             continue
         head = tokens[0]
         if head.kind != "ident":
-            raise SystemSyntaxError(
-                f"expected a declaration, found {head.text!r}", lineno, head.column
-            )
+            raise InputError(f"expected a declaration, found {head.text!r}", lineno, head.column)
         p = _LineParser(tokens, lineno, sorts, symbols)
         p.next()
         if head.text == "sort":
@@ -296,15 +275,13 @@ def parse_system(text: str) -> RewriteSystem:
             while not p.at_end():
                 tok = p.expect("ident")
                 if tok.text in _KEYWORDS:
-                    raise SystemSyntaxError(
-                        f"{tok.text} is a reserved word", lineno, tok.column
-                    )
+                    raise InputError(f"{tok.text} is a reserved word", lineno, tok.column)
                 names.append(tok.text)
             if not names:
-                raise SystemSyntaxError("sort needs at least one name", lineno)
+                raise InputError("sort needs at least one name", lineno)
             for n in names:
                 if n in sorts:
-                    raise SystemSyntaxError(f"sort {n} already declared", lineno)
+                    raise InputError(f"sort {n} already declared", lineno)
                 sorts.append(n)
         elif head.text == "prec":
             first = p.expect("ident").text
@@ -313,12 +290,10 @@ def parse_system(text: str) -> RewriteSystem:
                 p.expect(">")
                 chain.append(p.expect("ident").text)
             if len(chain) < 2:
-                raise SystemSyntaxError("prec needs at least two symbols", lineno)
+                raise InputError("prec needs at least two symbols", lineno)
             for name in chain:
                 if name not in symbols:
-                    raise SystemSyntaxError(
-                        f"prec mentions undeclared symbol {name}", lineno
-                    )
+                    raise InputError(f"prec mentions undeclared symbol {name}", lineno)
             hints.extend(zip(chain, chain[1:]))
         elif head.text == "rule":
             lb, lt = p.parse_term({})
@@ -330,7 +305,7 @@ def parse_system(text: str) -> RewriteSystem:
                 p.inf.unify(a, b)
             lhs = lb()
             if not isinstance(spine(lhs)[0], Sym):
-                raise MalformedLhsError(
+                raise InputError(
                     f"left-hand side {show_term(lhs)} is not headed by a declared symbol",
                     lineno,
                     tokens[1].column,
@@ -341,9 +316,7 @@ def parse_system(text: str) -> RewriteSystem:
             typ = p.parse_type()
             p.finish()
             if head.text in symbols:
-                raise SystemSyntaxError(
-                    f"symbol {head.text} already declared", lineno, head.column
-                )
+                raise InputError(f"symbol {head.text} already declared", lineno, head.column)
             symbols[head.text] = typ
 
     # cyclic hints are rejected up front; the closure is recomputed later
@@ -360,12 +333,12 @@ def parse_precedence_arg(text: str, system: RewriteSystem) -> tuple[tuple[str, s
             continue
         pieces = [x.strip() for x in part.split(">")]
         if len(pieces) < 2 or any(not x for x in pieces):
-            raise SystemSyntaxError(f"cannot parse precedence item {part!r}")
+            raise InputError(f"cannot parse precedence item {part!r}")
         for name in pieces:
             if name not in system.signature.symbols:
-                raise SystemSyntaxError(f"precedence mentions undeclared symbol {name}")
+                raise InputError(f"precedence mentions undeclared symbol {name}")
         pairs.extend(zip(pieces, pieces[1:]))
     if not pairs:
-        raise SystemSyntaxError("empty precedence")
+        raise InputError("empty precedence")
     transitive_closure(pairs)
     return tuple(pairs)

@@ -1,7 +1,9 @@
 """End-to-end analysis and report rendering.
 
 Stages run in order: admissibility of every rule, extraction side
-conditions on every dependency pair, then certificate search.  The verdict
+conditions on every dependency pair, then certificate search, which tries
+the system's precedence hints first (to give other hints, replace them
+with `system._replace(precedence_hints=...)`).  The verdict
 is YES when all three succeed, NO when a disprove exploration replays a
 cycle, and MAYBE otherwise with the first failing stage named.
 
@@ -42,7 +44,6 @@ from hodp.terms import Term, alpha_canonical, show_position, show_term, show_typ
 
 
 class Options(NamedTuple):
-    precedence: tuple[tuple[str, str], ...] | None = None  # overrides file hints
     max_symbols: int = 8
     disprove: bool = False
     explore_depth: int = 200
@@ -82,16 +83,8 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
     elif not all(dp.check.ok for dp in pairs):
         stage = "extraction"
     else:
-        hints = (
-            options.precedence
-            if options.precedence is not None
-            else system.precedence_hints
-        )
         result = search_certificate(
-            system,
-            pairs,
-            hints=tuple(hints),
-            max_symbols=options.max_symbols,
+            system, pairs, hints=system.precedence_hints, max_symbols=options.max_symbols
         )
         certificate, violations = result.certificate, result.violations
         if certificate is None:

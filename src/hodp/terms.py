@@ -20,7 +20,7 @@ import functools
 import weakref
 from collections.abc import Iterable, Mapping
 
-from hodp.errors import InvalidPositionError, TypeCheckError
+from hodp.errors import TermError
 
 # ------------------------------------------------------------------ nodes
 #
@@ -225,7 +225,7 @@ def term_size(t: Term) -> int:
 
 
 def type_of(t: Term) -> Type:
-    """Type of a term; raises TypeCheckError if an application does not fit.
+    """Type of a term; raises TermError if an application does not fit.
     The result is stored on the node."""
     if isinstance(t, (Var, Sym)):
         return t.type
@@ -235,12 +235,12 @@ def type_of(t: Term) -> Type:
     if isinstance(t, App):
         fun = type_of(t.fun)
         if not isinstance(fun, Arrow):
-            raise TypeCheckError(
+            raise TermError(
                 f"cannot apply {show_term(t.fun)} : {show_type(fun)}, not a function"
             )
         arg = type_of(t.arg)
         if fun.dom != arg:
-            raise TypeCheckError(
+            raise TermError(
                 f"argument {show_term(t.arg)} : {show_type(arg)} does not fit "
                 f"{show_term(t.fun)} : {show_type(fun)}"
             )
@@ -300,7 +300,7 @@ def subterm_at(t: Term, pos: Position) -> Term:
         elif isinstance(t, Lam) and i == 1:
             t = t.body
         else:
-            raise InvalidPositionError(f"no position {show_position(pos)} in term")
+            raise TermError(f"no position {show_position(pos)} in term")
     return t
 
 
@@ -316,7 +316,7 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
         return App(t.fun, replace_at(t.arg, pos[1:], new))
     if isinstance(t, Lam) and i == 1:
         return Lam(t.var, replace_at(t.body, pos[1:], new))
-    raise InvalidPositionError(f"no position {show_position(pos)} in term")
+    raise TermError(f"no position {show_position(pos)} in term")
 
 
 # ---------------------------------------------------- alpha equivalence

@@ -9,7 +9,7 @@ import random
 from typing import Iterable
 
 from hodp.engine import Step, ground_term
-from hodp.errors import TypeCheckError
+from hodp.errors import TermError
 from hodp.ordering import Precedence, transitive_closure
 from hodp.signature import RewriteSystem, Signature, build_system
 from hodp.terms import (
@@ -90,7 +90,7 @@ def beta_normalize(t: Term, max_steps: int = 100_000) -> Term:
         if not reducts:
             return t
         t = reducts[0][1]
-    raise TypeCheckError("no beta normal form within the step budget")
+    raise TermError("no beta normal form within the step budget")
 
 
 GEN_SORTS = ("N", "L")

@@ -15,12 +15,14 @@ import sys
 import pytest
 
 from conftest import SYSTEMS_DIR, load_system
-from gen import random_fo_trs, system_text
+from gen import GEN_SORTS, GEN_SYMBOLS, random_fo_trs, random_term, system_text
 from hodp import cli
 from hodp.cli import build_arg_parser, main
 from hodp.engine import has_alpha_repeat, replay_trace
 from hodp.parser import parse_system
 from hodp.pipeline import Options, report_dict, run_pipeline
+from hodp.signature import build_system
+from hodp.terms import free_vars, show_type, type_of
 
 
 def run(capsys, *argv):
@@ -273,6 +275,17 @@ class TestFlags:
         assert reports[0]["verdict"] == "MAYBE"
         assert reports[1] == reports[0]
 
+    def test_precedence_flag_replaces_the_prec_lines_of_the_file(self, tmp_path, capsys):
+        file = tmp_path / "hinted.hodp"
+        file.write_text((SYSTEMS_DIR / "map.hodp").read_text() + "prec cons > map\n")
+        code, out, _ = run(capsys, "check", str(file))
+        assert code == 0
+        assert out.splitlines()[:2] == ["MAYBE", "stage: ordering"]
+        code, out, _ = run(capsys, "check", str(file), "--precedence", "map>cons")
+        assert code == 0
+        assert out.splitlines()[0] == "YES"
+        assert "  precedence: map > cons" in out.splitlines()
+
     def test_trace_flag_adds_witness_lines(self, capsys):
         _, plain, _ = run(capsys, "check", path("map"))
         _, detailed, _ = run(capsys, "check", path("map"), "--trace")
@@ -426,10 +439,36 @@ def _assert_witness_replays(system, flags: list[str]) -> None:
     assert has_alpha_repeat(report.witness["start"], trace), flags
 
 
+# Higher-order left sides over GEN_SYMBOLS and three more symbols, each
+# parsed once with itself as its right side.
+HO_RULES = parse_system(
+    "sort N L\n"
+    + "".join(f"{name} : {show_type(typ)}\n" for name, typ in GEN_SYMBOLS.items())
+    + "f : (N -> N) -> L -> L\ng : N -> N\nh : (N -> N -> N) -> N -> N\n"
+    + "".join(
+        f"rule {lhs} -> {lhs}\n"
+        for lhs in ("f F (cons X Ls)", "f F nil", "g (s X)", "h G X", "h (\\y. \\z. y) X")
+    )
+)
+
+
+def _random_ho_system(rng: random.Random):
+    """One to three of the HO_RULES left sides, each with a seeded right
+    side over the left side's variables."""
+    symbols, rules = HO_RULES.signature.symbols, []
+    for rule in rng.sample(HO_RULES.rules, rng.randint(1, 3)):
+        env = tuple(sorted(free_vars(rule.lhs), key=lambda v: v.name))
+        typ, size = type_of(rule.lhs), rng.randint(1, 12)
+        rhs = random_term(rng, symbols, typ, size, env=env, redex_rate=0.4)
+        rules.append((rule.lhs, rhs))
+    return build_system(GEN_SORTS, symbols, rules)
+
+
 class TestCrashFreedom:
     def test_generated_and_shipped_systems_end_with_an_exit_code(self, tmp_path):
         rng = random.Random(2024)
         systems = [(f"gen{i}", random_fo_trs(rng)[0]) for i in range(150)]
+        systems += [(f"ho{i}", _random_ho_system(rng)) for i in range(60)]
         systems += [(p.stem, load_system(p.stem)) for p in sorted(SYSTEMS_DIR.glob("*.hodp"))]
         codes = collections.Counter()
         for k, (name, system) in enumerate(systems):
@@ -531,9 +570,11 @@ class TestPlainArgv:
     def test_the_reader_knows_exactly_the_options_of_check(self):
         actions = _check_parser()._option_string_actions
         assert set(actions) == {*cli._OPTIONS, "-h", "--help"}
-        for option, (name, read) in cli._OPTIONS.items():
+        unset = vars(cli._read_plain(["check", "a.hodp"]))
+        for option, (name, read, _) in cli._OPTIONS.items():
             assert actions[option].dest == name
             assert (actions[option].nargs == 0) == (read is None), option
+            assert actions[option].default == unset[name], option
 
     def test_a_plain_run_does_not_build_the_parser(self, capsys, monkeypatch):
         def refuse():

@@ -83,6 +83,22 @@ def test_every_public_function_is_referenced():
     assert sorted(unreferenced) == sorted(UNREFERENCED)
 
 
+def test_every_error_class_is_caught_somewhere():
+    """An error class earns its place by a caller that reacts to it; one
+    that is only raised adds nothing to its base class."""
+    classes = {
+        node.name
+        for node in ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    caught = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    assert sorted(classes - caught - {"HodpError"}) == []
+
+
 def _caches() -> dict:
     """Every lru_cache bound in a module of hodp or in one of its classes,
     by the module-relative name it was defined under."""

@@ -6,13 +6,7 @@ import sys
 import pytest
 
 from conftest import SYSTEMS_DIR, load_system, same_reports_tool, system_text
-from hodp.errors import (
-    AmbiguousVariableType,
-    InputError,
-    PrecedenceCycleError,
-    SystemSyntaxError,
-    SystemTypeError,
-)
+from hodp.errors import InputError
 from hodp.parser import parse_precedence_arg, parse_system
 from hodp.terms import Arrow, Base, Lam, Var, free_vars, show_term, show_type, type_of
 
@@ -70,7 +64,7 @@ class TestGrammar:
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_a_line_ends_at_a_line_feed_or_carriage_return(self, end):
-        with pytest.raises(SystemSyntaxError) as exc:
+        with pytest.raises(InputError) as exc:
             parse_system(f"sort N{end}0 : N{end}f @ N{end}")
         assert str(exc.value) == "line 3, column 3: unexpected character '@'"
 
@@ -85,21 +79,21 @@ class TestGrammar:
 
     @pytest.mark.parametrize("char", NOT_LINE_ENDS)
     def test_after_one_in_a_comment_line_numbers_hold(self, char):
-        with pytest.raises(SystemSyntaxError) as exc:
+        with pytest.raises(InputError) as exc:
             parse_system(f"sort N # a{char}b\n0 @ N\n")
         assert str(exc.value) == "line 2, column 3: unexpected character '@'"
 
     # identifiers are ASCII: letters, digits and marks elsewhere are rejected
     @pytest.mark.parametrize("char", ["é", "α", "\uff11", "\ufeff"])
     def test_non_ascii_characters_are_unexpected(self, char):
-        with pytest.raises(SystemSyntaxError) as exc:
+        with pytest.raises(InputError) as exc:
             parse_system(f"sort N{char}\n")
         assert str(exc.value) == f"line 1, column 7: unexpected character {char!r}"
 
     def test_keywords_are_case_sensitive(self):
         # 'Sort' is an ordinary identifier, so the line is read as a
         # symbol declaration missing its colon
-        with pytest.raises(SystemSyntaxError):
+        with pytest.raises(InputError, match="expected ':'"):
             parse_system("Sort N\n")
 
 
@@ -120,19 +114,19 @@ class TestInference:
         assert lam.var.type == Base("N")
 
     def test_rules_must_preserve_types(self):
-        with pytest.raises(SystemTypeError):
+        with pytest.raises(InputError, match="cannot be typed"):
             parse_system(BASE + "rule plus X -> X\n")
 
     def test_ill_typed_application_is_reported(self):
-        with pytest.raises(SystemTypeError):
+        with pytest.raises(InputError, match="cannot be typed"):
             parse_system(BASE + "rule plus X Y -> s (\\w. w)\n")
 
     def test_unconstrained_binder_is_ambiguous(self):
-        with pytest.raises(AmbiguousVariableType):
+        with pytest.raises(InputError, match="cannot infer the type of"):
             parse_system(BASE + "rule plus X Y -> (\\w. 0) W\n")
 
     def test_undeclared_head_reads_as_an_untypable_variable(self):
-        with pytest.raises(AmbiguousVariableType):
+        with pytest.raises(InputError, match="cannot infer the type of"):
             parse_system("sort N\nrule f X -> X\n")
 
     @pytest.mark.parametrize(
@@ -145,7 +139,7 @@ class TestInference:
     )
     def test_type_errors_show_the_inferred_types(self, rule, message):
         text = "sort N\n0 : N\ns : N -> N\nf : N -> N\nrule " + rule + "\n"
-        with pytest.raises((SystemTypeError, AmbiguousVariableType)) as exc:
+        with pytest.raises(InputError) as exc:
             parse_system(text)
         assert str(exc.value) == message
 
@@ -187,18 +181,18 @@ class TestErrors:
         ],
     )
     def test_syntax_errors_carry_a_message(self, text, fragment):
-        with pytest.raises(SystemSyntaxError) as exc:
+        with pytest.raises(InputError) as exc:
             parse_system(text)
         assert fragment in str(exc.value)
 
     def test_errors_carry_line_numbers(self):
-        with pytest.raises(SystemSyntaxError) as exc:
+        with pytest.raises(InputError) as exc:
             parse_system("sort N\n0 : N\nf @ N\n")
         assert exc.value.line == 3
         assert exc.value.column == 3
 
     def test_cyclic_precedence_hints_are_rejected(self):
-        with pytest.raises(PrecedenceCycleError):
+        with pytest.raises(InputError, match="above itself"):
             parse_system("sort N\n0 : N\ns : N -> N\nprec s > 0\nprec 0 > s\n")
 
 
@@ -213,9 +207,9 @@ class TestMutants:
                 parse_system(mutate(texts[k % len(texts)], rng))
                 outcomes.add("parsed")
             except InputError as exc:
-                outcomes.add(type(exc).__name__)
+                outcomes.add("typing" if "cannot be typed" in str(exc) else "syntax")
         # the mutants reach past the tokenizer into the grammar and the types
-        assert {"parsed", "SystemSyntaxError", "SystemTypeError"} <= outcomes
+        assert {"parsed", "syntax", "typing"} <= outcomes
 
 
 class TestPrecedenceArgument:

@@ -106,14 +106,14 @@ class TestPrecedenceHints:
     def test_good_hint_is_used_directly(self):
         system = load_system("map")
         prec = parse_precedence_arg("map>cons", system)
-        report = run_pipeline(system, Options(precedence=prec))
+        report = run_pipeline(system._replace(precedence_hints=prec))
         assert report.verdict == "YES"
         assert report.certificate.edges == (("map", "cons"),)
 
     def test_bad_hint_reports_violations(self):
         system = load_system("map")
         prec = parse_precedence_arg("cons>map", system)
-        report = run_pipeline(system, Options(precedence=prec))
+        report = run_pipeline(system._replace(precedence_hints=prec))
         assert report.verdict == "MAYBE"
         assert report.stage == "ordering"
         assert [(v.kind, v.label) for v in report.violations] == [("rule", "r2")]
@@ -128,14 +128,14 @@ class TestPrecedenceHints:
         # filter needs two edges; hinting one of them still succeeds
         system = load_system("filter")
         prec = parse_precedence_arg("filter>cons", system)
-        report = run_pipeline(system, Options(precedence=prec))
+        report = run_pipeline(system._replace(precedence_hints=prec))
         assert report.verdict == "YES"
         assert ("filter", "if") in report.certificate.edges
 
     def test_good_hint_is_tried_before_the_symbol_limit(self):
         system = load_system("map")
         prec = parse_precedence_arg("map>cons", system)
-        report = run_pipeline(system, Options(precedence=prec, max_symbols=1))
+        report = run_pipeline(system._replace(precedence_hints=prec), Options(max_symbols=1))
         assert report.verdict == "YES"
 
     def test_symbol_limit_surfaces_as_an_error(self):
