@@ -468,9 +468,10 @@ class TestCrashFreedom:
     def test_generated_and_shipped_systems_end_with_an_exit_code(self, tmp_path):
         rng = random.Random(2024)
         systems = [(f"gen{i}", random_fo_trs(rng)[0]) for i in range(150)]
-        systems += [(f"ho{i}", _random_ho_system(rng)) for i in range(60)]
+        ho_systems = [(f"ho{i}", _random_ho_system(rng)) for i in range(60)]
         systems += [(p.stem, load_system(p.stem)) for p in sorted(SYSTEMS_DIR.glob("*.hodp"))]
-        codes = collections.Counter()
+        systems += ho_systems
+        codes, ho_outcomes = collections.Counter(), set()
         for k, (name, system) in enumerate(systems):
             text = system_text(system)
             assert _untimed_report(parse_system(text)) == _untimed_report(system), name
@@ -488,15 +489,30 @@ class TestCrashFreedom:
                     assert err.count("\n") == 1 and err.endswith("\n"), (name, flags, err)
                     assert err.startswith(("error:", "limit:")), (name, flags, err)
             assert json_run[0] == text_run[0], (name, flags)
+            outcome = text_run[0]
             if text_run[0] == 0:
-                verdict = json.loads(json_run[1])["verdict"]
+                report = json.loads(json_run[1])
+                verdict = report["verdict"]
                 assert verdict == text_run[1].splitlines()[0], (name, flags)
                 if verdict == "NO":
                     _assert_witness_replays(parse_system(text), flags)
                     codes["NO"] += 1
+                outcome = (verdict, report["stage"])
             codes[text_run[0]] += 1
+            if name.startswith("ho"):
+                ho_outcomes.add(outcome)
         # the cyclic precedence exits 2; the flag sets reach all three codes
         assert set(codes) == {0, 2, 3, "NO"}
+        # the higher-order systems alone reach every verdict, both stages a
+        # MAYBE stops at, and both error exits
+        assert ho_outcomes >= {
+            ("YES", None),
+            ("NO", None),
+            ("MAYBE", "extraction"),
+            ("MAYBE", "ordering"),
+            2,
+            3,
+        }, ho_outcomes
 
 
 # ------------------------------------------------------------- plain argv

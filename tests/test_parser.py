@@ -207,7 +207,15 @@ class TestMutants:
                 parse_system(mutate(texts[k % len(texts)], rng))
                 outcomes.add("parsed")
             except InputError as exc:
-                outcomes.add("typing" if "cannot be typed" in str(exc) else "syntax")
+                message = str(exc)
+                if "cannot be typed" in message:
+                    outcomes.add("typing")
+                elif "cannot infer the type of" in message:
+                    outcomes.add("ambiguous")
+                elif "above itself" in message:
+                    outcomes.add("cycle")
+                else:
+                    outcomes.add("syntax")
         # the mutants reach past the tokenizer into the grammar and the types
         assert {"parsed", "syntax", "typing"} <= outcomes
 
