@@ -247,8 +247,8 @@ def _path(stack: list[_Frame]) -> tuple[Step, ...]:
 
 
 def replay_trace(trace: Iterable[Step], system: RewriteSystem, pairs: tuple[DepPair, ...]) -> bool:
-    """Recompute every step of a trace and check consecutive states link up
-    modulo alpha."""
+    """Recompute every step (a pair step only at the root, by a pair with no
+    escaped variable) and check consecutive states link up modulo alpha."""
     rules = {r.name: r for r in system.rules}
     pair_map = {dp.name: dp for dp in pairs}
     prev: Term | None = None
@@ -273,7 +273,7 @@ def replay_trace(trace: Iterable[Step], system: RewriteSystem, pairs: tuple[DepP
             expect = replace_at(s.source, s.position, apply_subst(rule.rhs, binding))
         elif s.kind == "dp":
             dp = pair_map.get(s.label)
-            if dp is None or s.position != ():
+            if dp is None or s.position != () or not dp.check.variables_ok:
                 return False
             binding = match_pattern(dp.lhs, s.source)
             if binding is None:

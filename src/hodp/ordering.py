@@ -272,49 +272,39 @@ def term_symbols(t: Term) -> frozenset[str]:
     return term_symbols(t.body)
 
 
-def _constraints(system: RewriteSystem, pairs: tuple[DepPair, ...]):
-    """(kind, label, lhs, rhs) of every rule, then of every pair."""
-    for rule in system.rules:
-        yield "rule", rule.name, rule.lhs, rule.rhs
-    for dp in pairs:
-        yield "pair", dp.name, dp.lhs, dp.rhs
+def _rows(system: RewriteSystem, pairs: tuple[DepPair, ...]) -> list[tuple]:
+    """One row per rule, then per pair: the constraint as the Violation it
+    would be, its left symbols, all its symbols, its cross edges from a
+    left symbol to a right one, and its table of outcomes (see _decide).
+    Each side is walked for its symbols once."""
+    rows = []
+    for kind, constraints in (("rule", system.rules), ("pair", pairs)):
+        for c in constraints:
+            left, right = term_symbols(c.lhs), term_symbols(c.rhs)
+            cross = frozenset(itertools.product(left, right))
+            rows.append((Violation(kind, c.name, c.lhs, c.rhs), tuple(left), left | right, cross, {}))
+    return rows
 
 
-def constraint_symbols(system: RewriteSystem, pairs: tuple[DepPair, ...]) -> tuple[str, ...]:
-    syms: set[str] = set()
-    for _, _, lhs, rhs in _constraints(system, pairs):
-        syms |= term_symbols(lhs) | term_symbols(rhs)
-    return tuple(sorted(syms))
+def _symbols(rows) -> tuple[str, ...]:
+    return tuple(sorted(frozenset().union(*(row[2] for row in rows))))
 
 
-def _entry(kind: str, lhs: Term, rhs: Term, decided: dict) -> tuple:
-    """A constraint's entry in decided: its left symbols, its cross edges
-    from a left symbol to a right one, and its table of outcomes."""
-    entry = decided.get((kind, lhs, rhs))
-    if entry is None:
-        left = tuple(term_symbols(lhs))
-        cross = frozenset(itertools.product(left, term_symbols(rhs)))
-        entry = decided[kind, lhs, rhs] = (left, cross, {})
-    return entry
-
-
-def _decide(kind: str, lhs: Term, rhs: Term, prec: Precedence, decided: dict) -> GtTrace | None:
+def _decide(row: tuple, prec: Precedence) -> GtTrace | None:
     """A rule's weak witness or a pair's strict one, None if there is none.
 
     Each comparison it makes has a left side built from lhs and a right
     side built from rhs, so it reads only edges from a symbol of lhs to
-    one of rhs and statuses of symbols of lhs.  decided, the table of one
-    search, keeps the outcome under exactly those, whatever the rest: under
-    the edge view (the cross edges in prec) and the status view (the
-    statuses of the left symbols)."""
-    left, cross, outcomes = _entry(kind, lhs, rhs, decided)
+    one of rhs and statuses of symbols of lhs.  The row's table, which
+    every candidate of one search shares, keeps the outcome under exactly
+    those, whatever the rest: under the edge view (the cross edges in
+    prec) and the status view (the statuses of the left symbols)."""
+    c, left, _, cross, outcomes = row
     key = (cross & prec.edges, tuple(map(prec.status, left)))
     w = outcomes.get(key, False)
     if w is False:
-        if kind == "rule":
-            w = weakly_decreases(lhs, rhs, PathOrder(prec))
-        else:
-            w = PathOrder(prec).greater(lhs, rhs)
+        order = PathOrder(prec)
+        w = weakly_decreases(c.lhs, c.rhs, order) if c.kind == "rule" else order.greater(c.lhs, c.rhs)
         outcomes[key] = w
     return w
 
@@ -323,27 +313,26 @@ def check_constraints(
     system: RewriteSystem,
     pairs: tuple[DepPair, ...],
     prec: Precedence,
-    decided: dict | None = None,
+    rows: list | None = None,
 ) -> ConstraintCheck:
     """Every rule must weakly decrease and every pair strictly decrease
     under the given precedence.  On success the returned certificate keeps
-    only the precedence edges some witness used.  Outcomes come from
-    decided, the table of the calling search, or a fresh one (see
-    _decide)."""
-    decided = {} if decided is None else decided
+    only the precedence edges some witness used.  Outcomes come from rows,
+    those of the calling search, or fresh ones (see _rows and _decide)."""
+    rows = _rows(system, pairs) if rows is None else rows
     violations: list[Violation] = []
     witnesses: dict[str, list] = {"rule": [], "pair": []}
     used: set[tuple[str, str]] = set()
-    for kind, label, lhs, rhs in _constraints(system, pairs):
-        w = _decide(kind, lhs, rhs, prec, decided)
+    for row in rows:
+        c, w = row[0], _decide(row, prec)
         if w is None:
-            violations.append(Violation(kind, label, lhs, rhs))
+            violations.append(c)
             continue
-        witnesses[kind].append((label, w))
+        witnesses[c.kind].append((c.label, w))
         _used_edges(w, used)
     if violations:
         return ConstraintCheck(None, tuple(violations))
-    defined = [n for n in constraint_symbols(system, pairs) if n in system.signature.defined]
+    defined = [n for n in _symbols(rows) if n in system.signature.defined]
     statuses = tuple((n, prec.status(n)) for n in defined)
     cert = Certificate(
         tuple(sorted(used)), statuses, tuple(witnesses["rule"]), tuple(witnesses["pair"])
@@ -356,36 +345,34 @@ def _symbol_arity(sig: Signature, name: str) -> int:
     return len(args)
 
 
-def _rows(system: RewriteSystem, pairs: tuple[DepPair, ...], vary: tuple[str, ...], decided: dict):
-    """Per constraint: its position, kind, sides, cross edges and outcomes
-    (see _entry), and each left symbol's index in vary, or len(vary)."""
-    rows = []
-    for i, (kind, _, lhs, rhs) in enumerate(_constraints(system, pairs)):
-        left, cross, outcomes = _entry(kind, lhs, rhs, decided)
-        index = tuple(vary.index(n) if n in vary else len(vary) for n in left)
-        rows.append((i, kind, lhs, rhs, cross, outcomes, index))
-    return rows
+def _status_rows(rows: list, vary: tuple[str, ...]) -> list[tuple]:
+    """Per row, flat for the status loop: its position, the row, its cross
+    edges and outcomes, and each left symbol's index in vary, or len(vary)."""
+    return [
+        (i, row, row[3], row[4], tuple(vary.index(n) if n in vary else len(vary) for n in row[1]))
+        for i, row in enumerate(rows)
+    ]
 
 
-def _first_assignment(rows, vary: tuple[str, ...], decided: dict, view, edges) -> Precedence | None:
+def _first_assignment(loop: list, vary: tuple[str, ...], view, edges) -> Precedence | None:
     """The first status assignment of vary (multiset first) under which
-    every constraint holds, as a Precedence, in an order whose edge set is
-    edges() and in which a constraint's edge view is view(cross).  Edge
-    views are built once per order, when first needed, and status views
-    per assignment as _decide builds them, so the look-ups use the keys
-    _decide writes.  A Precedence is built only on a miss, which _decide
-    fills, or for the result."""
-    views = [None] * len(rows)
+    every constraint of loop (see _status_rows) holds, as a Precedence, in
+    an order whose edge set is edges() and in which a constraint's edge
+    view is view(cross).  Edge views are built once per order, when first
+    needed, and status views per assignment as _decide builds them, so the
+    look-ups use the keys _decide writes.  A Precedence is built only on a
+    miss, which _decide fills, or for the result."""
+    views = [None] * len(loop)
     for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
         statuses = combo + ("mul",)
         prec = None
-        for i, kind, lhs, rhs, cross, outcomes, index in rows:
+        for i, row, cross, outcomes, index in loop:
             if views[i] is None:
                 views[i] = view(cross)
             w = outcomes.get((views[i], tuple([statuses[j] for j in index])), False)
             if w is False:
                 prec = prec or Precedence(edges(), dict(zip(vary, combo)))
-                w = _decide(kind, lhs, rhs, prec, decided)
+                w = _decide(row, prec)
             if w is None:
                 break
         else:
@@ -398,18 +385,18 @@ def check_with_statuses(
     pairs: tuple[DepPair, ...],
     edges: frozenset[tuple[str, str]],
     vary: tuple[str, ...],
-    decided: dict | None = None,
+    rows: list | None = None,
 ) -> ConstraintCheck:
     """Fixed edge set, every status assignment of the symbols in vary
     (multiset first), in the status loop of the search (see
-    _first_assignment), with outcomes shared in decided (see _decide).
+    _first_assignment), with outcomes shared in rows (see _decide).
     Without a certificate, no violations are listed."""
-    decided = {} if decided is None else decided
-    rows = _rows(system, pairs, vary, decided)
-    prec = _first_assignment(rows, vary, decided, lambda cross: cross & edges, lambda: edges)
+    rows = _rows(system, pairs) if rows is None else rows
+    loop = _status_rows(rows, vary)
+    prec = _first_assignment(loop, vary, lambda cross: cross & edges, lambda: edges)
     if prec is None:
         return ConstraintCheck(None, ())
-    return check_constraints(system, pairs, prec, decided)
+    return check_constraints(system, pairs, prec, rows)
 
 
 def search_certificate(
@@ -422,34 +409,34 @@ def search_certificate(
 
     The transitively closed hints are tried first as given, before the
     symbol limit applies.  Then come total orders that keep every closed
-    hint between two constraint symbols: defined symbols above
-    constructors first, each block in lexicographic permutation order,
-    then every remaining permutation.  Statuses vary multiset-first over
-    defined symbols with at least two arguments.  Derivability only grows
-    with the precedence, so searching total orders is complete.  Each
-    constraint's outcome is decided once per search, in a table that every
-    candidate shares and that is dropped on return (see _decide).  Each
-    constraint's row is built once per search; per order, a constraint's
+    hint between two constraint symbols: defined symbols above constructors
+    first, each block in lexicographic permutation order, then every
+    remaining permutation.  Statuses vary multiset-first over defined
+    symbols with at least two arguments.  Derivability only grows with the
+    precedence, so searching total orders is complete.  Each rule and pair
+    has one row per search, built from one walk of its sides, whose outcome
+    table every candidate shares and which is dropped on return (see _rows
+    and _decide); the flat rows of the status loop are built from them once,
+    before the enumeration (see _status_rows).  Per order, a constraint's
     edge view is built once, the first time it is needed, from the chain's
     positions; per candidate, what remains is a status view and a look-up
-    for each constraint up to the first that fails (see
-    _first_assignment).  Without a certificate, the violations are those
-    of the hints under multiset statuses, and none when no hints were
-    given.  Raises LimitError if the constraints mention more symbols than
-    max_symbols.
+    for each constraint up to the first that fails (see _first_assignment).
+    Without a certificate, the violations are those of the hints under
+    multiset statuses, and none when no hints were given.  Raises LimitError
+    if the constraints mention more symbols than max_symbols.
     """
-    syms = constraint_symbols(system, pairs)
+    rows = _rows(system, pairs)
+    syms = _symbols(rows)
     defined = tuple(n for n in syms if n in system.signature.defined)
     ctors = tuple(n for n in syms if n not in system.signature.defined)
     vary = tuple(n for n in defined if _symbol_arity(system.signature, n) >= 2)
-    decided: dict = {}
     failed = ConstraintCheck(None, ())
     closed = transitive_closure(hints)
     if hints:
-        found = check_with_statuses(system, pairs, closed, vary, decided)
+        found = check_with_statuses(system, pairs, closed, vary, rows)
         if found.certificate is not None:
             return found
-        failed = check_constraints(system, pairs, Precedence(closed), decided)
+        failed = check_constraints(system, pairs, Precedence(closed), rows)
     if not syms:
         return ConstraintCheck(Certificate((), (), (), ()), ())
     if len(syms) > max_symbols:
@@ -457,7 +444,7 @@ def search_certificate(
             f"{len(syms)} constraint symbols exceed the search limit of {max_symbols}"
         )
     required = tuple((a, b) for a, b in closed if a in syms and b in syms)
-    rows = _rows(system, pairs, vary, decided)
+    loop = _status_rows(rows, vary)
     top = set(defined)
     chains = itertools.chain(
         (
@@ -472,10 +459,10 @@ def search_certificate(
         if any(index[a] >= index[b] for a, b in required):
             continue
         prec = _first_assignment(
-            rows, vary, decided,
+            loop, vary,
             lambda cross: frozenset([(a, b) for a, b in cross if index[a] < index[b]]),
             lambda: frozenset(itertools.combinations(chain, 2)),
         )
         if prec is not None:
-            return check_constraints(system, pairs, prec, decided)
+            return check_constraints(system, pairs, prec, rows)
     return failed

@@ -5,7 +5,8 @@ conditions on every dependency pair, then certificate search, which tries
 the system's precedence hints first (to give other hints, replace them
 with `system._replace(precedence_hints=...)`).  The verdict
 is YES when all three succeed, NO when a disprove exploration replays a
-cycle, and MAYBE otherwise with the first failing stage named.
+cycle, and MAYBE otherwise with the first failing stage named.  The chain
+relation steps only by pairs whose bound variables stay bound.
 
 report_dict is the one walk over the analysis objects: it turns a report
 into the JSON model, with fixed field names.  The JSON report prints that
@@ -98,9 +99,10 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
     if options.disprove:
         seeds = disprove_seeds(system)
         table = {}  # the redex table both relations read
+        bound = tuple(dp for dp in pairs if dp.check.variables_ok)
         for relation, successors in (
             ("rewrite", rewrite_successors(system, table)),
-            ("chain", chain_successors(system, pairs, options.internal_beta, table)),
+            ("chain", chain_successors(system, bound, options.internal_beta, table)),
         ):
             for seed in seeds:
                 result = bounded_explore(

@@ -9,6 +9,16 @@ from hodp.signature import RewriteSystem
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SYSTEMS_DIR = ROOT / "systems"
 
+# Two terminating systems whose pairs loop only through a bound variable
+# that escapes: a chain step through such a pair substitutes the left
+# side's match into it, or merges two escaped variables of one name.
+ESCAPING_LOOPS = {
+    "shadowed": "sort N\n0 : N\ns : N -> N\nk : (N -> N) -> N\nf : N -> N\ng : N -> N\n"
+    "rule g (s X) -> k (\\X:N. f X)\nrule f 0 -> g (s 0)\n",
+    "merged": "sort N\nk : (N -> N) -> N\nf : N -> N -> N\nh : N -> N\ng : N -> N -> N\n"
+    "rule f X Y -> k (\\y:N. h y)\nrule h W -> k (\\y:N. g y W)\nrule g Z Z -> f Z Z\n",
+}
+
 
 def load_system(name: str) -> RewriteSystem:
     return parse_system((SYSTEMS_DIR / f"{name}.hodp").read_text())

@@ -8,6 +8,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from hodp.engine import has_alpha_repeat, replay_trace
 from hodp.parser import parse_system
 from hodp.pipeline import Options, report_dict, run_pipeline
 from hodp.signature import build_system
-from hodp.terms import free_vars, show_type, type_of
+from hodp.terms import App, Base, Lam, Sym, Var, flatten_type, free_vars, show_type, spine, type_of
 
 
 def run(capsys, *argv):
@@ -464,6 +465,35 @@ def _random_ho_system(rng: random.Random):
     return build_system(GEN_SORTS, symbols, rules)
 
 
+def _escaping_ho_system(rng: random.Random):
+    """One to three of the HO_RULES left sides, each with a right side that
+    passes f or h a lambda whose body calls a defined symbol on the bound
+    variable, so the pair of that call escapes.  The binder is y, or X,
+    which shadows the left side's X where it has one."""
+    symbols, n, rules = HO_RULES.signature.symbols, Base("N"), []
+    chosen = rng.sample(HO_RULES.rules, rng.randint(1, 3))
+    defined = sorted({spine(r.lhs)[0].name for r in chosen})
+    for rule in chosen:
+        env = tuple(sorted(free_vars(rule.lhs), key=lambda v: v.name))
+        y, z, name = Var(rng.choice("yX"), n), Var("z", n), rng.choice(defined)
+        argtypes, out = flatten_type(symbols[name])
+        body = z
+        while y not in free_vars(body):
+            body = Sym(name, symbols[name])
+            for a in argtypes:
+                body = App(body, random_term(rng, symbols, a, rng.randint(1, 4), env + (y,), 0.4))
+        if out != n:
+            body = App(App(Sym("k", symbols["k"]), random_term(rng, symbols, n, 2, env)), body)
+        if type_of(rule.lhs) == n:
+            fun, arg = Lam(y, Lam(z, body)), random_term(rng, symbols, n, 2, env)
+            rhs = App(App(Sym("h", symbols["h"]), fun), arg)
+        else:
+            fun, arg = Lam(y, body), random_term(rng, symbols, Base("L"), 2, env)
+            rhs = App(App(Sym("f", symbols["f"]), fun), arg)
+        rules.append((rule.lhs, rhs))
+    return build_system(GEN_SORTS, symbols, rules)
+
+
 class TestCrashFreedom:
     def test_generated_and_shipped_systems_end_with_an_exit_code(self, tmp_path):
         rng = random.Random(2024)
@@ -513,6 +543,34 @@ class TestCrashFreedom:
             2,
             3,
         }, ho_outcomes
+
+    def test_pairs_that_escape_never_step_a_chain(self, tmp_path):
+        """Seeded systems with a pair whose bound variable escapes: the
+        chain relation steps by no such pair, so neither a NO witness nor
+        a dp edge of the --dot graph names one, and many of them end at
+        extraction."""
+        rng, dot = random.Random(2026), tmp_path / "graph.dot"
+        outcomes = collections.Counter()
+        for i in range(120):
+            file = tmp_path / f"esc{i}.hodp"
+            file.write_text(system_text(_escaping_ho_system(rng)), encoding="utf-8")
+            flags = [*DISPROVE, "--internal", "rules-only"] if i % 2 else DISPROVE
+            code, out, err = _run_in_process(["check", str(file), "--json", *flags, "--dot", str(dot)])
+            outcomes[code] += 1
+            if code != 0:
+                assert code == 3 and err.startswith("limit:"), (i, code, err)
+                continue
+            report = json.loads(out)
+            escaped = {dp["name"] for dp in report["pairs"] if not dp["conditions"]["variables_ok"]}
+            assert escaped, i
+            outcomes[report["verdict"], report["stage"]] += 1
+            if report["verdict"] == "NO":
+                assert report["witness"]["relation"] == "rewrite", i
+                _assert_witness_replays(parse_system(file.read_text(encoding="utf-8")), flags)
+            drawn = set(re.findall(r'label="dp\((d\d+)\)@', dot.read_text(encoding="utf-8")))
+            assert not drawn & escaped, (i, drawn, escaped)
+            outcomes["dp edges"] += bool(drawn)
+        assert outcomes["MAYBE", "extraction"] >= 20 and outcomes["dp edges"] >= 20, outcomes
 
 
 # ------------------------------------------------------------- plain argv

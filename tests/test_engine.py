@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import SYSTEMS_DIR, load_system
+from conftest import ESCAPING_LOOPS, SYSTEMS_DIR, load_system
 from gen import (
     GEN_SYMBOLS,
     make_sig,
@@ -311,6 +311,20 @@ class TestReplay:
         )
         assert not replay_trace([forged], system, ())
 
+
+    @pytest.mark.parametrize("name", sorted(ESCAPING_LOOPS))
+    def test_a_pair_step_that_escapes_is_rejected(self, name):
+        """Chained through every pair, the system loops from its first
+        seed; the steps through a pair that escapes are forged."""
+        system = parse_system(ESCAPING_LOOPS[name])
+        pairs = extract_pairs(system)
+        seed = disprove_seeds(system)[0]
+        ex = bounded_explore(seed, chain_successors(system, pairs, True, {}))
+        assert ex.kind == "cycle" and has_alpha_repeat(seed, ex.trace)
+        assert not replay_trace(ex.trace, system, pairs)
+        for step in ex.trace:
+            (dp,) = [dp for dp in pairs if dp.name == step.label]
+            assert replay_trace([step], system, pairs) == dp.check.variables_ok
 
 # ------------------------------------------------------------------ oracle
 # The recursive exploration the explicit stack replaced, kept as the

@@ -27,8 +27,8 @@ from hodp.ordering import (
     _symbol_arity,
     check_constraints,
     check_with_statuses,
-    constraint_symbols,
     search_certificate,
+    term_symbols,
     transitive_closure,
     type_skeleton,
     weakly_decreases,
@@ -47,6 +47,7 @@ from hodp.terms import (
     apply_subst,
     beta_reducts,
     free_vars,
+    term_size,
     type_of,
 )
 
@@ -63,6 +64,16 @@ FOLDR_EXTRAS = {
     "rule len nil -> 0\nrule len (cons X L) -> s (len L)\n"
     "rule plus 0 Y -> Y\nrule plus (s X) Y -> s (plus X Y)\n",
 }
+
+
+def _sides(system, pairs):
+    """Both sides of every rule, then of every pair."""
+    return [t for c in (*system.rules, *pairs) for t in (c.lhs, c.rhs)]
+
+
+def constraint_symbols(system, pairs):
+    """Every symbol of a side of a rule or a pair, sorted."""
+    return tuple(sorted(set().union(*map(term_symbols, _sides(system, pairs)))))
 
 
 def _foldr_system(size):
@@ -429,10 +440,11 @@ class TestSearch:
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp")))
     def test_shared_outcomes_match_fresh_checks(self, name):
-        """A search shares one table of outcomes between all its edge sets
-        and status assignments; under each of them the result must be that
-        of a check on its own.  The edge sets are the empty one, two
-        chains and, with at most five symbols, every total order."""
+        """A search shares one row per constraint, with its table of
+        outcomes, between all its edge sets and status assignments; under
+        each of them the result must be that of a check on its own.  The
+        edge sets are the empty one, two chains and, with at most five
+        symbols, every total order."""
         system = load_system(name)
         pairs = extract_pairs(system)
         syms = constraint_symbols(system, pairs)
@@ -442,13 +454,30 @@ class TestSearch:
         chains = [(), defined + ctors, ctors + defined[::-1]]
         if len(syms) <= 5:
             chains += itertools.permutations(syms)
-        decided = {}
+        rows = ordering._rows(system, pairs)
         for chain in chains:
             edges = frozenset(itertools.combinations(chain, 2))
             for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
                 prec = Precedence(edges, dict(zip(vary, combo)))
-                shared = check_constraints(system, pairs, prec, decided=decided)
+                shared = check_constraints(system, pairs, prec, rows=rows)
                 assert shared == check_constraints(system, pairs, prec), (chain, combo)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp")))
+    def test_a_search_walks_each_side_once(self, name, monkeypatch):
+        """One search, with or without a hint check, walks every side of
+        every rule and pair for its symbols once: one term_symbols call per
+        node."""
+        system = load_system(name)
+        pairs = extract_pairs(system)
+        syms = constraint_symbols(system, pairs)
+        nodes = sum(map(term_size, _sides(system, pairs)))
+        calls = []
+        walk = ordering.term_symbols
+        monkeypatch.setattr(ordering, "term_symbols", lambda t: calls.append(t) or walk(t))
+        for hints in ((), tuple(zip(syms, syms[1:]))):
+            calls.clear()
+            search_certificate(system, pairs, hints)
+            assert len(calls) == nodes, hints
 
     def test_work_does_not_grow_with_the_enumeration(self, monkeypatch):
         """Every candidate order of a foldr system fails on its first

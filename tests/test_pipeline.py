@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from conftest import SYSTEMS_DIR, load_system, system_text
+from conftest import ESCAPING_LOOPS, SYSTEMS_DIR, load_system, system_text
 from gen import random_fo_trs
+from hodp.engine import has_alpha_repeat, replay_trace
 from hodp.errors import LimitError
 from hodp.parser import parse_precedence_arg, parse_system
 from hodp.pipeline import (
@@ -185,6 +186,28 @@ class TestDisproving:
         report = run_pipeline(load_system("selfloop"), Options())
         assert report.verdict == "MAYBE"
         assert report.witness is None
+
+    @pytest.mark.parametrize("name", sorted(ESCAPING_LOOPS))
+    def test_a_chain_steps_by_no_pair_that_escapes(self, name):
+        report = run_pipeline(parse_system(ESCAPING_LOOPS[name]), Options(disprove=True, record_graph=True))
+        assert (report.verdict, report.stage) == ("MAYBE", "extraction")
+        escaped = {dp.name for dp in report.pairs if not dp.check.variables_ok}
+        assert escaped and not any(s.kind == "dp" and s.label in escaped for s in report.graph)
+
+    def test_pairs_that_only_change_the_type_still_refute(self):
+        """Every pair of this looping system fails the type condition, but
+        its right side is a subterm of the reduct, so the chain stands."""
+        text = (
+            "sort N L\n0 : N\ns : N -> N\nnil : L\ncons : N -> L -> L\nk : N -> L -> N\n"
+            "f : (N -> N) -> L -> L\ng : N -> N\nh : (N -> N -> N) -> N -> N\n"
+            "rule f F nil -> cons (g (s 0)) nil\nrule h G X -> 0\nrule g (s X) -> k X (f g nil)\n"
+        )
+        system = parse_system(text)
+        report = run_pipeline(system, Options(disprove=True))
+        assert all(dp.check.variables_ok and not dp.check.type_ok for dp in report.pairs)
+        assert (report.verdict, report.witness["relation"]) == ("NO", "chain")
+        assert replay_trace(report.witness["trace"], system, report.pairs)
+        assert has_alpha_repeat(report.witness["start"], report.witness["trace"])
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp")))
     def test_the_graph_holds_each_edge_once(self, name):
