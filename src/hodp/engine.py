@@ -122,13 +122,16 @@ def _tabulate(u: Term, system: RewriteSystem, table: RedexTable):
 def pair_root_steps(t: Term, pairs: Iterable[DepPair], table: RedexTable) -> list[Step]:
     """The pair steps at the root of t, which the table must already hold.
     A pair's left side is its rule's, so a pair fires exactly where its
-    rule matched, with the rule's binding."""
-    bindings = {label: binding for kind, label, binding, _ in table[t] or () if kind == "rule"}
+    rule matched, with the rule's binding; a pair at the root of its
+    rule's right side reaches the contractum the table holds."""
+    redexes = {label: (binding, c) for kind, label, binding, c in table[t] or () if kind == "rule"}
     out = []
     for dp in pairs:
-        binding = bindings.get(dp.rule.name)
-        if binding is not None:
-            out.append(Step("dp", dp.name, (), t, apply_subst(dp.rhs, binding)))
+        redex = redexes.get(dp.rule.name)
+        if redex is not None:
+            binding, contractum = redex
+            target = contractum if dp.rhs is dp.rule.rhs else apply_subst(dp.rhs, binding)
+            out.append(Step("dp", dp.name, (), t, target))
     return out
 
 

@@ -9,6 +9,8 @@ every beta reduct of the left side.  The weak order is its reflexive
 closure: alpha-equal or strictly greater.  A certificate records a
 precedence, statuses for the defined symbols, and a replayable witness per
 constraint; only precedence edges actually used by some witness are kept.
+A comparison between binder-free terms is memoized on its precedence, so
+every rule and pair checked under one precedence shares it (see PathOrder).
 """
 
 from __future__ import annotations
@@ -61,11 +63,12 @@ def transitive_closure(pairs) -> frozenset[tuple[str, str]]:
 
 
 class Precedence:
-    __slots__ = ("edges", "statuses")
+    __slots__ = ("edges", "statuses", "memo")
 
     def __init__(self, edges: frozenset[tuple[str, str]], statuses: dict[str, str] | None = None):
         self.edges = edges  # transitively closed, irreflexive
         self.statuses = {} if statuses is None else statuses  # 'lex' | 'mul'
+        self.memo: dict[tuple[Term, Term], GtTrace | None] = {}  # see PathOrder
 
     def greater(self, f: str, g: str) -> bool:
         return (f, g) in self.edges
@@ -86,8 +89,24 @@ class GtTrace(NamedTuple):
     children: tuple["GtTrace", ...] = ()
 
 
+def _binder_free(t: Term) -> bool:
+    while isinstance(t, App):
+        if not _binder_free(t.arg):
+            return False
+        t = t.fun
+    return not isinstance(t, Lam)
+
+
 class PathOrder:
-    """Strict comparison under a fixed precedence, with memoization."""
+    """Strict comparison under a fixed precedence, with memoization.
+
+    A comparison whose two sides hold no binder is memoized on the
+    precedence, so every PathOrder under it shares the outcome: such a
+    comparison only ever asks binder-free ones, and its witness depends
+    on the two terms alone.  The rest are memoized per PathOrder, keyed
+    on alpha-canonical forms: a witness names the binders of the terms
+    it was built from, and an alpha-equal pair of another constraint may
+    name them differently."""
 
     def __init__(self, prec: Precedence):
         self.prec = prec
@@ -97,16 +116,22 @@ class PathOrder:
         if isinstance(s, Var):
             return None  # no clause applies to a variable on the left
         key = (alpha_canonical(s), alpha_canonical(t))
-        hit = self._memo.get(key, False)
+        # a binder-free pair is its own canonical form, and only such keys
+        # enter the precedence's memo
+        shared = self.prec.memo
+        hit = shared.get(key, False)
+        if hit is False:
+            hit = self._memo.get(key, False)
         if hit is not False:
             return hit
+        memo = shared if _binder_free(s) and _binder_free(t) else self._memo
         # a reentrant query would read this placeholder, a failed comparison;
         # none occurs, as each recursive call shrinks the pair: it takes a
         # subterm of either side or a beta reduct of the left, and simply
         # typed beta reduction terminates
-        self._memo[key] = None
+        memo[key] = None
         result = self._greater(s, t)
-        self._memo[key] = result
+        memo[key] = result
         return result
 
     def _greater(self, s: Term, t: Term) -> GtTrace | None:

@@ -191,9 +191,16 @@ class _LineParser:
 
 
 class _Meta(Base):
-    """An inference metavariable, a base type named ?n until it is bound."""
+    """An inference metavariable, a base type named ?n until it is bound.
+    It lives for one rule line, so unlike every other type it is a plain
+    object, not interned: each one is its own, whatever its name."""
 
     __slots__ = ()
+
+    def __new__(cls, name: str):
+        meta = object.__new__(cls)
+        object.__setattr__(meta, "name", name)
+        return meta
 
 
 class _Inference:

@@ -13,7 +13,8 @@ into the JSON model, with fixed field names.  The JSON report prints that
 model with a small emitter whose output is byte-identical to
 json.dumps(model, indent=2, ensure_ascii=False), which with indent runs
 Python's pure-Python encoder.  The text report (verdict on the first line)
-is rendered from the same model, so the two cannot drift apart.  Both are
+is rendered from the same model, so the two cannot drift apart.  Each
+renderer appends to one output list per report and joins it once.  Both are
 deterministic except for the timing entry.  The --dot graph of an
 exploration names its steps as the text witness does.
 """
@@ -290,30 +291,47 @@ def report_dict(report: AnalysisReport) -> dict:
 _SCALARS = {None: "null", True: "true", False: "false"}
 
 
-def _json(value, indent: str = "\n") -> str:
+def _json(value) -> str:
     """value as json.dumps(value, indent=2, ensure_ascii=False) writes it.
 
     value is built from dicts with str keys, lists, str, int, finite float,
     bool and None.  Anything else, a tuple too, is a TypeError, so that
     json.loads of the output gives back value itself.
     """
+    out: list[str] = []
+    _emit(value, out, "\n")
+    return "".join(out)
+
+
+def _emit(value, out: list[str], indent: str) -> None:
+    """Append the text of value, whose lines go at indent, to out."""
     kind = type(value)
     if kind is str:
-        return encode_basestring(value)
-    if kind is dict or kind is list:
+        out.append(encode_basestring(value))
+    elif kind is dict or kind is list:
         if not value:
-            return "{}" if kind is dict else "[]"
+            out.append("{}" if kind is dict else "[]")
+            return
         inner = indent + "  "
+        sep = ("{" if kind is dict else "[") + inner
         if kind is dict:
-            items = [f"{encode_basestring(k)}: {_json(v, inner)}" for k, v in value.items()]
-            return "{" + inner + ("," + inner).join(items) + indent + "}"
-        items = [_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if kind is bool or value is None:
-        return _SCALARS[value]
-    if kind is int or kind is float:
-        return repr(value)
-    raise TypeError(f"not part of the report model: {kind.__name__}")
+            for k, v in value.items():
+                out.append(f"{sep}{encode_basestring(k)}: ")
+                _emit(v, out, inner)
+                sep = "," + inner
+            out.append(indent + "}")
+        else:
+            for v in value:
+                out.append(sep)
+                _emit(v, out, inner)
+                sep = "," + inner
+            out.append(indent + "]")
+    elif kind is bool or value is None:
+        out.append(_SCALARS[value])
+    elif kind is int or kind is float:
+        out.append(repr(value))
+    else:
+        raise TypeError(f"not part of the report model: {kind.__name__}")
 
 
 def render_json(report: AnalysisReport) -> str:
@@ -323,26 +341,25 @@ def render_json(report: AnalysisReport) -> str:
 # ------------------------------------------------------------- text report
 
 
-def _trace_lines(g: dict, indent: int) -> list[str]:
+def _trace_lines(g: dict, indent: int, lines: list[str]) -> None:
     detail = ", ".join(str(x) for x in g["detail"])
     head = g["clause"] if not detail else f"{g['clause']}({detail})"
-    lines = ["  " * indent + head]
+    lines.append("  " * indent + head)
     for c in g["children"]:
-        lines.extend(_trace_lines(c, indent + 1))
-    return lines
+        _trace_lines(c, indent + 1, lines)
 
 
-def _derivation_lines(d: dict, indent: int) -> list[str]:
+def _derivation_lines(d: dict, indent: int, lines: list[str]) -> None:
     param = d.get("index", d.get("variable"))
     param = "" if param is None else f"({param})"
-    lines = ["  " * indent + f"{d['step']}{param}: {d['term']}"]
+    lines.append("  " * indent + f"{d['step']}{param}: {d['term']}")
     for p in d["premises"]:
-        lines.extend(_derivation_lines(p, indent + 1))
-    return lines
+        _derivation_lines(p, indent + 1, lines)
 
 
-def _weak_lines(w: dict, indent: int) -> list[str]:
-    return ["  " * indent + "strict:"] + _trace_lines(w["strict"], indent + 1)
+def _weak_lines(w: dict, indent: int, lines: list[str]) -> None:
+    lines.append("  " * indent + "strict:")
+    _trace_lines(w["strict"], indent + 1, lines)
 
 
 def _step_label(kind: str, label: str, position: str) -> str:
@@ -378,7 +395,7 @@ def render_text(report: AnalysisReport, show_traces: bool = False) -> str:
             for v in rule["variables"]:
                 if v["derivation"] is not None:
                     lines.append(f"    {v['name']}:")
-                    lines.extend(_derivation_lines(v["derivation"], 3))
+                    _derivation_lines(v["derivation"], 3, lines)
     lines.append("dependency pairs:")
     if not r["pairs"]:
         lines.append("  none")
@@ -411,10 +428,10 @@ def render_text(report: AnalysisReport, show_traces: bool = False) -> str:
         if show_traces:
             for w in cert["rules"]:
                 lines.append(f"  {w['name']} weakly decreases:")
-                lines.extend(_weak_lines(w["witness"], 2))
+                _weak_lines(w["witness"], 2, lines)
             for w in cert["pairs"]:
                 lines.append(f"  {w['name']} strictly decreases:")
-                lines.extend(_trace_lines(w["witness"], 2))
+                _trace_lines(w["witness"], 2, lines)
     else:
         lines.append("certificate: none")
     for v in r["violations"]:

@@ -1,5 +1,6 @@
 """Recursive path comparison, weak decrease, certificate search."""
 
+import collections
 import itertools
 import random
 
@@ -46,6 +47,7 @@ from hodp.terms import (
     alpha_eq,
     apply_subst,
     beta_reducts,
+    flatten_type,
     free_vars,
     term_size,
     type_of,
@@ -501,6 +503,35 @@ class TestSearch:
         )
         counts = _exhausting_foldr_counts(built)
         assert set(counts.values()) == {counts[3]}, counts
+
+    def test_no_binder_free_comparison_is_made_twice_under_one_precedence(self, monkeypatch):
+        """A comparison whose sides hold no binder is memoized on the
+        precedence, so the rules and pairs decided under one precedence
+        share it: searches on the first-order shipped systems and on
+        generated ones evaluate each such comparison once per precedence."""
+        evaluated = collections.Counter()
+        greater = PathOrder._greater
+
+        def counted(order, s, t):
+            evaluated[order.prec, s, t] += 1  # the key keeps each precedence alive
+            return greater(order, s, t)
+
+        monkeypatch.setattr(PathOrder, "_greater", counted)
+        first_order = [
+            system
+            for system in map(load_system, sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp")))
+            if all(
+                isinstance(a, Base)
+                for typ in system.signature.symbols.values()
+                for a in flatten_type(typ)[0]
+            )
+        ]
+        rng = random.Random(2104)
+        generated = [random_fo_trs(rng)[0] for _ in range(10)]
+        for system in first_order + generated:
+            search_certificate(system, extract_pairs(system))
+        assert [k for k, n in evaluated.items() if n > 1] == []
+        assert (len(first_order), sum(evaluated.values())) == (4, 312)
 
     def test_search_is_deterministic(self):
         system = load_system("filter")

@@ -273,6 +273,15 @@ def _dumps(value) -> str:
     return json.dumps(value, indent=2, ensure_ascii=False)
 
 
+def _deeply_nested(levels):
+    """levels of dicts and lists in turn, with empty containers and strings
+    that need escapes at the bottom."""
+    value = [{}, [], "\\\"\n\x00ε", {" ": ""}]
+    for depth in range(levels):
+        value = {f"k{depth}": value, "e": []} if depth % 2 else [value, {}]
+    return value
+
+
 class TestJsonEmitter:
     """render_json writes what json.dumps(indent=2, ensure_ascii=False) writes."""
 
@@ -307,6 +316,7 @@ class TestJsonEmitter:
             [0, -1, -12345678901234567890, 7, True, False, None],
             [1e-06, 0.1, 0.0, -2.5, 1e300, 123456.789],
             {"verdict": "MAYBE", "timing": {"seconds": 0.000123}},
+            _deeply_nested(300),
         ],
     )
     def test_hand_made_values(self, value):
