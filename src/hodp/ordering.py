@@ -9,8 +9,8 @@ every beta reduct of the left side.  The weak order is its reflexive
 closure: alpha-equal or strictly greater.  A certificate records a
 precedence, statuses for the defined symbols, and a replayable witness per
 constraint; only precedence edges actually used by some witness are kept.
-A comparison between binder-free terms is memoized on its precedence, so
-every rule and pair checked under one precedence shares it (see PathOrder).
+Under one precedence, the rules and pairs whose sides hold no binder share
+one memo of comparisons (see PathOrder).
 """
 
 from __future__ import annotations
@@ -89,49 +89,37 @@ class GtTrace(NamedTuple):
     children: tuple["GtTrace", ...] = ()
 
 
-def _binder_free(t: Term) -> bool:
-    while isinstance(t, App):
-        if not _binder_free(t.arg):
-            return False
-        t = t.fun
-    return not isinstance(t, Lam)
-
-
 class PathOrder:
-    """Strict comparison under a fixed precedence, with memoization.
+    """Strict comparison under a fixed precedence, memoized in memo, a
+    fresh dict unless one is given.
 
-    A comparison whose two sides hold no binder is memoized on the
-    precedence, so every PathOrder under it shares the outcome: such a
-    comparison only ever asks binder-free ones, and its witness depends
-    on the two terms alone.  The rest are memoized per PathOrder, keyed
-    on alpha-canonical forms: a witness names the binders of the terms
-    it was built from, and an alpha-equal pair of another constraint may
-    name them differently."""
+    A search gives the memo of the precedence to the comparisons of each
+    rule and pair whose sides hold no binder (see _decide), so that those
+    share their outcomes under one precedence: such a comparison only asks
+    binder-free ones, and its witness depends on the two terms alone.  The
+    comparisons of a constraint with a binder keep their own memo, keyed
+    on alpha-canonical forms: a witness names the binders of the terms it
+    was built from, and an alpha-equal pair of another constraint may name
+    them differently."""
 
-    def __init__(self, prec: Precedence):
+    def __init__(self, prec: Precedence, memo: dict | None = None):
         self.prec = prec
-        self._memo: dict[tuple[Term, Term], GtTrace | None] = {}
+        self._memo: dict[tuple[Term, Term], GtTrace | None] = {} if memo is None else memo
 
     def greater(self, s: Term, t: Term) -> GtTrace | None:
         if isinstance(s, Var):
             return None  # no clause applies to a variable on the left
         key = (alpha_canonical(s), alpha_canonical(t))
-        # a binder-free pair is its own canonical form, and only such keys
-        # enter the precedence's memo
-        shared = self.prec.memo
-        hit = shared.get(key, False)
-        if hit is False:
-            hit = self._memo.get(key, False)
+        hit = self._memo.get(key, False)
         if hit is not False:
             return hit
-        memo = shared if _binder_free(s) and _binder_free(t) else self._memo
         # a reentrant query would read this placeholder, a failed comparison;
         # none occurs, as each recursive call shrinks the pair: it takes a
         # subterm of either side or a beta reduct of the left, and simply
         # typed beta reduction terminates
-        memo[key] = None
+        self._memo[key] = None
         result = self._greater(s, t)
-        memo[key] = result
+        self._memo[key] = result
         return result
 
     def _greater(self, s: Term, t: Term) -> GtTrace | None:
@@ -315,6 +303,14 @@ def _symbols(rows) -> tuple[str, ...]:
     return tuple(sorted(frozenset().union(*(row[2] for row in rows))))
 
 
+def _binder_free(t: Term) -> bool:
+    while isinstance(t, App):
+        if not _binder_free(t.arg):
+            return False
+        t = t.fun
+    return not isinstance(t, Lam)
+
+
 def _decide(row: tuple, prec: Precedence) -> GtTrace | None:
     """A rule's weak witness or a pair's strict one, None if there is none.
 
@@ -323,12 +319,13 @@ def _decide(row: tuple, prec: Precedence) -> GtTrace | None:
     one of rhs and statuses of symbols of lhs.  The row's table, which
     every candidate of one search shares, keeps the outcome under exactly
     those, whatever the rest: under the edge view (the cross edges in
-    prec) and the status view (the statuses of the left symbols)."""
+    prec) and the status view (the statuses of the left symbols).  A
+    constraint without a binder compares in the memo of prec."""
     c, left, _, cross, outcomes = row
     key = (cross & prec.edges, tuple(map(prec.status, left)))
     w = outcomes.get(key, False)
     if w is False:
-        order = PathOrder(prec)
+        order = PathOrder(prec, prec.memo if _binder_free(c.lhs) and _binder_free(c.rhs) else None)
         w = weakly_decreases(c.lhs, c.rhs, order) if c.kind == "rule" else order.greater(c.lhs, c.rhs)
         outcomes[key] = w
     return w

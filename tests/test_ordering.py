@@ -505,10 +505,9 @@ class TestSearch:
         assert set(counts.values()) == {counts[3]}, counts
 
     def test_no_binder_free_comparison_is_made_twice_under_one_precedence(self, monkeypatch):
-        """A comparison whose sides hold no binder is memoized on the
-        precedence, so the rules and pairs decided under one precedence
-        share it: searches on the first-order shipped systems and on
-        generated ones evaluate each such comparison once per precedence."""
+        """Rules and pairs without binders share one memo of comparisons
+        per precedence: searches on the first-order shipped systems and on
+        generated ones evaluate each comparison once per precedence."""
         evaluated = collections.Counter()
         greater = PathOrder._greater
 
