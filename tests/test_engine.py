@@ -183,7 +183,7 @@ class TestExploration:
                     ex = bounded_explore(seed, successors, max_depth=longest - 1)
                     assert (ex.kind, ex.longest, ex.trace) == ("bound-exceeded", None, None), path.stem
                     checked += 1
-        assert checked == 31  # every seed of every shipped system that terminates in a step or more
+        assert checked == 33  # every seed of every shipped system that terminates in a step or more
 
     def test_node_budget_is_enforced(self):
         system = parse_system(GROW)
