@@ -9,8 +9,8 @@ every beta reduct of the left side.  The weak order is its reflexive
 closure: alpha-equal or strictly greater.  A certificate records a
 precedence, statuses for the defined symbols, and a replayable witness per
 constraint; only precedence edges actually used by some witness are kept.
-Under one precedence, the rules and pairs whose sides hold no binder share
-one memo of comparisons (see PathOrder).
+Under one precedence, every rule and pair shares one memo of comparisons,
+keyed on the two terms as built (see PathOrder).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from hodp.terms import (
     Sym,
     Term,
     Var,
-    alpha_canonical,
     alpha_eq,
     apply_subst,
     beta_reducts,
@@ -68,7 +67,7 @@ class Precedence:
     def __init__(self, edges: frozenset[tuple[str, str]], statuses: dict[str, str] | None = None):
         self.edges = edges  # transitively closed, irreflexive
         self.statuses = {} if statuses is None else statuses  # 'lex' | 'mul'
-        self.memo: dict[tuple[Term, Term], GtTrace | None] = {}  # see PathOrder
+        self.memo: dict[tuple[Term, Term], GtTrace | None] = {}  # (s, t) -> outcome, see PathOrder
 
     def greater(self, f: str, g: str) -> bool:
         return (f, g) in self.edges
@@ -90,26 +89,20 @@ class GtTrace(NamedTuple):
 
 
 class PathOrder:
-    """Strict comparison under a fixed precedence, memoized in memo, a
-    fresh dict unless one is given.
+    """Strict comparison under a fixed precedence, memoized in the
+    precedence's memo on the two terms as built.  Terms are interned, so
+    the key is exact, and a witness, binder names included, depends only
+    on the two terms and the precedence: every rule and pair compared
+    under one precedence shares the memo."""
 
-    A search gives the memo of the precedence to the comparisons of each
-    rule and pair whose sides hold no binder (see _decide), so that those
-    share their outcomes under one precedence: such a comparison only asks
-    binder-free ones, and its witness depends on the two terms alone.  The
-    comparisons of a constraint with a binder keep their own memo, keyed
-    on alpha-canonical forms: a witness names the binders of the terms it
-    was built from, and an alpha-equal pair of another constraint may name
-    them differently."""
-
-    def __init__(self, prec: Precedence, memo: dict | None = None):
+    def __init__(self, prec: Precedence):
         self.prec = prec
-        self._memo: dict[tuple[Term, Term], GtTrace | None] = {} if memo is None else memo
+        self._memo = prec.memo
 
     def greater(self, s: Term, t: Term) -> GtTrace | None:
         if isinstance(s, Var):
             return None  # no clause applies to a variable on the left
-        key = (alpha_canonical(s), alpha_canonical(t))
+        key = (s, t)
         hit = self._memo.get(key, False)
         if hit is not False:
             return hit
@@ -303,14 +296,6 @@ def _symbols(rows) -> tuple[str, ...]:
     return tuple(sorted(frozenset().union(*(row[2] for row in rows))))
 
 
-def _binder_free(t: Term) -> bool:
-    while isinstance(t, App):
-        if not _binder_free(t.arg):
-            return False
-        t = t.fun
-    return not isinstance(t, Lam)
-
-
 def _decide(row: tuple, prec: Precedence) -> GtTrace | None:
     """A rule's weak witness or a pair's strict one, None if there is none.
 
@@ -319,13 +304,13 @@ def _decide(row: tuple, prec: Precedence) -> GtTrace | None:
     one of rhs and statuses of symbols of lhs.  The row's table, which
     every candidate of one search shares, keeps the outcome under exactly
     those, whatever the rest: under the edge view (the cross edges in
-    prec) and the status view (the statuses of the left symbols).  A
-    constraint without a binder compares in the memo of prec."""
+    prec) and the status view (the statuses of the left symbols).  Every
+    comparison goes through the memo of prec (see PathOrder)."""
     c, left, _, cross, outcomes = row
     key = (cross & prec.edges, tuple(map(prec.status, left)))
     w = outcomes.get(key, False)
     if w is False:
-        order = PathOrder(prec, prec.memo if _binder_free(c.lhs) and _binder_free(c.rhs) else None)
+        order = PathOrder(prec)
         w = weakly_decreases(c.lhs, c.rhs, order) if c.kind == "rule" else order.greater(c.lhs, c.rhs)
         outcomes[key] = w
     return w

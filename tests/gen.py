@@ -11,6 +11,7 @@ from typing import Iterable
 from hodp.engine import Step, ground_term
 from hodp.errors import TermError
 from hodp.ordering import Precedence, transitive_closure
+from hodp.parser import parse_system
 from hodp.signature import RewriteSystem, Signature, build_system
 from hodp.terms import (
     App,
@@ -23,10 +24,14 @@ from hodp.terms import (
     Type,
     Var,
     beta_reducts,
+    flatten_type,
+    free_vars,
     show_position,
     show_term,
     show_type,
+    spine,
     term_size,
+    type_of,
 )
 
 # ---------------------------------------------------------------------------
@@ -384,6 +389,61 @@ def fo_to_term(fo: FoTerm, symbols: dict[str, Type]) -> Term:
     for a in fo[2]:
         t = App(t, fo_to_term(a, symbols))
     return t
+
+
+# ---------------------------------------------------------------------------
+# Higher-order left sides over GEN_SYMBOLS and three more symbols, each
+# parsed once with itself as its right side.
+HO_RULES = parse_system(
+    "sort N L\n"
+    + "".join(f"{name} : {show_type(typ)}\n" for name, typ in GEN_SYMBOLS.items())
+    + "f : (N -> N) -> L -> L\ng : N -> N\nh : (N -> N -> N) -> N -> N\n"
+    + "".join(
+        f"rule {lhs} -> {lhs}\n"
+        for lhs in ("f F (cons X Ls)", "f F nil", "g (s X)", "h G X", "h (\\y. \\z. y) X")
+    )
+)
+
+
+def random_ho_system(rng: random.Random):
+    """One to three of the HO_RULES left sides, each with a seeded right
+    side over the left side's variables."""
+    symbols, rules = HO_RULES.signature.symbols, []
+    for rule in rng.sample(HO_RULES.rules, rng.randint(1, 3)):
+        env = tuple(sorted(free_vars(rule.lhs), key=lambda v: v.name))
+        typ, size = type_of(rule.lhs), rng.randint(1, 12)
+        rhs = random_term(rng, symbols, typ, size, env=env, redex_rate=0.4)
+        rules.append((rule.lhs, rhs))
+    return build_system(GEN_SORTS, symbols, rules)
+
+
+def escaping_ho_system(rng: random.Random):
+    """One to three of the HO_RULES left sides, each with a right side that
+    passes f or h a lambda whose body calls a defined symbol on the bound
+    variable, so the pair of that call escapes.  The binder is y, or X,
+    which shadows the left side's X where it has one."""
+    symbols, n, rules = HO_RULES.signature.symbols, Base("N"), []
+    chosen = rng.sample(HO_RULES.rules, rng.randint(1, 3))
+    defined = sorted({spine(r.lhs)[0].name for r in chosen})
+    for rule in chosen:
+        env = tuple(sorted(free_vars(rule.lhs), key=lambda v: v.name))
+        y, z, name = Var(rng.choice("yX"), n), Var("z", n), rng.choice(defined)
+        argtypes, out = flatten_type(symbols[name])
+        body = z
+        while y not in free_vars(body):
+            body = Sym(name, symbols[name])
+            for a in argtypes:
+                body = App(body, random_term(rng, symbols, a, rng.randint(1, 4), env + (y,), 0.4))
+        if out != n:
+            body = App(App(Sym("k", symbols["k"]), random_term(rng, symbols, n, 2, env)), body)
+        if type_of(rule.lhs) == n:
+            fun, arg = Lam(y, Lam(z, body)), random_term(rng, symbols, n, 2, env)
+            rhs = App(App(Sym("h", symbols["h"]), fun), arg)
+        else:
+            fun, arg = Lam(y, body), random_term(rng, symbols, Base("L"), 2, env)
+            rhs = App(App(Sym("f", symbols["f"]), fun), arg)
+        rules.append((rule.lhs, rhs))
+    return build_system(GEN_SORTS, symbols, rules)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,14 @@ import sys
 
 import pytest
 
-from conftest import SYSTEMS_DIR, load_system
-from gen import GEN_SORTS, GEN_SYMBOLS, random_fo_trs, random_term, system_text
+from conftest import SYSTEMS_DIR, load_system, same_reports_tool
+from gen import escaping_ho_system, random_fo_trs, random_ho_system, system_text
 from hodp import cli
 from hodp.cli import build_arg_parser, main
 from hodp.engine import has_alpha_repeat, replay_trace
+from hodp.errors import InputError
 from hodp.parser import parse_system
 from hodp.pipeline import Options, report_dict, run_pipeline
-from hodp.signature import build_system
-from hodp.terms import App, Base, Lam, Sym, Var, flatten_type, free_vars, show_type, spine, type_of
 
 
 def run(capsys, *argv):
@@ -440,65 +439,37 @@ def _assert_witness_replays(system, flags: list[str]) -> None:
     assert has_alpha_repeat(report.witness["start"], trace), flags
 
 
-# Higher-order left sides over GEN_SYMBOLS and three more symbols, each
-# parsed once with itself as its right side.
-HO_RULES = parse_system(
-    "sort N L\n"
-    + "".join(f"{name} : {show_type(typ)}\n" for name, typ in GEN_SYMBOLS.items())
-    + "f : (N -> N) -> L -> L\ng : N -> N\nh : (N -> N -> N) -> N -> N\n"
-    + "".join(
-        f"rule {lhs} -> {lhs}\n"
-        for lhs in ("f F (cons X Ls)", "f F nil", "g (s X)", "h G X", "h (\\y. \\z. y) X")
-    )
-)
-
-
-def _random_ho_system(rng: random.Random):
-    """One to three of the HO_RULES left sides, each with a seeded right
-    side over the left side's variables."""
-    symbols, rules = HO_RULES.signature.symbols, []
-    for rule in rng.sample(HO_RULES.rules, rng.randint(1, 3)):
-        env = tuple(sorted(free_vars(rule.lhs), key=lambda v: v.name))
-        typ, size = type_of(rule.lhs), rng.randint(1, 12)
-        rhs = random_term(rng, symbols, typ, size, env=env, redex_rate=0.4)
-        rules.append((rule.lhs, rhs))
-    return build_system(GEN_SORTS, symbols, rules)
-
-
-def _escaping_ho_system(rng: random.Random):
-    """One to three of the HO_RULES left sides, each with a right side that
-    passes f or h a lambda whose body calls a defined symbol on the bound
-    variable, so the pair of that call escapes.  The binder is y, or X,
-    which shadows the left side's X where it has one."""
-    symbols, n, rules = HO_RULES.signature.symbols, Base("N"), []
-    chosen = rng.sample(HO_RULES.rules, rng.randint(1, 3))
-    defined = sorted({spine(r.lhs)[0].name for r in chosen})
-    for rule in chosen:
-        env = tuple(sorted(free_vars(rule.lhs), key=lambda v: v.name))
-        y, z, name = Var(rng.choice("yX"), n), Var("z", n), rng.choice(defined)
-        argtypes, out = flatten_type(symbols[name])
-        body = z
-        while y not in free_vars(body):
-            body = Sym(name, symbols[name])
-            for a in argtypes:
-                body = App(body, random_term(rng, symbols, a, rng.randint(1, 4), env + (y,), 0.4))
-        if out != n:
-            body = App(App(Sym("k", symbols["k"]), random_term(rng, symbols, n, 2, env)), body)
-        if type_of(rule.lhs) == n:
-            fun, arg = Lam(y, Lam(z, body)), random_term(rng, symbols, n, 2, env)
-            rhs = App(App(Sym("h", symbols["h"]), fun), arg)
+def _run_both_formats(file, flags: list[str], name: str):
+    """Runs the system in file through main under flags, in text and in
+    JSON, and checks how they end: exit 0 with an empty stderr, or 2 or 3
+    with a one-line message, the same code in both formats, and a replaying
+    witness for every NO.  Returns the exit code, or (verdict, stage) on
+    exit 0."""
+    text_run = _run_in_process(["check", str(file), *flags])
+    json_run = _run_in_process(["check", str(file), "--json", *flags])
+    for code, out, err in (text_run, json_run):
+        assert code in (0, 2, 3), (name, flags, code)
+        if code == 0:
+            assert err == "", (name, flags)
         else:
-            fun, arg = Lam(y, body), random_term(rng, symbols, Base("L"), 2, env)
-            rhs = App(App(Sym("f", symbols["f"]), fun), arg)
-        rules.append((rule.lhs, rhs))
-    return build_system(GEN_SORTS, symbols, rules)
+            assert err.count("\n") == 1 and err.endswith("\n"), (name, flags, err)
+            assert err.startswith(("error:", "limit:")), (name, flags, err)
+    assert json_run[0] == text_run[0], (name, flags)
+    if text_run[0] != 0:
+        return text_run[0]
+    report = json.loads(json_run[1])
+    verdict = report["verdict"]
+    assert verdict == text_run[1].splitlines()[0], (name, flags)
+    if verdict == "NO":
+        _assert_witness_replays(parse_system(file.read_text(encoding="utf-8")), flags)
+    return verdict, report["stage"]
 
 
 class TestCrashFreedom:
     def test_generated_and_shipped_systems_end_with_an_exit_code(self, tmp_path):
         rng = random.Random(2024)
         systems = [(f"gen{i}", random_fo_trs(rng)[0]) for i in range(150)]
-        ho_systems = [(f"ho{i}", _random_ho_system(rng)) for i in range(60)]
+        ho_systems = [(f"ho{i}", random_ho_system(rng)) for i in range(60)]
         systems += [(p.stem, load_system(p.stem)) for p in sorted(SYSTEMS_DIR.glob("*.hodp"))]
         systems += ho_systems
         codes, ho_outcomes = collections.Counter(), set()
@@ -509,26 +480,10 @@ class TestCrashFreedom:
             file.write_text(text, encoding="utf-8")
             flag_sets = _flag_sets(sorted(system.signature.symbols))
             flags = flag_sets[k % len(flag_sets)]
-            text_run = _run_in_process(["check", str(file), *flags])
-            json_run = _run_in_process(["check", str(file), "--json", *flags])
-            for code, out, err in (text_run, json_run):
-                assert code in (0, 2, 3), (name, flags, code)
-                if code == 0:
-                    assert err == "", (name, flags)
-                else:
-                    assert err.count("\n") == 1 and err.endswith("\n"), (name, flags, err)
-                    assert err.startswith(("error:", "limit:")), (name, flags, err)
-            assert json_run[0] == text_run[0], (name, flags)
-            outcome = text_run[0]
-            if text_run[0] == 0:
-                report = json.loads(json_run[1])
-                verdict = report["verdict"]
-                assert verdict == text_run[1].splitlines()[0], (name, flags)
-                if verdict == "NO":
-                    _assert_witness_replays(parse_system(text), flags)
-                    codes["NO"] += 1
-                outcome = (verdict, report["stage"])
-            codes[text_run[0]] += 1
+            outcome = _run_both_formats(file, flags, name)
+            codes[outcome if isinstance(outcome, int) else 0] += 1
+            if isinstance(outcome, tuple) and outcome[0] == "NO":
+                codes["NO"] += 1
             if name.startswith("ho"):
                 ho_outcomes.add(outcome)
         # the cyclic precedence exits 2; the flag sets reach all three codes
@@ -544,6 +499,36 @@ class TestCrashFreedom:
             3,
         }, ho_outcomes
 
+    def test_parsable_mutants_end_with_an_exit_code(self, tmp_path):
+        """The seeded mutants of the shipped systems that parse run through
+        main under the flag sets above, so the closure, the search and the
+        engine see malformed-but-parsable input too.  The first 2,000 are
+        those of tests/test_parser.py's TestMutants."""
+        mutate = same_reports_tool().mutate
+        texts = [p.read_text(encoding="utf-8") for p in sorted(SYSTEMS_DIR.glob("*.hodp"))]
+        rng, file = random.Random(7), tmp_path / "mutant.hodp"
+        outcomes = collections.Counter()
+        for k in range(5000):
+            text = mutate(texts[k % len(texts)], rng)
+            try:
+                system = parse_system(text)
+            except InputError:
+                continue
+            file.write_text(text, encoding="utf-8")
+            # a mutant may declare no symbol; a hint then names an unknown one
+            flag_sets = _flag_sets(sorted(system.signature.symbols) or ["f"])
+            outcomes[_run_both_formats(file, flag_sets[k % len(flag_sets)], f"mutant{k}")] += 1
+        # every verdict, every stage a MAYBE stops at, and both error exits
+        assert set(outcomes) >= {
+            ("YES", None),
+            ("NO", None),
+            ("MAYBE", "admissibility"),
+            ("MAYBE", "extraction"),
+            ("MAYBE", "ordering"),
+            2,
+            3,
+        }, outcomes
+
     def test_pairs_that_escape_never_step_a_chain(self, tmp_path):
         """Seeded systems with a pair whose bound variable escapes: the
         chain relation steps by no such pair, so neither a NO witness nor
@@ -553,7 +538,7 @@ class TestCrashFreedom:
         outcomes = collections.Counter()
         for i in range(120):
             file = tmp_path / f"esc{i}.hodp"
-            file.write_text(system_text(_escaping_ho_system(rng)), encoding="utf-8")
+            file.write_text(system_text(escaping_ho_system(rng)), encoding="utf-8")
             flags = [*DISPROVE, "--internal", "rules-only"] if i % 2 else DISPROVE
             code, out, err = _run_in_process(["check", str(file), "--json", *flags, "--dot", str(dot)])
             outcomes[code] += 1

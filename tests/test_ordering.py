@@ -12,6 +12,7 @@ from gen import (
     positions,
     precedence,
     random_fo_trs,
+    random_ho_system,
     random_subst,
     random_term,
     random_type,
@@ -47,7 +48,6 @@ from hodp.terms import (
     alpha_eq,
     apply_subst,
     beta_reducts,
-    flatten_type,
     free_vars,
     term_size,
     type_of,
@@ -504,10 +504,11 @@ class TestSearch:
         counts = _exhausting_foldr_counts(built)
         assert set(counts.values()) == {counts[3]}, counts
 
-    def test_no_binder_free_comparison_is_made_twice_under_one_precedence(self, monkeypatch):
-        """Rules and pairs without binders share one memo of comparisons
-        per precedence: searches on the first-order shipped systems and on
-        generated ones evaluate each comparison once per precedence."""
+    def test_no_comparison_is_made_twice_under_one_precedence(self, monkeypatch):
+        """Every rule and pair shares one memo of comparisons per
+        precedence, keyed on the terms as built: searches on the shipped
+        systems and on generated first- and higher-order ones evaluate
+        each comparison once per precedence."""
         evaluated = collections.Counter()
         greater = PathOrder._greater
 
@@ -516,21 +517,14 @@ class TestSearch:
             return greater(order, s, t)
 
         monkeypatch.setattr(PathOrder, "_greater", counted)
-        first_order = [
-            system
-            for system in map(load_system, sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp")))
-            if all(
-                isinstance(a, Base)
-                for typ in system.signature.symbols.values()
-                for a in flatten_type(typ)[0]
-            )
-        ]
+        shipped = [load_system(p.stem) for p in sorted(SYSTEMS_DIR.glob("*.hodp"))]
         rng = random.Random(2104)
         generated = [random_fo_trs(rng)[0] for _ in range(10)]
-        for system in first_order + generated:
+        generated += [random_ho_system(rng) for _ in range(20)]
+        for system in shipped + generated:
             search_certificate(system, extract_pairs(system))
         assert [k for k, n in evaluated.items() if n > 1] == []
-        assert (len(first_order), sum(evaluated.values())) == (4, 312)
+        assert (len(shipped), sum(evaluated.values())) == (12, 1468)
 
     def test_search_is_deterministic(self):
         system = load_system("filter")

@@ -1,13 +1,19 @@
 """tools/same_reports.py: the byte-identity check between two source trees."""
 
+import contextlib
+import io
 import json
 
 from conftest import ROOT, SYSTEMS_DIR, same_reports_tool
+from hodp.cli import main
+from hodp.ordering import PathOrder
+from hodp.terms import Lam
 
 # the argv edge cases, then every shipped system under every golden flag set
 SHIPPED_RUNS = len(same_reports_tool().runs([]))
 MUTANT_RUNS = same_reports_tool().MUTANTS_PER_SYSTEM * len(list(SYSTEMS_DIR.glob("*.hodp")))
-ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS
+HO_RUNS = same_reports_tool().HO_SYSTEMS * len(same_reports_tool().HO_FLAG_SETS)
+ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS + HO_RUNS
 
 
 def test_a_tree_matches_itself(capsys):
@@ -55,3 +61,32 @@ def test_mutants_are_seeded_and_run_with_json(tmp_path):
     originals = {p.read_text(encoding="utf-8") for p in SYSTEMS_DIR.glob("*.hodp")}
     changed = [argv[1] for _, argv in labelled if (first / argv[1]).read_text(encoding="utf-8") not in originals]
     assert len(changed) > MUTANT_RUNS * 9 // 10
+
+
+def test_higher_order_systems_are_seeded_and_compare_binders(tmp_path, monkeypatch):
+    """The generated systems are the same on every call, and their --trace
+    runs compare lambdas in the ordering."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    labelled = same_reports_tool().ho_runs(str(first))
+    assert labelled == same_reports_tool().ho_runs(str(second))
+    assert len(labelled) == HO_RUNS
+    compared = []
+    greater = PathOrder._greater
+
+    def counted(order, s, t):
+        if isinstance(s, Lam) or isinstance(t, Lam):
+            compared.append(current)
+        return greater(order, s, t)
+
+    monkeypatch.chdir(first)
+    monkeypatch.setattr(PathOrder, "_greater", counted)
+    for current, (label, argv) in enumerate(labelled):
+        assert (first / argv[1]).read_bytes() == (second / argv[1]).read_bytes()
+        assert label == " ".join(argv[1:]).removesuffix(" --dot graph.dot")
+        if "--trace" in argv:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, label
+    # a fifth of the systems or more compare a binder
+    assert len(set(compared)) * 5 >= same_reports_tool().HO_SYSTEMS, len(set(compared))

@@ -15,16 +15,22 @@ OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
   back), so that each instance is compared in both report formats;
 - MUTANTS_PER_SYSTEM mutants of every system under systems/, each made
   by 1 to 4 random edits from the constant MUTATION_SEED, with --json.
-  Most of them fail to parse, so the error paths are compared too.
+  Most of them fail to parse, so the error paths are compared too;
+- HO_SYSTEMS higher-order systems of `random_ho_system` in tests/gen.py,
+  from the constant HO_SEED, under each flag set of HO_FLAG_SETS.  Their
+  lambdas reach the ordering's binder clauses and the engine's beta
+  steps, which the shipped systems and the bench manifests barely touch.
 
 Apart from ARGV_EDGES, a run is `hodp.cli.main(["check", FILE, *flags])`,
 with `--dot` added when the flags hold `--disprove`.  Each tree does all its runs in one Python
 subprocess started with -B, so neither tree gets bytecode written into it,
-and both run in one temporary directory, where the mutants are written.
+and both run in one temporary directory, where the mutants and the
+higher-order systems are written.
 Stdout without its timing lines (the text `elapsed:` line and the JSON
 `"seconds"` line), stderr, the exit code and the --dot file are compared.
 The runs that differ are listed; the exit code is 1 if any do, else 0.
-Only the standard library is used.
+Only the standard library is used, apart from the generator of the
+higher-order systems, which runs on the hodp of this checkout.
 """
 
 from __future__ import annotations
@@ -57,6 +63,11 @@ ARGV_EDGES = (
 SWAPPED = {"--json": "--trace", "--trace": "--json"}  # the two report formats
 MUTATION_SEED = 1
 MUTANTS_PER_SYSTEM = 50
+HO_SEED = 1
+HO_SYSTEMS = 40
+# the explore budgets of tests/test_cli.py: under the default ones, some
+# generated systems grow until memory runs out
+HO_FLAG_SETS = (["--trace"], ["--json", "--disprove", "--explore-depth", "6", "--explore-nodes", "40"])
 # what an insertion adds: the input format's punctuation and keywords,
 # identifier characters, line breaks, and characters it rejects
 INSERTS = (
@@ -114,9 +125,13 @@ def runs(manifest_dirs: list[str]) -> list[tuple[str, list[str]]]:
             for flags in (inst["flags"], swapped):
                 out.append((f"{inst['name']} {' '.join(flags)}", [inst["file"], *flags]))
     return [(f"hodp {shlex.join(argv)}", list(argv)) for argv in ARGV_EDGES] + [
-        (label, ["check", *argv, *(["--dot", "graph.dot"] if "--disprove" in argv else [])])
-        for label, argv in out
+        (label, check_argv(argv)) for label, argv in out
     ]
+
+
+def check_argv(argv: list[str]) -> list[str]:
+    """`check` with argv, and with `--dot` when argv holds --disprove."""
+    return ["check", *argv, *(["--dot", "graph.dot"] if "--disprove" in argv else [])]
 
 
 def mutate(text: str, rng: random.Random) -> str:
@@ -145,6 +160,24 @@ def mutant_runs(directory: str) -> list[tuple[str, list[str]]]:
             name = f"{path.stem}-mutant{k}.hodp"
             (pathlib.Path(directory) / name).write_text(mutate(text, rng), encoding="utf-8")
             out.append((f"{name} --json", ["check", name, "--json"]))
+    return out
+
+
+def ho_runs(directory: str) -> list[tuple[str, list[str]]]:
+    """Writes the higher-order systems into directory and returns (label,
+    argv) of their runs, which name them relative to it."""
+    for path in (str(ROOT / "src"), str(ROOT / "tests")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    from gen import random_ho_system, system_text
+
+    rng, out = random.Random(HO_SEED), []
+    for k in range(HO_SYSTEMS):
+        name = f"ho{k}.hodp"
+        text = system_text(random_ho_system(rng))
+        (pathlib.Path(directory) / name).write_text(text, encoding="utf-8")
+        for flags in HO_FLAG_SETS:
+            out.append((f"{name} {' '.join(flags)}", check_argv([name, *flags])))
     return out
 
 
@@ -179,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("manifest_dirs", nargs="*", metavar="MANIFEST_DIR")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as cwd:
-        labelled = runs(args.manifest_dirs) + mutant_runs(cwd)
+        labelled = runs(args.manifest_dirs) + mutant_runs(cwd) + ho_runs(cwd)
         argvs = [argv for _, argv in labelled]
         old, new = run_tree(args.old_src, argvs, cwd), run_tree(args.new_src, argvs, cwd)
     fields = ("stdout", "stderr", "exit code", "dot")
