@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 when the analysis completed (whatever the verdict), 2 for an
-InputError and for a stdout whose encoding cannot write the report, 3 for
-a LimitError, when a resource or search limit was hit, and for terms
-nested too deeply for the recursion limit.
+InputError, for a --dot file that cannot be written, and for a stdout
+whose encoding cannot write the report or that fails to take it (a full
+disk, a closed pipe), 3 for a LimitError, when a resource or search limit
+was hit, and for terms nested too deeply for the recursion limit.
 
 Each option of `check` is declared once, in `_OPTIONS`, which both
 readers of argv are built from.  A plain `check FILE [options]` is read
@@ -161,8 +162,9 @@ def main(argv: list[str] | None = None) -> int:
             record_graph=bool(args.dot),
         )
         report = run_pipeline(system, options)
-        output = render_json(report) if args.json else render_text(report, args.trace)
-        graph = dot_graph(report.graph) if args.dot else None
+        shown = {}  # the text of each term, shared by the report and the graph
+        output = render_json(report, shown) if args.json else render_text(report, args.trace, shown)
+        graph = dot_graph(report.graph, shown) if args.dot else None
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -181,9 +183,13 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         sys.stdout.write(output)
+        sys.stdout.flush()
     except UnicodeEncodeError as exc:  # the whole report is encoded before any is written
         message = f"stdout's encoding {exc.encoding} cannot write the report: {exc}"
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a full disk, a closed pipe
+        print(f"error: stdout cannot take the report: {exc}", file=sys.stderr)
         return 2
     return 0
 

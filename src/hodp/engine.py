@@ -5,7 +5,9 @@ the chain relation combines internal (non-root) steps with dependency pair
 steps at the root.  Both relations of one analysis read one redex table:
 interned nodes are matched once, so a step costs work in proportion to the
 nodes it creates, not to the size of the state, and a pair step reuses the
-match of its rule at the root.
+match of its rule at the root.  A step found through the table keeps its
+position and contractum and builds its target state only when first read,
+so a state's successors cost what exploration visits of them.
 Exploration is a depth-first search on an explicit stack, so its depth
 does not depend on the interpreter's recursion limit, which it never
 changes; only new structure within one step, and input nesting, recurse.
@@ -48,12 +50,45 @@ from hodp.terms import (
 )
 
 
-class Step(NamedTuple):
-    kind: str  # 'beta' | 'rule' | 'dp'
-    label: str  # rule or pair name; empty for beta
-    position: Position
-    source: Term
-    target: Term
+class Step:
+    """One step: its kind ('beta' | 'rule' | 'dp'), its label (the rule or
+    pair name; empty for beta), the position it rewrites, and its source
+    and target.  A step that rewrite_steps finds keeps the contractum at
+    its position instead and builds its target on first access.  Steps
+    are equal when their five fields are."""
+
+    __slots__ = ("kind", "label", "position", "source", "target", "_contractum")
+
+    def __init__(self, kind: str, label: str, position: Position, source: Term, target: Term):
+        self.kind, self.label, self.position = kind, label, position
+        self.source, self.target = source, target
+
+    def __getattr__(self, name: str):
+        # called for a missing attribute: the target of a pending step
+        if name != "target":
+            raise AttributeError(name)
+        target = self.target = replace_at(self.source, self.position, self._contractum)
+        return target
+
+    def _key(self) -> tuple:
+        return (self.kind, self.label, self.position, self.source, self.target)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Step) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Step{self._key()!r}"
+
+
+def _pending(kind: str, label: str, position: Position, source: Term, contractum: Term) -> Step:
+    """A step whose target is built from contractum when first read."""
+    step = object.__new__(Step)
+    step.kind, step.label, step.position = kind, label, position
+    step.source, step._contractum = source, contractum
+    return step
 
 
 # A redex table maps each node it has seen to the redexes at its root, as
@@ -61,8 +96,9 @@ class Step(NamedTuple):
 # anywhere in the node.  Beta redexes are always recorded, with an empty
 # label and no binding; a rule redex keeps the rule's binding, which is
 # also the binding of each of the rule's pairs.  The table holds no
-# successor targets: those are rebuilt per state.  One table serves every
-# relation of one analysis of one system, whatever its beta setting.
+# successor targets: a step builds its own when it is first read.  One
+# table serves every relation of one analysis of one system, whatever its
+# beta setting.
 RedexTable = dict[Term, "tuple[tuple[str, str, dict[Var, Term] | None, Term], ...] | None"]
 
 
@@ -82,7 +118,7 @@ def rewrite_steps(
         if pos or at_root:
             for kind, label, _, contractum in table[u]:
                 if include_beta or kind != "beta":
-                    out.append(Step(kind, label, pos, t, replace_at(t, pos, contractum)))
+                    out.append(_pending(kind, label, pos, t, contractum))
         if isinstance(u, App):
             children = ((2, u.arg), (1, u.fun))  # popped function part first
         elif isinstance(u, Lam):
@@ -185,7 +221,9 @@ def bounded_explore(
     reaches a normal form within max_depth steps; cycle with a witness
     trace whose final state repeats an earlier one modulo alpha; otherwise
     bound-exceeded, with no trace.  Expanding more than max_nodes distinct
-    states raises LimitError.
+    states raises LimitError.  Only the target of a step it visits is read,
+    so a pending step's stays unbuilt; with record, every step goes into
+    edges, and whoever reads their targets builds them all.
     """
     finished: dict[Term, int] = {}  # heights of finished states
     on_path: set[Term] = set()

@@ -16,7 +16,11 @@ Python's pure-Python encoder.  The text report (verdict on the first line)
 is rendered from the same model, so the two cannot drift apart.  Each
 renderer appends to one output list per report and joins it once.  Both are
 deterministic except for the timing entry.  The --dot graph of an
-exploration names its steps as the text witness does.
+exploration names its steps as the text witness does.  Terms are printed
+through a memo, `shown`, from interned node to text, so a node shared by
+many terms (the source and target of each witness step, say) is printed
+once.  A caller that renders one report and its graph can pass both one
+memo; the module keeps none between calls.
 """
 
 from __future__ import annotations
@@ -156,13 +160,13 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
 # ---------------------------------------------------------------- the model
 
 
-def _derivation_dict(d: Derivation) -> dict:
-    out: dict = {"step": d.step, "term": show_term(d.term)}
+def _derivation_dict(d: Derivation, shown: dict[Term, str]) -> dict:
+    out: dict = {"step": d.step, "term": show_term(d.term, shown)}
     if d.index is not None:
         out["index"] = d.index
     if d.variable is not None:
         out["variable"] = d.variable.name
-    out["premises"] = [_derivation_dict(p) for p in d.premises]
+    out["premises"] = [_derivation_dict(p, shown) for p in d.premises]
     return out
 
 
@@ -182,17 +186,20 @@ def _weak_dict(w: GtTrace) -> dict:
     return {"kind": "strict", "beta_path": [], "strict": _trace_dict(w)}
 
 
-def _step_dict(s: Step) -> dict:
+def _step_dict(s: Step, shown: dict[Term, str]) -> dict:
     return {
         "kind": s.kind,
         "label": s.label,
         "position": show_position(s.position),
-        "from": show_term(s.source),
-        "to": show_term(s.target),
+        "from": show_term(s.source, shown),
+        "to": show_term(s.target, shown),
     }
 
 
-def report_dict(report: AnalysisReport) -> dict:
+def report_dict(report: AnalysisReport, shown: dict[Term, str] | None = None) -> dict:
+    """The JSON model of report.  Its terms are printed through the memo
+    shown (a new one if None), so each node is printed once."""
+    shown = {} if shown is None else shown
     sig = report.system.signature
     basics = basic_sorts(sig)
     cert = report.certificate
@@ -215,8 +222,8 @@ def report_dict(report: AnalysisReport) -> dict:
         "rules": [
             {
                 "name": a.rule.name,
-                "lhs": show_term(a.rule.lhs),
-                "rhs": show_term(a.rule.rhs),
+                "lhs": show_term(a.rule.lhs, shown),
+                "rhs": show_term(a.rule.rhs, shown),
                 "admissible": a.admissible,
                 "closure_size": a.closure_size,
                 "variables": [
@@ -224,7 +231,7 @@ def report_dict(report: AnalysisReport) -> dict:
                         "name": v.name,
                         "type": show_type(v.type),
                         "derivable": d is not None,
-                        "derivation": _derivation_dict(d) if d is not None else None,
+                        "derivation": _derivation_dict(d, shown) if d is not None else None,
                     }
                     for v, d in a.entries
                 ],
@@ -236,8 +243,8 @@ def report_dict(report: AnalysisReport) -> dict:
                 "name": dp.name,
                 "rule": dp.rule.name,
                 "position": show_position(dp.position),
-                "lhs": show_term(dp.lhs),
-                "rhs": show_term(dp.rhs),
+                "lhs": show_term(dp.lhs, shown),
+                "rhs": show_term(dp.rhs, shown),
                 "conditions": {
                     "ok": dp.check.ok,
                     "variables_ok": dp.check.variables_ok,
@@ -269,16 +276,16 @@ def report_dict(report: AnalysisReport) -> dict:
             {
                 "kind": v.kind,
                 "label": v.label,
-                "lhs": show_term(v.lhs),
-                "rhs": show_term(v.rhs),
+                "lhs": show_term(v.lhs, shown),
+                "rhs": show_term(v.rhs, shown),
             }
             for v in report.violations
         ],
         "witness": (
             {
                 "relation": witness["relation"],
-                "start": show_term(witness["start"]),
-                "trace": [_step_dict(s) for s in witness["trace"]],
+                "start": show_term(witness["start"], shown),
+                "trace": [_step_dict(s, shown) for s in witness["trace"]],
             }
             if witness is not None
             else None
@@ -334,8 +341,8 @@ def _emit(value, out: list[str], indent: str) -> None:
         raise TypeError(f"not part of the report model: {kind.__name__}")
 
 
-def render_json(report: AnalysisReport) -> str:
-    return _json(report_dict(report)) + "\n"
+def render_json(report: AnalysisReport, shown: dict[Term, str] | None = None) -> str:
+    return _json(report_dict(report, shown)) + "\n"
 
 
 # ------------------------------------------------------------- text report
@@ -367,8 +374,10 @@ def _step_label(kind: str, label: str, position: str) -> str:
     return f"{kind if kind == 'beta' else f'{kind}({label})'}@{position}"
 
 
-def render_text(report: AnalysisReport, show_traces: bool = False) -> str:
-    r = report_dict(report)
+def render_text(
+    report: AnalysisReport, show_traces: bool = False, shown: dict[Term, str] | None = None
+) -> str:
+    r = report_dict(report, shown)
     sig = r["signature"]
     lines = [r["verdict"]]
     if r["stage"] is not None:
@@ -457,9 +466,11 @@ def render_text(report: AnalysisReport, show_traces: bool = False) -> str:
 # ---------------------------------------------------------------------- dot
 
 
-def dot_graph(steps: Iterable[Step]) -> str:
+def dot_graph(steps: Iterable[Step], shown: dict[Term, str] | None = None) -> str:
     """Graphviz rendering of explored edges, states merged modulo alpha.
-    Each edge is drawn as given: run_pipeline collects every edge once."""
+    Each edge is drawn as given: run_pipeline collects every edge once.
+    States are printed through the memo shown, as in report_dict."""
+    shown = {} if shown is None else shown
     ids: dict[Term, int] = {}
     lines = ["digraph exploration {", '  node [shape=box, fontname="monospace"];']
 
@@ -467,7 +478,7 @@ def dot_graph(steps: Iterable[Step]) -> str:
         key = alpha_canonical(t)
         if key not in ids:
             ids[key] = len(ids)
-            label = show_term(key).replace("\\", "\\\\").replace('"', '\\"')
+            label = show_term(key, shown).replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  n{ids[key]} [label="{label}"];')
         return ids[key]
 

@@ -202,18 +202,29 @@ def show_position(p: Position) -> str:
     return ".".join(str(i) for i in p) if p else "ε"
 
 
-def show_term(t: Term) -> str:
+def show_term(t: Term, shown: dict[Term, str] | None = None) -> str:
+    """The text of t.  shown maps nodes to their text: a node found there is
+    not visited again, and each node printed is added, so terms printed
+    through one dict visit each of their nodes once."""
+    if shown is None:
+        shown = {}
+    text = shown.get(t)
+    if text is not None:
+        return text
     if isinstance(t, (Var, Sym)):
-        return t.name
-    if isinstance(t, Lam):
-        return f"\\{t.var.name}:{show_type(t.var.type)}. {show_term(t.body)}"
-    head = show_term(t.fun)
-    if isinstance(t.fun, Lam):
-        head = f"({head})"
-    arg = show_term(t.arg)
-    if isinstance(t.arg, (App, Lam)):
-        arg = f"({arg})"
-    return f"{head} {arg}"
+        text = t.name
+    elif isinstance(t, Lam):
+        text = f"\\{t.var.name}:{show_type(t.var.type)}. {show_term(t.body, shown)}"
+    else:
+        head = show_term(t.fun, shown)
+        if isinstance(t.fun, Lam):
+            head = f"({head})"
+        arg = show_term(t.arg, shown)
+        if isinstance(t.arg, (App, Lam)):
+            arg = f"({arg})"
+        text = f"{head} {arg}"
+    shown[t] = text
+    return text
 
 
 def term_size(t: Term) -> int:

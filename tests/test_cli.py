@@ -3,6 +3,7 @@
 import argparse
 import collections
 import contextlib
+import errno
 import io
 import json
 import os
@@ -144,6 +145,41 @@ class TestExitCodes:
         assert err.startswith("error:") and "ascii" in err
         assert len(err.splitlines()) == 1
         assert stdout.buffer.getvalue() == b""
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("fails", ["write", "flush"])
+    def test_stdout_that_cannot_be_written_is_an_error(self, capsys, monkeypatch, flags, fails):
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class Full(io.StringIO):
+            def write(self, text):
+                if fails == "write":
+                    raise full
+                return super().write(text)
+
+            def flush(self):
+                raise full
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        code = main(["check", path("map"), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: stdout cannot take the report: {full}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_disk_on_stdout_prints_one_line(self):
+        """Nothing more is printed at interpreter exit, when Python flushes
+        stdout again."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SYSTEMS_DIR.parent / "src"), env.get("PYTHONPATH")])
+        )
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "hodp.cli", "check", path("map")],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, check=False,
+            )
+        assert done.returncode == 2
+        assert done.stderr == "error: stdout cannot take the report: [Errno 28] No space left on device\n"
 
     def test_search_limit_is_reported_separately(self, capsys):
         code, _, err = run(capsys, "check", path("map"), "--max-symbols", "1")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import ESCAPING_LOOPS, SYSTEMS_DIR, load_system
+from conftest import ESCAPING_LOOPS, SYSTEMS_DIR, WIDE_SYSTEMS, load_system
 from gen import (
     GEN_SYMBOLS,
     make_sig,
@@ -17,6 +17,8 @@ from gen import (
     show_step,
     symbol,
 )
+from hodp import engine
+from hodp.cli import main
 from hodp.engine import (
     Exploration,
     Step,
@@ -234,6 +236,43 @@ class TestExploration:
         assert dg.startswith("digraph")
         assert dg.rstrip().endswith("}")
         assert dg.count("->") == len(ex.edges)
+
+
+class TestLazyTargets:
+    """A step found through the redex table builds its target only when
+    exploration visits it, so a state with many successors costs what its
+    visited ones do."""
+
+    @pytest.mark.parametrize(
+        ("name", "nodes"), [("branching", 100), ("branching", 1000), ("higher-order", 150)]
+    )
+    def test_a_wide_exploration_builds_one_target_per_state(
+        self, tmp_path, capsys, monkeypatch, name, nodes
+    ):
+        """Eager steps built 5,050 targets for the branching system at 100
+        states, and 11,325 for the higher-order one at 150."""
+        file = tmp_path / f"{name}.hodp"
+        file.write_text(WIDE_SYSTEMS[name], encoding="utf-8")
+        built = [0]
+        replace = engine.replace_at
+
+        def counted(t, pos, new):
+            built[0] += 1
+            return replace(t, pos, new)
+
+        monkeypatch.setattr(engine, "replace_at", counted)
+        code = main(["check", str(file), "--disprove", "--explore-nodes", str(nodes)])
+        assert code == 3
+        assert capsys.readouterr().err == f"limit: exploration expanded more than {nodes} states\n"
+        assert built[0] == nodes
+
+    def test_a_pending_step_equals_the_eager_one(self):
+        system = parse_system(WIDE_SYSTEMS["branching"])
+        (seed,) = disprove_seeds(system)
+        steps = rewrite_steps(seed, system, True, {})
+        eager = _reference_rewrite_steps(seed, system)
+        assert steps == eager and hash(steps[0]) == hash(eager[0])
+        assert repr(steps[0]) == repr(eager[0])
 
 
 class TestChains:

@@ -10,6 +10,8 @@ import pytest
 
 from conftest import ESCAPING_LOOPS, SYSTEMS_DIR, load_system, system_text
 from gen import random_fo_trs
+from hodp import pipeline as pipeline_module
+from hodp import terms as terms_module
 from hodp.engine import has_alpha_repeat, replay_trace
 from hodp.errors import LimitError
 from hodp.parser import parse_precedence_arg, parse_system
@@ -22,6 +24,14 @@ from hodp.pipeline import (
     render_text,
     report_dict,
     run_pipeline,
+)
+from hodp.terms import alpha_canonical
+
+# a loop reached after 36 steps, like the loop instances of the explore
+# benchmark: ggz i steps to ggz applied to 35 nested f, and back to ggz i
+LOOP = (
+    "sort N\ni : N\nf : N -> N\nggz : N -> N\nrule ggz (f X) -> ggz X\n"
+    f"rule ggz i -> ggz {'(f ' * 35}i{')' * 35}\n"
 )
 
 EXPECTED = {
@@ -247,6 +257,50 @@ class TestRendering:
         detailed = render_text(report, show_traces=True)
         assert "same-symbol(map, mul)" in detailed
         assert "precedence(map, cons)" in detailed
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_report_prints_each_node_once(self, monkeypatch, fmt):
+        """A loop whose witness steps share all but a few nodes: rendering
+        the report and its graph through one memo visits each node of
+        their terms once at most."""
+        system = parse_system(LOOP)
+        report = run_pipeline(system, Options(disprove=True, record_graph=True))
+        assert report.verdict == "NO" and len(report.witness["trace"]) == 36
+        terms = [report.witness["start"]]
+        terms += [t for s in report.witness["trace"] + report.graph for t in (s.source, s.target)]
+        terms += [alpha_canonical(s.source) for s in report.graph]
+        terms += [alpha_canonical(s.target) for s in report.graph]
+        terms += [t for dp in report.pairs for t in (dp.lhs, dp.rhs)]
+        terms += [t for a in report.admissibility for t in (a.rule.lhs, a.rule.rhs)]
+        derivations = [d for a in report.admissibility for _, d in a.entries if d is not None]
+        while derivations:
+            d = derivations.pop()
+            terms.append(d.term)
+            derivations.extend(d.premises)
+        nodes = set()
+        while terms:
+            t = terms.pop()
+            if t not in nodes:
+                nodes.add(t)
+                terms.extend(getattr(t, field) for field in ("fun", "arg", "body") if hasattr(t, field))
+        visits = collections.Counter()  # the calls that print their node
+        show_term = terms_module.show_term
+
+        def counted(t, shown=None):
+            if shown is None or t not in shown:
+                visits[t] += 1
+            return show_term(t, shown)
+
+        monkeypatch.setattr(terms_module, "show_term", counted)
+        monkeypatch.setattr(pipeline_module, "show_term", counted)
+        shown = {}
+        if fmt == "text":
+            render_text(report, show_traces=True, shown=shown)
+        else:
+            render_json(report, shown)
+        dot_graph(report.graph, shown)
+        assert max(visits.values()) == 1
+        assert sum(visits.values()) <= len(nodes)
 
     def test_reports_are_stable_modulo_timing(self):
         for name in ["map", "lim", "foldr"]:

@@ -1,10 +1,12 @@
 """tools/same_reports.py: the byte-identity check between two source trees."""
 
+import collections
 import contextlib
 import io
 import json
+import re
 
-from conftest import ROOT, SYSTEMS_DIR, same_reports_tool
+from conftest import ROOT, SYSTEMS_DIR, WIDE_SYSTEMS, same_reports_tool
 from hodp.cli import main
 from hodp.ordering import PathOrder
 from hodp.terms import Lam
@@ -13,7 +15,8 @@ from hodp.terms import Lam
 SHIPPED_RUNS = len(same_reports_tool().runs([]))
 MUTANT_RUNS = same_reports_tool().MUTANTS_PER_SYSTEM * len(list(SYSTEMS_DIR.glob("*.hodp")))
 HO_RUNS = same_reports_tool().HO_SYSTEMS * len(same_reports_tool().HO_FLAG_SETS)
-ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS + HO_RUNS
+WIDE_RUNS = len(WIDE_SYSTEMS) * len(same_reports_tool().WIDE_FLAG_SETS)
+ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS + HO_RUNS + WIDE_RUNS
 
 
 def test_a_tree_matches_itself(capsys):
@@ -90,3 +93,19 @@ def test_higher_order_systems_are_seeded_and_compare_binders(tmp_path, monkeypat
                 assert main(argv) == 0, label
     # a fifth of the systems or more compare a binder
     assert len(set(compared)) * 5 >= same_reports_tool().HO_SYSTEMS, len(set(compared))
+
+
+def test_wide_systems_run_with_many_successors_per_state(tmp_path, monkeypatch):
+    """Each wide run finishes, and its graph holds a state with more than
+    one successor, so the order of visits shows in the --dot file."""
+    labelled = same_reports_tool().wide_runs(str(tmp_path))
+    assert len(labelled) == WIDE_RUNS
+    monkeypatch.chdir(tmp_path)
+    for label, argv in labelled:
+        assert (tmp_path / argv[1]).read_text(encoding="utf-8") in WIDE_SYSTEMS.values()
+        assert label == " ".join(argv[1:]).removesuffix(" --dot graph.dot")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, label
+        graph = (tmp_path / "graph.dot").read_text(encoding="utf-8")
+        edges = collections.Counter(re.findall(r"^  (n\d+) -> n\d+ ", graph, re.MULTILINE))
+        assert max(edges.values()) > 1, label

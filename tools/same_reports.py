@@ -19,18 +19,23 @@ OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
 - HO_SYSTEMS higher-order systems of `random_ho_system` in tests/gen.py,
   from the constant HO_SEED, under each flag set of HO_FLAG_SETS.  Their
   lambdas reach the ordering's binder clauses and the engine's beta
-  steps, which the shipped systems and the bench manifests barely touch.
+  steps, which the shipped systems and the bench manifests barely touch;
+- each of the WIDE_SYSTEMS of tests/conftest.py under each flag set of
+  WIDE_FLAG_SETS.  Their states have many successors each, so the order
+  in which exploration visits steps shows in the --dot graph; no state of
+  a bench instance has more than one.
 
 Apart from ARGV_EDGES, a run is `hodp.cli.main(["check", FILE, *flags])`,
 with `--dot` added when the flags hold `--disprove`.  Each tree does all its runs in one Python
 subprocess started with -B, so neither tree gets bytecode written into it,
-and both run in one temporary directory, where the mutants and the
-higher-order systems are written.
+and both run in one temporary directory, where the mutants, the
+higher-order systems and the wide systems are written.
 Stdout without its timing lines (the text `elapsed:` line and the JSON
 `"seconds"` line), stderr, the exit code and the --dot file are compared.
 The runs that differ are listed; the exit code is 1 if any do, else 0.
-Only the standard library is used, apart from the generator of the
-higher-order systems, which runs on the hodp of this checkout.
+Only the standard library is used, apart from tests/gen.py and
+tests/conftest.py, which give the higher-order and the wide systems and
+run on the hodp of this checkout.
 """
 
 from __future__ import annotations
@@ -68,6 +73,11 @@ HO_SYSTEMS = 40
 # the explore budgets of tests/test_cli.py: under the default ones, some
 # generated systems grow until memory runs out
 HO_FLAG_SETS = (["--trace"], ["--json", "--disprove", "--explore-depth", "6", "--explore-nodes", "40"])
+# a depth at which the wide systems finish, in both report formats
+WIDE_FLAG_SETS = tuple(
+    [report, "--disprove", "--explore-depth", "5", "--explore-nodes", "2000"]
+    for report in ("--trace", "--json")
+)
 # what an insertion adds: the input format's punctuation and keywords,
 # identifier characters, line breaks, and characters it rejects
 INSERTS = (
@@ -163,12 +173,17 @@ def mutant_runs(directory: str) -> list[tuple[str, list[str]]]:
     return out
 
 
-def ho_runs(directory: str) -> list[tuple[str, list[str]]]:
-    """Writes the higher-order systems into directory and returns (label,
-    argv) of their runs, which name them relative to it."""
+def _import_tests() -> None:
+    """Make hodp and the modules of tests/ importable."""
     for path in (str(ROOT / "src"), str(ROOT / "tests")):
         if path not in sys.path:
             sys.path.insert(0, path)
+
+
+def ho_runs(directory: str) -> list[tuple[str, list[str]]]:
+    """Writes the higher-order systems into directory and returns (label,
+    argv) of their runs, which name them relative to it."""
+    _import_tests()
     from gen import random_ho_system, system_text
 
     rng, out = random.Random(HO_SEED), []
@@ -177,6 +192,21 @@ def ho_runs(directory: str) -> list[tuple[str, list[str]]]:
         text = system_text(random_ho_system(rng))
         (pathlib.Path(directory) / name).write_text(text, encoding="utf-8")
         for flags in HO_FLAG_SETS:
+            out.append((f"{name} {' '.join(flags)}", check_argv([name, *flags])))
+    return out
+
+
+def wide_runs(directory: str) -> list[tuple[str, list[str]]]:
+    """Writes the wide systems into directory and returns (label, argv) of
+    their runs, which name them relative to it."""
+    _import_tests()
+    from conftest import WIDE_SYSTEMS
+
+    out = []
+    for stem, text in WIDE_SYSTEMS.items():
+        name = f"wide-{stem}.hodp"
+        (pathlib.Path(directory) / name).write_text(text, encoding="utf-8")
+        for flags in WIDE_FLAG_SETS:
             out.append((f"{name} {' '.join(flags)}", check_argv([name, *flags])))
     return out
 
@@ -212,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("manifest_dirs", nargs="*", metavar="MANIFEST_DIR")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as cwd:
-        labelled = runs(args.manifest_dirs) + mutant_runs(cwd) + ho_runs(cwd)
+        labelled = runs(args.manifest_dirs) + mutant_runs(cwd) + ho_runs(cwd) + wide_runs(cwd)
         argvs = [argv for _, argv in labelled]
         old, new = run_tree(args.old_src, argvs, cwd), run_tree(args.new_src, argvs, cwd)
     fields = ("stdout", "stderr", "exit code", "dot")
