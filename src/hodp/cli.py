@@ -15,6 +15,7 @@ lines: main installs it as the system's precedence hints.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -162,9 +163,8 @@ def main(argv: list[str] | None = None) -> int:
             record_graph=bool(args.dot),
         )
         report = run_pipeline(system, options)
-        shown = {}  # the text of each term, shared by the report and the graph
-        output = render_json(report, shown) if args.json else render_text(report, args.trace, shown)
-        graph = dot_graph(report.graph, shown) if args.dot else None
+        output = render_json(report) if args.json else render_text(report, args.trace)
+        graph = dot_graph(report.graph) if args.dot else None
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -190,8 +190,23 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:  # a full disk, a closed pipe
         print(f"error: stdout cannot take the report: {exc}", file=sys.stderr)
+        _discard_stdout()
         return 2
     return 0
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device.  Python flushes stdout
+    again at exit, and the bytes a failed write left in its buffer may
+    fail again there, print a second error and turn the exit code into
+    120.  A stream without a descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

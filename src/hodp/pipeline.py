@@ -19,8 +19,8 @@ deterministic except for the timing entry.  The --dot graph of an
 exploration names its steps as the text witness does.  Terms are printed
 through a memo, `shown`, from interned node to text, so a node shared by
 many terms (the source and target of each witness step, say) is printed
-once.  A caller that renders one report and its graph can pass both one
-memo; the module keeps none between calls.
+once.  report_dict and dot_graph each make one memo per call; the module
+keeps none between calls.
 """
 
 from __future__ import annotations
@@ -196,10 +196,10 @@ def _step_dict(s: Step, shown: dict[Term, str]) -> dict:
     }
 
 
-def report_dict(report: AnalysisReport, shown: dict[Term, str] | None = None) -> dict:
-    """The JSON model of report.  Its terms are printed through the memo
-    shown (a new one if None), so each node is printed once."""
-    shown = {} if shown is None else shown
+def report_dict(report: AnalysisReport) -> dict:
+    """The JSON model of report.  Its terms are printed through one memo,
+    so each node is printed once."""
+    shown: dict[Term, str] = {}
     sig = report.system.signature
     basics = basic_sorts(sig)
     cert = report.certificate
@@ -341,8 +341,8 @@ def _emit(value, out: list[str], indent: str) -> None:
         raise TypeError(f"not part of the report model: {kind.__name__}")
 
 
-def render_json(report: AnalysisReport, shown: dict[Term, str] | None = None) -> str:
-    return _json(report_dict(report, shown)) + "\n"
+def render_json(report: AnalysisReport) -> str:
+    return _json(report_dict(report)) + "\n"
 
 
 # ------------------------------------------------------------- text report
@@ -374,10 +374,8 @@ def _step_label(kind: str, label: str, position: str) -> str:
     return f"{kind if kind == 'beta' else f'{kind}({label})'}@{position}"
 
 
-def render_text(
-    report: AnalysisReport, show_traces: bool = False, shown: dict[Term, str] | None = None
-) -> str:
-    r = report_dict(report, shown)
+def render_text(report: AnalysisReport, show_traces: bool = False) -> str:
+    r = report_dict(report)
     sig = r["signature"]
     lines = [r["verdict"]]
     if r["stage"] is not None:
@@ -466,11 +464,11 @@ def render_text(
 # ---------------------------------------------------------------------- dot
 
 
-def dot_graph(steps: Iterable[Step], shown: dict[Term, str] | None = None) -> str:
+def dot_graph(steps: Iterable[Step]) -> str:
     """Graphviz rendering of explored edges, states merged modulo alpha.
     Each edge is drawn as given: run_pipeline collects every edge once.
-    States are printed through the memo shown, as in report_dict."""
-    shown = {} if shown is None else shown
+    States are printed through one memo, as in report_dict."""
+    shown: dict[Term, str] = {}
     ids: dict[Term, int] = {}
     lines = ["digraph exploration {", '  node [shape=box, fontname="monospace"];']
 

@@ -19,19 +19,6 @@ ESCAPING_LOOPS = {
     "rule f X Y -> k (\\y:N. h y)\nrule h W -> k (\\y:N. g y W)\nrule g Z Z -> f Z Z\n",
 }
 
-# Two systems whose states have many successors, so exploration visits
-# only a few of the steps it finds: the branching system, whose state k
-# has k successors, and a higher-order system drawn by
-# gen.escaping_ho_system whose steps rebuild a spine that grows with
-# every step.  Neither finishes within a small node budget.
-WIDE_SYSTEMS = {
-    "branching": "sort N\n0 : N\ns : N -> N\nf : N -> N\nrule f X -> s (f (f X))\n",
-    "higher-order": "sort N L\n0 : N\ns : N -> N\nnil : L\ncons : N -> L -> L\n"
-    "k : N -> L -> N\nf : (N -> N) -> L -> L\ng : N -> N\nh : (N -> N -> N) -> N -> N\n"
-    "rule h G X -> h (\\X:N. \\z:N. h G X) (g X)\n"
-    "rule h (\\y:N. \\z:N. y) X -> h (\\X:N. \\z:N. h (\\x:N. g) X) X\n",
-}
-
 
 def load_system(name: str) -> RewriteSystem:
     return parse_system((SYSTEMS_DIR / f"{name}.hodp").read_text())

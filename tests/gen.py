@@ -446,6 +446,20 @@ def escaping_ho_system(rng: random.Random):
     return build_system(GEN_SORTS, symbols, rules)
 
 
+# Two systems whose states have many successors, so exploration visits
+# only a few of the steps it finds: the branching system, whose state k
+# has k successors, and a higher-order system drawn by
+# escaping_ho_system whose steps rebuild a spine that grows with
+# every step.  Neither finishes within a small node budget.
+WIDE_SYSTEMS = {
+    "branching": "sort N\n0 : N\ns : N -> N\nf : N -> N\nrule f X -> s (f (f X))\n",
+    "higher-order": "sort N L\n0 : N\ns : N -> N\nnil : L\ncons : N -> L -> L\n"
+    "k : N -> L -> N\nf : (N -> N) -> L -> L\ng : N -> N\nh : (N -> N -> N) -> N -> N\n"
+    "rule h G X -> h (\\X:N. \\z:N. h G X) (g X)\n"
+    "rule h (\\y:N. \\z:N. y) X -> h (\\X:N. \\z:N. h (\\x:N. g) X) X\n",
+}
+
+
 # ---------------------------------------------------------------------------
 # Pattern style argument tuples for closure tests: constructor terms,
 # free variables, and the occasional lambda or applied variable.

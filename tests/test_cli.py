@@ -181,6 +181,16 @@ class TestExitCodes:
         assert done.returncode == 2
         assert done.stderr == "error: stdout cannot take the report: [Errno 28] No space left on device\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_failed_stdout_is_discarded(self, capsys, monkeypatch):
+        """The report a failed write left in stdout's buffer must not fail
+        again when Python flushes stdout at exit."""
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            assert main(["check", path("map")]) == 2
+            full.flush()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     def test_search_limit_is_reported_separately(self, capsys):
         code, _, err = run(capsys, "check", path("map"), "--max-symbols", "1")
         assert code == 3

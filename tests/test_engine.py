@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from conftest import ESCAPING_LOOPS, SYSTEMS_DIR, WIDE_SYSTEMS, load_system
+from conftest import ESCAPING_LOOPS, SYSTEMS_DIR, load_system
 from gen import (
     GEN_SYMBOLS,
+    WIDE_SYSTEMS,
     make_sig,
     positions,
     random_closed_term,

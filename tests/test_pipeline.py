@@ -258,25 +258,26 @@ class TestRendering:
         assert "same-symbol(map, mul)" in detailed
         assert "precedence(map, cons)" in detailed
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
     def test_a_report_prints_each_node_once(self, monkeypatch, fmt):
-        """A loop whose witness steps share all but a few nodes: rendering
-        the report and its graph through one memo visits each node of
-        their terms once at most."""
+        """A loop whose witness steps share all but a few nodes: a report,
+        and the --dot graph of its exploration, visit each node of their
+        terms once at most."""
         system = parse_system(LOOP)
         report = run_pipeline(system, Options(disprove=True, record_graph=True))
         assert report.verdict == "NO" and len(report.witness["trace"]) == 36
-        terms = [report.witness["start"]]
-        terms += [t for s in report.witness["trace"] + report.graph for t in (s.source, s.target)]
-        terms += [alpha_canonical(s.source) for s in report.graph]
-        terms += [alpha_canonical(s.target) for s in report.graph]
-        terms += [t for dp in report.pairs for t in (dp.lhs, dp.rhs)]
-        terms += [t for a in report.admissibility for t in (a.rule.lhs, a.rule.rhs)]
-        derivations = [d for a in report.admissibility for _, d in a.entries if d is not None]
-        while derivations:
-            d = derivations.pop()
-            terms.append(d.term)
-            derivations.extend(d.premises)
+        if fmt == "dot":
+            terms = [alpha_canonical(t) for s in report.graph for t in (s.source, s.target)]
+        else:
+            terms = [report.witness["start"]]
+            terms += [t for s in report.witness["trace"] for t in (s.source, s.target)]
+            terms += [t for dp in report.pairs for t in (dp.lhs, dp.rhs)]
+            terms += [t for a in report.admissibility for t in (a.rule.lhs, a.rule.rhs)]
+            derivations = [d for a in report.admissibility for _, d in a.entries if d is not None]
+            while derivations:
+                d = derivations.pop()
+                terms.append(d.term)
+                derivations.extend(d.premises)
         nodes = set()
         while terms:
             t = terms.pop()
@@ -293,12 +294,12 @@ class TestRendering:
 
         monkeypatch.setattr(terms_module, "show_term", counted)
         monkeypatch.setattr(pipeline_module, "show_term", counted)
-        shown = {}
         if fmt == "text":
-            render_text(report, show_traces=True, shown=shown)
+            render_text(report, show_traces=True)
+        elif fmt == "json":
+            render_json(report)
         else:
-            render_json(report, shown)
-        dot_graph(report.graph, shown)
+            dot_graph(report.graph)
         assert max(visits.values()) == 1
         assert sum(visits.values()) <= len(nodes)
 

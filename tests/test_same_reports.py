@@ -6,7 +6,8 @@ import io
 import json
 import re
 
-from conftest import ROOT, SYSTEMS_DIR, WIDE_SYSTEMS, same_reports_tool
+from conftest import ROOT, SYSTEMS_DIR, same_reports_tool
+from gen import WIDE_SYSTEMS
 from hodp.cli import main
 from hodp.ordering import PathOrder
 from hodp.terms import Lam

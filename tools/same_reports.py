@@ -20,7 +20,7 @@ OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
   from the constant HO_SEED, under each flag set of HO_FLAG_SETS.  Their
   lambdas reach the ordering's binder clauses and the engine's beta
   steps, which the shipped systems and the bench manifests barely touch;
-- each of the WIDE_SYSTEMS of tests/conftest.py under each flag set of
+- each of the WIDE_SYSTEMS of tests/gen.py under each flag set of
   WIDE_FLAG_SETS.  Their states have many successors each, so the order
   in which exploration visits steps shows in the --dot graph; no state of
   a bench instance has more than one.
@@ -33,9 +33,9 @@ higher-order systems and the wide systems are written.
 Stdout without its timing lines (the text `elapsed:` line and the JSON
 `"seconds"` line), stderr, the exit code and the --dot file are compared.
 The runs that differ are listed; the exit code is 1 if any do, else 0.
-Only the standard library is used, apart from tests/gen.py and
-tests/conftest.py, which give the higher-order and the wide systems and
-run on the hodp of this checkout.
+Only the standard library is used, apart from tests/gen.py, which gives
+the higher-order and the wide systems and runs on the hodp of this
+checkout.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def mutant_runs(directory: str) -> list[tuple[str, list[str]]]:
 
 
 def _import_tests() -> None:
-    """Make hodp and the modules of tests/ importable."""
+    """Make hodp and tests/gen.py importable."""
     for path in (str(ROOT / "src"), str(ROOT / "tests")):
         if path not in sys.path:
             sys.path.insert(0, path)
@@ -200,7 +200,7 @@ def wide_runs(directory: str) -> list[tuple[str, list[str]]]:
     """Writes the wide systems into directory and returns (label, argv) of
     their runs, which name them relative to it."""
     _import_tests()
-    from conftest import WIDE_SYSTEMS
+    from gen import WIDE_SYSTEMS
 
     out = []
     for stem, text in WIDE_SYSTEMS.items():
