@@ -142,10 +142,11 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --dot requires --disprove", file=sys.stderr)
         return 2
     try:
-        with open(args.file, encoding="utf-8") as handle:
-            # a leading byte-order mark is not text; stripping it costs no
-            # codec import, which decoding as utf-8-sig does per process
-            text = handle.read().removeprefix("\ufeff")
+        # unbuffered bytes decoded in one call need no text layer or codec
+        # lookup, and the parser ends lines itself; a leading byte-order mark
+        # is not text, and stripping it costs no utf-8-sig codec import
+        with open(args.file, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

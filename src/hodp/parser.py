@@ -11,27 +11,32 @@ Declarations: ``sort`` introduces base sorts, ``name : TYPE`` declares a
 symbol, ``rule`` adds a rewrite rule, ``prec`` records required precedence
 edges (a chain ``f > g > h`` adds f>g and g>h).  Identifiers are ASCII:
 they start with a letter, digit, or underscore and may contain primes;
-``sort``, ``rule`` and ``prec`` are reserved.  In rule terms, application
-is juxtaposition and associates left; lambdas are written ``\\x. t`` or
-``\\x:TYPE. t``.
+``sort``, ``rule`` and ``prec`` are reserved: they name no sort, symbol,
+variable or binder.  In rule terms, application is juxtaposition and
+associates left; lambdas are written ``\\x. t`` or ``\\x:TYPE. t``.
+
+One regular expression cuts a line into tokens: an arrow, an identifier,
+or any other non-blank character, which is an error unless it is
+punctuation; ``#`` ends the line.  A token is its text, which also tells
+its kind, and its column is worked out only for an error message.
 
 A rule line is read in one pass.  An identifier bound by an enclosing
 lambda is that binder, a declared symbol is that symbol, and any other
-identifier, whatever its case, is a rule variable.  Reading gives each
-subterm a builder and a type, in which metavariables ``?n``, numbered in
-reading order, stand for what is not yet known; each application adds an
-equation.  Once the line has parsed, the equations are solved in order,
-then the two sides' types are equated, so a line's syntax errors come
-before its type errors.  The builders then make the terms, rejecting a
-rule variable or binder whose type is still undetermined.  Last, the
-left-hand side must be headed by a declared symbol.
+identifier, whatever its case, is a rule variable.  Each side is read into
+a tree of tuples and a type, in which metavariables ``?n``, numbered in
+reading order, stand for what is not yet known.  Each application's
+equation is solved as soon as it is read.  The first that fails is kept,
+no later one is solved, and it is raised once the line has parsed, so a
+line's syntax errors come before its type errors.  Then the two sides'
+types are equated, and the trees become terms, rejecting a rule variable
+or binder whose type is still undetermined.  Last, the left-hand side
+must be headed by a declared symbol.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
-from typing import NamedTuple
+from typing import NoReturn
 
 from hodp.errors import InputError
 from hodp.ordering import transitive_closure
@@ -43,151 +48,31 @@ _KEYWORDS = {"sort", "rule", "prec"}
 # A line ends at \n, \r\n or \r only, not at every break str.splitlines knows.
 _LINE_END = re.compile(r"\r\n|\r|\n")
 
-# An unnamed match is punctuation, whose kind is its text.  Whitespace is
-# what no alternative matches: exactly the characters str.isspace accepts.
-_TOKEN = re.compile(
-    r"(?P<arrow>->)|(?P<ident>[A-Za-z0-9_][A-Za-z0-9_']*)|[():\\.>]|(?P<comment>#)|(?P<bad>\S)"
-)
+# Whitespace is what no alternative matches: exactly the characters
+# str.isspace accepts.
+_TOKEN = re.compile(r"->|[A-Za-z0-9_][A-Za-z0-9_']*|\S")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+# a token of one character outside these is a character the format rejects
+_SINGLES = _IDENT_START | {"(", ")", ":", "\\", ".", ">"}
 
 
-class _Tok(NamedTuple):
-    kind: str  # 'ident' | 'arrow' | '(' | ')' | ':' | '\\' | '.' | '>'
-    text: str
-    column: int
+def _kind(tok: str) -> str:
+    return "ident" if tok[:1] in _IDENT_START else "arrow" if tok == "->" else tok
 
 
-def _tokenize(text: str, lineno: int) -> list[_Tok]:
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind, tok, column = m.lastgroup, m.group(), m.start() + 1
-        if kind == "comment":
-            break
-        if kind == "bad":
-            raise InputError(f"unexpected character {tok!r}", lineno, column)
-        out.append(_Tok(kind or tok, tok, column))
-    return out
+def _column(line: str, k: int) -> int:
+    """The column of the k-th token of line."""
+    return list(_TOKEN.finditer(line))[k].start() + 1
 
 
-# Builders turn a parsed term into a Term once unification settles, which
-# replaces its metavariables by ground types.
-_Builder = Callable[[], Term]
-
-
-class _LineParser:
-    """Reads one line.  A rule term comes back as its builder and its type;
-    each application leaves an equation, solved only after the line parsed."""
-
-    def __init__(self, tokens: list[_Tok], lineno: int, sorts: list[str], symbols: dict[str, Type]):
-        self.toks = tokens
-        self.pos = 0
-        self.lineno = lineno
-        self.sorts = sorts
-        self.symbols = symbols
-        self.inf = _Inference(lineno)
-        self.equations: list[tuple[Type, Type]] = []
-
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            raise InputError("unexpected end of line", self.lineno)
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Tok:
-        tok = self.next()
-        if tok.kind != kind:
-            raise InputError(f"expected {kind!r}, found {tok.text!r}", self.lineno, tok.column)
-        return tok
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.toks)
-
-    def finish(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise InputError(f"unexpected {tok.text!r}", self.lineno, tok.column)
-
-    # types
-
-    def parse_type(self) -> Type:
-        left = self.parse_atomic_type()
-        tok = self.peek()
-        if tok is not None and tok.kind == "arrow":
-            self.next()
-            return Arrow(left, self.parse_type())
-        return left
-
-    def parse_atomic_type(self) -> Type:
-        tok = self.next()
-        if tok.kind == "(":
-            inner = self.parse_type()
-            self.expect(")")
-            return inner
-        if tok.kind == "ident":
-            if tok.text not in self.sorts:
-                raise InputError(f"undeclared sort {tok.text}", self.lineno, tok.column)
-            return Base(tok.text)
-        raise InputError(f"expected a type, found {tok.text!r}", self.lineno, tok.column)
-
-    # terms; bound maps each enclosing binder's name to its type
-
-    def parse_term(self, bound: dict[str, Type]) -> tuple[_Builder, Type]:
-        term = self.parse_atom(bound)
-        if term is None:
-            tok = self.peek()
-            where = (tok.text, tok.column) if tok else ("end of line", None)
-            raise InputError(f"expected a term, found {where[0]!r}", self.lineno, where[1])
-        while (arg := self.parse_atom(bound)) is not None:
-            (fb, ft), (ab, at) = term, arg
-            out = self.inf.fresh()
-            self.equations.append((ft, Arrow(at, out)))
-            term = (lambda fb=fb, ab=ab: App(fb(), ab())), out
-        return term
-
-    def parse_atom(self, bound: dict[str, Type]) -> tuple[_Builder, Type] | None:
-        tok = self.peek()
-        if tok is None:
-            return None
-        inf = self.inf
-        if tok.kind == "ident":
-            name = tok.text
-            if name in _KEYWORDS:
-                raise InputError(f"{name} is a reserved word", self.lineno, tok.column)
-            self.next()
-            if name in bound:
-                t = bound[name]
-                return (lambda: Var(name, inf.zonk(t, f"binder {name}"))), t
-            if name in self.symbols:
-                typ = self.symbols[name]
-                return (lambda: Sym(name, typ)), typ
-            # fresh() runs at every occurrence: the ?n in messages count them
-            meta = inf.rule_vars.setdefault(name, inf.fresh())
-            return (lambda: Var(name, inf.zonk(meta, f"variable {name}"))), meta
-        if tok.kind == "(":
-            self.next()
-            inner = self.parse_term(bound)
-            self.expect(")")
-            return inner
-        if tok.kind == "\\":
-            self.next()
-            name = self.expect("ident").text
-            if self.peek() is not None and self.peek().kind == ":":
-                self.next()
-                annot = self.parse_type()
-            else:
-                annot = inf.fresh()
-            self.expect(".")
-            bb, bt = self.parse_term({**bound, name: annot})
-            return (
-                lambda: Lam(Var(name, inf.zonk(annot, f"binder {name}")), bb())
-            ), Arrow(annot, bt)
-        return None
-
-
-# ----------------------------------------------------------- type inference
+def _tokenize(line: str, lineno: int) -> list[str]:
+    tokens = _TOKEN.findall(line)
+    if "#" in tokens:
+        del tokens[tokens.index("#") :]
+    for k, tok in enumerate(tokens):
+        if len(tok) == 1 and tok not in _SINGLES:
+            raise InputError(f"unexpected character {tok!r}", lineno, _column(line, k))
+    return tokens
 
 
 class _Meta(Base):
@@ -203,18 +88,136 @@ class _Meta(Base):
         return meta
 
 
-class _Inference:
-    """Unification-based typing of one rule's variables and binders."""
+# A rule side is read into a tree of tuples: a symbol is its Sym, an
+# application (fun, arg), a variable (name, type, "binder" | "variable")
+# and an abstraction ("\\", name, type, body).
+_Tree = Sym | tuple
 
-    def __init__(self, lineno: int):
+
+class _LineParser:
+    """Reads one line, and types a rule by unification: each application's
+    equation is solved as it is read, up to the first that fails."""
+
+    def __init__(
+        self, line: str, tokens: list[str], lineno: int, sorts: list[str], symbols: dict[str, Type]
+    ):
+        self.line = line
+        self.toks = tokens + [""]  # "" is the end of the line
+        self.pos = 0
         self.lineno = lineno
+        self.sorts = sorts
+        self.symbols = symbols
         self.bindings: dict[_Meta, Type] = {}
         self.counter = 0
         self.rule_vars: dict[str, _Meta] = {}
+        self.error: InputError | None = None
+
+    def fail(self, message: str, k: int) -> NoReturn:
+        """Raise message at the column of token k, or at none for the end."""
+        column = _column(self.line, k) if self.toks[k] else None
+        raise InputError(message, self.lineno, column)
+
+    def next(self) -> str:
+        tok = self.toks[self.pos]
+        if not tok:
+            raise InputError("unexpected end of line", self.lineno)
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> str:
+        tok = self.next()
+        if _kind(tok) != kind:
+            self.fail(f"expected {kind!r}, found {tok!r}", self.pos - 1)
+        return tok
+
+    def name(self) -> str:
+        tok = self.expect("ident")
+        if tok in _KEYWORDS:
+            self.fail(f"{tok} is a reserved word", self.pos - 1)
+        return tok
+
+    # types
+
+    def parse_type(self) -> Type:
+        tok = self.next()
+        if tok == "(":
+            left = self.parse_type()
+            self.expect(")")
+        elif _kind(tok) != "ident":
+            self.fail(f"expected a type, found {tok!r}", self.pos - 1)
+        elif tok not in self.sorts:
+            self.fail(f"undeclared sort {tok}", self.pos - 1)
+        else:
+            left = Base(tok)
+        if self.toks[self.pos] == "->":
+            self.pos += 1
+            return Arrow(left, self.parse_type())
+        return left
+
+    # terms; bound maps each enclosing binder's name to its type
+
+    def parse_term(self, bound: dict[str, Type]) -> tuple[_Tree, Type]:
+        """A term and its type: atoms, each applied to the next."""
+        term = None
+        while True:
+            tok = self.toks[self.pos]
+            if tok[:1] in _IDENT_START:
+                if tok in _KEYWORDS:
+                    self.fail(f"{tok} is a reserved word", self.pos)
+                self.pos += 1
+                if tok in bound:
+                    atom = (tok, bound[tok], "binder"), bound[tok]
+                elif (typ := self.symbols.get(tok)) is not None:
+                    atom = Sym(tok, typ), typ
+                else:
+                    # fresh() runs at every occurrence: the ?n in messages count them
+                    meta = self.rule_vars.setdefault(tok, self.fresh())
+                    atom = (tok, meta, "variable"), meta
+            elif tok == "(":
+                self.pos += 1
+                atom = self.parse_term(bound)
+                self.expect(")")
+            elif tok == "\\":
+                self.pos += 1
+                name = self.name()
+                if self.toks[self.pos] == ":":
+                    self.pos += 1
+                    annot = self.parse_type()
+                else:
+                    annot = self.fresh()
+                self.expect(".")
+                body, bt = self.parse_term({**bound, name: annot})
+                atom = ("\\", name, annot, body), Arrow(annot, bt)
+            elif term is None:
+                self.fail(f"expected a term, found {tok or 'end of line'!r}", self.pos)
+            else:
+                return term
+            term = atom if term is None else ((term[0], atom[0]), self.apply(term[1], atom[1]))
+
+    # type inference
 
     def fresh(self) -> _Meta:
         self.counter += 1
         return _Meta(f"?{self.counter}")
+
+    def apply(self, ft: Type, at: Type) -> Type:
+        """The type of an application of ft to at, once ft = at -> ?n is
+        solved.  After a type error any type will do: the line fails."""
+        if self.error is not None:
+            return at
+        try:
+            f = self.resolve(ft)
+            # a ?n that unify would only bind to f's result is counted, not made
+            if isinstance(f, Arrow) and not isinstance(self.resolve(f.cod), _Meta):
+                self.counter += 1
+                self.unify(f.dom, at)
+                return f.cod
+            out = self.fresh()
+            self.unify(f, Arrow(at, out))
+            return out
+        except InputError as exc:
+            self.error = exc
+            return at
 
     def resolve(self, t: Type) -> Type:
         while isinstance(t, _Meta) and t in self.bindings:
@@ -258,6 +261,18 @@ class _Inference:
             return t
         return Arrow(self.zonk(t.dom, what), self.zonk(t.cod, what))
 
+    def build(self, tree: _Tree) -> Term:
+        """The term of a tree, once its line's equations are solved."""
+        if type(tree) is not tuple:
+            return tree
+        if len(tree) == 2:
+            return App(self.build(tree[0]), self.build(tree[1]))
+        if len(tree) == 3:
+            name, t, what = tree
+            return Var(name, self.zonk(t, f"{what} {name}"))
+        _, name, t, body = tree
+        return Lam(Var(name, self.zonk(t, f"binder {name}")), self.build(body))
+
 
 # ------------------------------------------------------------------ driver
 
@@ -272,59 +287,53 @@ def parse_system(text: str) -> RewriteSystem:
         tokens = _tokenize(line, lineno)
         if not tokens:
             continue
+        p = _LineParser(line, tokens, lineno, sorts, symbols)
         head = tokens[0]
-        if head.kind != "ident":
-            raise InputError(f"expected a declaration, found {head.text!r}", lineno, head.column)
-        p = _LineParser(tokens, lineno, sorts, symbols)
-        p.next()
-        if head.text == "sort":
+        if _kind(head) != "ident":
+            p.fail(f"expected a declaration, found {head!r}", 0)
+        p.pos = 1
+        if head == "sort":
             names = []
-            while not p.at_end():
-                tok = p.expect("ident")
-                if tok.text in _KEYWORDS:
-                    raise InputError(f"{tok.text} is a reserved word", lineno, tok.column)
-                names.append(tok.text)
+            while p.toks[p.pos]:
+                names.append(p.name())
             if not names:
                 raise InputError("sort needs at least one name", lineno)
             for n in names:
                 if n in sorts:
                     raise InputError(f"sort {n} already declared", lineno)
                 sorts.append(n)
-        elif head.text == "prec":
-            first = p.expect("ident").text
-            chain = [first]
-            while not p.at_end():
+        elif head == "prec":
+            chain = [p.expect("ident")]
+            while p.toks[p.pos]:
                 p.expect(">")
-                chain.append(p.expect("ident").text)
+                chain.append(p.expect("ident"))
             if len(chain) < 2:
                 raise InputError("prec needs at least two symbols", lineno)
             for name in chain:
                 if name not in symbols:
                     raise InputError(f"prec mentions undeclared symbol {name}", lineno)
             hints.extend(zip(chain, chain[1:]))
-        elif head.text == "rule":
-            lb, lt = p.parse_term({})
+        elif head == "rule":
+            left, lt = p.parse_term({})
             p.expect("arrow")
-            rb, rt = p.parse_term({})
-            p.finish()
-            p.equations.append((lt, rt))  # rules must be type preserving
-            for a, b in p.equations:
-                p.inf.unify(a, b)
-            lhs = lb()
+            right, rt = p.parse_term({})
+            if p.toks[p.pos]:
+                p.fail(f"unexpected {p.toks[p.pos]!r}", p.pos)
+            if p.error is not None:
+                raise p.error
+            p.unify(lt, rt)  # rules must be type preserving
+            lhs = p.build(left)
             if not isinstance(spine(lhs)[0], Sym):
-                raise InputError(
-                    f"left-hand side {show_term(lhs)} is not headed by a declared symbol",
-                    lineno,
-                    tokens[1].column,
-                )
-            rules.append((lhs, rb()))
+                p.fail(f"left-hand side {show_term(lhs)} is not headed by a declared symbol", 1)
+            rules.append((lhs, p.build(right)))
         else:
             p.expect(":")
             typ = p.parse_type()
-            p.finish()
-            if head.text in symbols:
-                raise InputError(f"symbol {head.text} already declared", lineno, head.column)
-            symbols[head.text] = typ
+            if p.toks[p.pos]:
+                p.fail(f"unexpected {p.toks[p.pos]!r}", p.pos)
+            if head in symbols:
+                p.fail(f"symbol {head} already declared", 0)
+            symbols[head] = typ
 
     # cyclic hints are rejected up front; the closure is recomputed later
     transitive_closure(hints)

@@ -446,6 +446,51 @@ def escaping_ho_system(rng: random.Random):
     return build_system(GEN_SORTS, symbols, rules)
 
 
+# A fixed signature for random_rule_line, which writes rule lines over it
+# that are well formed but typed at random, so that they reach every way
+# in which typing fails.
+TYPED_SIGNATURE = (
+    "sort N L\n0 : N\ns : N -> N\nnil : L\ncons : N -> L -> L\n"
+    "f : (N -> N) -> L -> L\nh : (N -> N -> N) -> N -> N\n"
+)
+TYPED_ARITIES = {"0": 0, "s": 1, "nil": 0, "cons": 2, "f": 2, "h": 2}
+
+
+def random_rule_line(rng: random.Random) -> str:
+    """A rule line over the symbols of TYPED_SIGNATURE, the rule variables
+    X, Y, F and G, and binders x, y and z, annotated or not.  Most left
+    sides apply a symbol to as many arguments as it takes; the rest are any
+    term, so some are headed by a variable.  Over 10,000 lines about one in
+    ten parses; the others fail as `N versus L`, as a type with a `?n` in
+    it, as a cyclic type, as a variable or binder whose type cannot be
+    inferred, or as a left side not headed by a symbol."""
+
+    def atom(depth: int, binders: tuple[str, ...]) -> str:
+        roll = rng.random()
+        if depth > 0 and roll < 0.15:
+            x = rng.choice("xyz")
+            annot = rng.choice(("", "", ":N", ":L", ":N -> N", ":(N -> N) -> N"))
+            return f"(\\{x}{annot}. {term(depth - 1, binders + (x,))})"
+        if depth > 0 and roll < 0.35:
+            return f"({term(depth - 1, binders)})"
+        if binders and roll < 0.5:
+            return rng.choice(binders)
+        if roll < 0.7:
+            return rng.choice(("X", "Y", "F", "G"))
+        return rng.choice(tuple(TYPED_ARITIES))
+
+    def term(depth: int, binders: tuple[str, ...]) -> str:
+        args = (atom(depth - 1, binders) for _ in range(rng.choice((0, 0, 1, 1, 2, 3))))
+        return " ".join((atom(depth, binders), *args))
+
+    if rng.random() < 0.8:
+        head = rng.choice(tuple(TYPED_ARITIES))
+        lhs = " ".join((head, *(atom(1, ()) for _ in range(TYPED_ARITIES[head]))))
+    else:
+        lhs = term(2, ())
+    return f"rule {lhs} -> {term(3, ())}\n"
+
+
 # Two systems whose states have many successors, so exploration visits
 # only a few of the steps it finds: the branching system, whose state k
 # has k successors, and a higher-order system drawn by

@@ -119,8 +119,20 @@ class TestExitCodes:
         bad.write_bytes(b"sort N\n\xff\xfe : N\n")
         code, out, err = run(capsys, "check", str(bad))
         assert code == 2
-        assert err.startswith("error:")
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"
+        )
         assert out == ""
+
+    def test_a_decoding_error_counts_from_the_start_of_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.hodp"
+        bad.write_bytes(b"#" * 10000 + b"\xc3(\n")
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 2
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xc3 in position 10000: "
+            "invalid continuation byte\n"
+        )
 
     def test_unwritable_dot_path_is_an_input_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "graph.dot"
@@ -197,16 +209,21 @@ class TestExitCodes:
         assert "limit:" in err
 
     @pytest.mark.parametrize(
-        "rhs",
-        ["s (" * 600 + "X" + ")" * 600, "(" * 3000 + "X" + ")" * 3000],
-        ids=["nested-applications", "nested-parentheses"],
+        "text",
+        [
+            "rule f X -> " + "s (" * 600 + "X" + ")" * 600,
+            "rule f X -> " + "(" * 3000 + "X" + ")" * 3000,
+            "rule f X -> " + "".join(f"\\x{k}. " for k in range(3000)) + "X",
+            "g : " + "N -> " * 3000 + "N",
+        ],
+        ids=["nested-applications", "nested-parentheses", "nested-lambdas", "nested-arrows"],
     )
-    def test_deep_nesting_is_a_limit_not_a_traceback(self, tmp_path, capsys, rhs):
+    def test_deep_nesting_is_a_limit_not_a_traceback(self, tmp_path, capsys, text):
         deep = tmp_path / "deep.hodp"
-        deep.write_text(f"sort N\ns : N -> N\nf : N -> N\nrule f X -> {rhs}\n")
+        deep.write_text(f"sort N\ns : N -> N\nf : N -> N\n{text}\n")
         code, _, err = run(capsys, "check", str(deep))
         assert code == 3
-        assert "Traceback" not in err
+        assert err == "limit: term nesting exceeds the recursion limit\n"
 
     @staticmethod
     def _explore_under_recursion_limit_300(tmp_path, rule):

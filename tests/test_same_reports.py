@@ -15,9 +15,10 @@ from hodp.terms import Lam
 # the argv edge cases, then every shipped system under every golden flag set
 SHIPPED_RUNS = len(same_reports_tool().runs([]))
 MUTANT_RUNS = same_reports_tool().MUTANTS_PER_SYSTEM * len(list(SYSTEMS_DIR.glob("*.hodp")))
+TYPED_RUNS = same_reports_tool().TYPED_RULES
 HO_RUNS = same_reports_tool().HO_SYSTEMS * len(same_reports_tool().HO_FLAG_SETS)
 WIDE_RUNS = len(WIDE_SYSTEMS) * len(same_reports_tool().WIDE_FLAG_SETS)
-ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS + HO_RUNS + WIDE_RUNS
+ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS + TYPED_RUNS + HO_RUNS + WIDE_RUNS
 
 
 def test_a_tree_matches_itself(capsys):
@@ -65,6 +66,28 @@ def test_mutants_are_seeded_and_run_with_json(tmp_path):
     originals = {p.read_text(encoding="utf-8") for p in SYSTEMS_DIR.glob("*.hodp")}
     changed = [argv[1] for _, argv in labelled if (first / argv[1]).read_text(encoding="utf-8") not in originals]
     assert len(changed) > MUTANT_RUNS * 9 // 10
+
+
+def test_typed_rule_lines_are_seeded_and_fail_their_typing(tmp_path, monkeypatch):
+    """The systems of the typed rule lines are the same on every call, and
+    their runs print the type errors with a ?n in them."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    labelled = same_reports_tool().typed_runs(str(first))
+    assert labelled == same_reports_tool().typed_runs(str(second))
+    assert len(labelled) == TYPED_RUNS
+    monkeypatch.chdir(first)
+    errors = []
+    for label, argv in labelled:
+        assert (first / argv[1]).read_bytes() == (second / argv[1]).read_bytes()
+        assert argv == ["check", argv[1], "--json"] and label == f"{argv[1]} --json"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            main(argv)
+        errors.append(err.getvalue())
+    typing = [e for e in errors if "rule cannot be typed (" in e and "?" in e]
+    assert len(typing) * 10 >= TYPED_RUNS, len(typing)
 
 
 def test_higher_order_systems_are_seeded_and_compare_binders(tmp_path, monkeypatch):

@@ -16,6 +16,11 @@ OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
 - MUTANTS_PER_SYSTEM mutants of every system under systems/, each made
   by 1 to 4 random edits from the constant MUTATION_SEED, with --json.
   Most of them fail to parse, so the error paths are compared too;
+- TYPED_RULES systems of the fixed signature TYPED_SIGNATURE of
+  tests/gen.py and one rule line of its `random_rule_line` each, from the
+  constant TYPED_SEED, with --json.  The lines are well formed, so each
+  reaches the rule typing, and most fail there: the error messages with
+  their `?n` are compared, which the mutants barely reach;
 - HO_SYSTEMS higher-order systems of `random_ho_system` in tests/gen.py,
   from the constant HO_SEED, under each flag set of HO_FLAG_SETS.  Their
   lambdas reach the ordering's binder clauses and the engine's beta
@@ -28,14 +33,14 @@ OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
 Apart from ARGV_EDGES, a run is `hodp.cli.main(["check", FILE, *flags])`,
 with `--dot` added when the flags hold `--disprove`.  Each tree does all its runs in one Python
 subprocess started with -B, so neither tree gets bytecode written into it,
-and both run in one temporary directory, where the mutants, the
-higher-order systems and the wide systems are written.
+and both run in one temporary directory, where the mutants, the typed
+rule lines, the higher-order systems and the wide systems are written.
 Stdout without its timing lines (the text `elapsed:` line and the JSON
 `"seconds"` line), stderr, the exit code and the --dot file are compared.
 The runs that differ are listed; the exit code is 1 if any do, else 0.
 Only the standard library is used, apart from tests/gen.py, which gives
-the higher-order and the wide systems and runs on the hodp of this
-checkout.
+the typed rule lines, the higher-order and the wide systems and runs on
+the hodp of this checkout.
 """
 
 from __future__ import annotations
@@ -68,6 +73,8 @@ ARGV_EDGES = (
 SWAPPED = {"--json": "--trace", "--trace": "--json"}  # the two report formats
 MUTATION_SEED = 1
 MUTANTS_PER_SYSTEM = 50
+TYPED_SEED = 1
+TYPED_RULES = 200
 HO_SEED = 1
 HO_SYSTEMS = 40
 # the explore budgets of tests/test_cli.py: under the default ones, some
@@ -180,6 +187,21 @@ def _import_tests() -> None:
             sys.path.insert(0, path)
 
 
+def typed_runs(directory: str) -> list[tuple[str, list[str]]]:
+    """Writes the systems of the typed rule lines into directory and
+    returns (label, argv) of their runs, which name them relative to it."""
+    _import_tests()
+    from gen import TYPED_SIGNATURE, random_rule_line
+
+    rng, out = random.Random(TYPED_SEED), []
+    for k in range(TYPED_RULES):
+        name = f"typed{k}.hodp"
+        text = TYPED_SIGNATURE + random_rule_line(rng)
+        (pathlib.Path(directory) / name).write_text(text, encoding="utf-8")
+        out.append((f"{name} --json", ["check", name, "--json"]))
+    return out
+
+
 def ho_runs(directory: str) -> list[tuple[str, list[str]]]:
     """Writes the higher-order systems into directory and returns (label,
     argv) of their runs, which name them relative to it."""
@@ -242,7 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("manifest_dirs", nargs="*", metavar="MANIFEST_DIR")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as cwd:
-        labelled = runs(args.manifest_dirs) + mutant_runs(cwd) + ho_runs(cwd) + wide_runs(cwd)
+        labelled = runs(args.manifest_dirs) + mutant_runs(cwd) + typed_runs(cwd)
+        labelled += ho_runs(cwd) + wide_runs(cwd)
         argvs = [argv for _, argv in labelled]
         old, new = run_tree(args.old_src, argvs, cwd), run_tree(args.new_src, argvs, cwd)
     fields = ("stdout", "stderr", "exit code", "dot")
