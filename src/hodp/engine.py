@@ -5,9 +5,10 @@ the chain relation combines internal (non-root) steps with dependency pair
 steps at the root.  Both relations of one analysis read one redex table:
 interned nodes are matched once, so a step costs work in proportion to the
 nodes it creates, not to the size of the state, and a pair step reuses the
-match of its rule at the root.  A step found through the table keeps its
-position and contractum and builds its target state only when first read,
-so a state's successors cost what exploration visits of them.
+match of its rule at the root.  A step is one immutable record of its
+position and contractum; its target state is built each time it is read,
+and exploration reads it once per visit, so a state's successors cost what
+exploration visits of them.
 Exploration is a depth-first search on an explicit stack, so its depth
 does not depend on the interpreter's recursion limit, which it never
 changes; only new structure within one step, and input nesting, recurse.
@@ -50,45 +51,22 @@ from hodp.terms import (
 )
 
 
-class Step:
+class Step(NamedTuple):
     """One step: its kind ('beta' | 'rule' | 'dp'), its label (the rule or
-    pair name; empty for beta), the position it rewrites, and its source
-    and target.  A step that rewrite_steps finds keeps the contractum at
-    its position instead and builds its target on first access.  Steps
-    are equal when their five fields are."""
+    pair name; empty for beta), the position it rewrites, its source, and
+    the contractum it puts there; at the root, the contractum is the
+    target.  Each read of target builds it from the other fields, so
+    comparing, hashing or printing a step builds none."""
 
-    __slots__ = ("kind", "label", "position", "source", "target", "_contractum")
+    kind: str
+    label: str
+    position: Position
+    source: Term
+    contractum: Term
 
-    def __init__(self, kind: str, label: str, position: Position, source: Term, target: Term):
-        self.kind, self.label, self.position = kind, label, position
-        self.source, self.target = source, target
-
-    def __getattr__(self, name: str):
-        # called for a missing attribute: the target of a pending step
-        if name != "target":
-            raise AttributeError(name)
-        target = self.target = replace_at(self.source, self.position, self._contractum)
-        return target
-
-    def _key(self) -> tuple:
-        return (self.kind, self.label, self.position, self.source, self.target)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, Step) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"Step{self._key()!r}"
-
-
-def _pending(kind: str, label: str, position: Position, source: Term, contractum: Term) -> Step:
-    """A step whose target is built from contractum when first read."""
-    step = object.__new__(Step)
-    step.kind, step.label, step.position = kind, label, position
-    step.source, step._contractum = source, contractum
-    return step
+    @property
+    def target(self) -> Term:
+        return replace_at(self.source, self.position, self.contractum)
 
 
 # A redex table maps each node it has seen to the redexes at its root, as
@@ -96,7 +74,7 @@ def _pending(kind: str, label: str, position: Position, source: Term, contractum
 # anywhere in the node.  Beta redexes are always recorded, with an empty
 # label and no binding; a rule redex keeps the rule's binding, which is
 # also the binding of each of the rule's pairs.  The table holds no
-# successor targets: a step builds its own when it is first read.  One
+# successor targets: a step builds its own each time it is read.  One
 # table serves every relation of one analysis of one system, whatever its
 # beta setting.
 RedexTable = dict[Term, "tuple[tuple[str, str, dict[Var, Term] | None, Term], ...] | None"]
@@ -118,7 +96,7 @@ def rewrite_steps(
         if pos or at_root:
             for kind, label, _, contractum in table[u]:
                 if include_beta or kind != "beta":
-                    out.append(_pending(kind, label, pos, t, contractum))
+                    out.append(Step(kind, label, pos, t, contractum))
         if isinstance(u, App):
             children = ((2, u.arg), (1, u.fun))  # popped function part first
         elif isinstance(u, Lam):
@@ -166,8 +144,9 @@ def pair_root_steps(t: Term, pairs: Iterable[DepPair], table: RedexTable) -> lis
         redex = redexes.get(dp.rule.name)
         if redex is not None:
             binding, contractum = redex
-            target = contractum if dp.rhs is dp.rule.rhs else apply_subst(dp.rhs, binding)
-            out.append(Step("dp", dp.name, (), t, target))
+            if dp.rhs is not dp.rule.rhs:
+                contractum = apply_subst(dp.rhs, binding)
+            out.append(Step("dp", dp.name, (), t, contractum))
     return out
 
 
@@ -221,9 +200,9 @@ def bounded_explore(
     reaches a normal form within max_depth steps; cycle with a witness
     trace whose final state repeats an earlier one modulo alpha; otherwise
     bound-exceeded, with no trace.  Expanding more than max_nodes distinct
-    states raises LimitError.  Only the target of a step it visits is read,
-    so a pending step's stays unbuilt; with record, every step goes into
-    edges, and whoever reads their targets builds them all.
+    states raises LimitError.  Only the target of a step it visits is
+    built, once per visit; with record, every step goes into edges, and
+    whoever reads their targets builds them all.
     """
     finished: dict[Term, int] = {}  # heights of finished states
     on_path: set[Term] = set()
@@ -322,9 +301,9 @@ def replay_trace(trace: Iterable[Step], system: RewriteSystem, pairs: tuple[DepP
             expect = apply_subst(dp.rhs, binding)
         else:
             return False
-        if not alpha_eq(expect, s.target):
-            return False
         prev = s.target
+        if not alpha_eq(expect, prev):
+            return False
     return True
 
 

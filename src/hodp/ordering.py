@@ -80,7 +80,7 @@ class GtTrace(NamedTuple):
     """Evidence for one successful comparison.
 
     clause is one of: alpha, subterm, precedence, same-symbol, application,
-    abstraction, beta, lex, mul, arg-covers, whole-covers.
+    abstraction, beta, lex, mul, mul-dominates, arg-covers, whole-covers.
     """
 
     clause: str

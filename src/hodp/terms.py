@@ -11,7 +11,9 @@ variables; canonical forms are interned too, so terms can be used as
 dictionary keys modulo alpha by canonicalizing first, and two terms are
 alpha-equivalent exactly when their canonical forms are the same object.
 An application outside every binder stores its canonical form, so
-canonicalizing a term built from an earlier one walks only its new nodes.
+canonicalizing a term built from an earlier one walks only its new nodes;
+under a binder, one canonicalization renames a closed subterm once per
+binder depth, however often the term shares it.
 """
 
 from __future__ import annotations
@@ -342,7 +344,7 @@ def alpha_canonical(t: Term) -> Term:
     so it does not keep every canonical form alive; an evicted form is
     rebuilt as the same interned node while anything else holds it.
     """
-    return _canon(t, {}, 0)
+    return _canon(t, {}, 0, {})
 
 
 # Stored as the canonical form of an application that is its own, because
@@ -350,24 +352,35 @@ def alpha_canonical(t: Term) -> Term:
 _CANONICAL = object()
 
 
-def _canon(t: Term, env: dict[Var, Var], depth: int) -> Term:
+def _canon(t: Term, env: dict[Var, Var], depth: int, closed: dict[tuple[Term, int], Term]) -> Term:
     if isinstance(t, Var):
         return env.get(t, t)
     if isinstance(t, Sym):
         return t
-    if isinstance(t, App):
-        if env:
-            return App(_canon(t.fun, env, depth), _canon(t.arg, env, depth))
+    if not env and isinstance(t, App):
         # outside every binder a node has one canonical form, stored on it
         form = t._canonical
         if form is None:
-            form = App(_canon(t.fun, env, depth), _canon(t.arg, env, depth))
+            form = App(_canon(t.fun, env, depth, closed), _canon(t.arg, env, depth, closed))
             _set(form, "_canonical", _CANONICAL)
             if form is not t:
                 _set(t, "_canonical", form)
         return t if form is _CANONICAL else form
-    v = Var(f"!{depth}", t.var.type)
-    return Lam(v, _canon(t.body, {**env, t.var: v}, depth + 1))
+    # the form of a closed node depends on the depth alone, so closed holds
+    # it for the rest of the call: a shared subterm is renamed once per depth
+    shared = not free_vars(t)
+    if shared:
+        form = closed.get((t, depth))
+        if form is not None:
+            return form
+    if isinstance(t, App):
+        form = App(_canon(t.fun, env, depth, closed), _canon(t.arg, env, depth, closed))
+    else:
+        v = Var(f"!{depth}", t.var.type)
+        form = Lam(v, _canon(t.body, {**env, t.var: v}, depth + 1, closed))
+    if shared:
+        closed[t, depth] = form
+    return form
 
 
 def alpha_eq(s: Term, t: Term) -> bool:

@@ -491,17 +491,20 @@ def random_rule_line(rng: random.Random) -> str:
     return f"rule {lhs} -> {term(3, ())}\n"
 
 
-# Two systems whose states have many successors, so exploration visits
+# Three systems whose states have many successors, so exploration visits
 # only a few of the steps it finds: the branching system, whose state k
-# has k successors, and a higher-order system drawn by
-# escaping_ho_system whose steps rebuild a spine that grows with
-# every step.  Neither finishes within a small node budget.
+# has k successors; a higher-order system drawn by escaping_ho_system
+# whose steps rebuild a spine that grows with every step; and the
+# doubling system, whose state k shares one closed abstraction 2^k ways
+# under a binder, so it has exponentially many redex positions.  None
+# finishes within a small node budget.
 WIDE_SYSTEMS = {
     "branching": "sort N\n0 : N\ns : N -> N\nf : N -> N\nrule f X -> s (f (f X))\n",
     "higher-order": "sort N L\n0 : N\ns : N -> N\nnil : L\ncons : N -> L -> L\n"
     "k : N -> L -> N\nf : (N -> N) -> L -> L\ng : N -> N\nh : (N -> N -> N) -> N -> N\n"
     "rule h G X -> h (\\X:N. \\z:N. h G X) (g X)\n"
     "rule h (\\y:N. \\z:N. y) X -> h (\\X:N. \\z:N. h (\\x:N. g) X) X\n",
+    "doubling": "sort N\nz : N\nf : (N -> N) -> N -> N\nrule f F X -> f (\\y. F (F y)) X\n",
 }
 
 

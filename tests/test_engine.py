@@ -18,7 +18,7 @@ from gen import (
     show_step,
     symbol,
 )
-from hodp import engine
+from hodp import engine, terms
 from hodp.cli import main
 from hodp.engine import (
     Exploration,
@@ -50,8 +50,8 @@ from hodp.terms import (
     beta_contract,
     free_vars,
     match_pattern,
-    replace_at,
     show_term,
+    subterm_at,
     type_of,
 )
 
@@ -267,13 +267,29 @@ class TestLazyTargets:
         assert capsys.readouterr().err == f"limit: exploration expanded more than {nodes} states\n"
         assert built[0] == nodes
 
-    def test_a_pending_step_equals_the_eager_one(self):
+    def test_a_pending_step_equals_the_eager_one(self, monkeypatch):
+        """Comparing, hashing and printing steps builds no target; each
+        read of a target builds it."""
         system = parse_system(WIDE_SYSTEMS["branching"])
-        (seed,) = disprove_seeds(system)
-        steps = rewrite_steps(seed, system, True, {})
-        eager = _reference_rewrite_steps(seed, system)
-        assert steps == eager and hash(steps[0]) == hash(eager[0])
-        assert repr(steps[0]) == repr(eager[0])
+        (t,) = disprove_seeds(system)
+        for _ in range(3):
+            t = rewrite_steps(t, system, True, {})[-1].target
+        built = [0]
+        replace = engine.replace_at
+
+        def counted(*args):
+            built[0] += 1
+            return replace(*args)
+
+        monkeypatch.setattr(engine, "replace_at", counted)
+        steps = rewrite_steps(t, system, True, {})
+        eager = _reference_rewrite_steps(t, system)
+        assert len(steps) >= 4
+        assert steps == eager and set(steps) == set(eager) and repr(steps) == repr(eager)
+        assert built[0] == 0
+        for s in steps:
+            assert subterm_at(s.target, s.position) is s.contractum
+        assert built[0] == len(steps)
 
 
 class TestChains:
@@ -334,7 +350,7 @@ class TestReplay:
             label=step.label,
             position=step.position,
             source=step.source,
-            target=App(step.target, Var("Y", Base("A"))),
+            contractum=App(step.contractum, Var("Y", Base("A"))),
         )
         assert not replay_trace([forged], system, ())
 
@@ -347,7 +363,7 @@ class TestReplay:
             label="r1",
             position=step.position,
             source=step.source,
-            target=step.target,
+            contractum=step.contractum,
         )
         assert not replay_trace([forged], system, ())
 
@@ -471,12 +487,11 @@ def _reference_rewrite_steps(t, system, include_beta=True):
     out = []
     for pos, sub in positions(t):
         if include_beta and isinstance(sub, App) and isinstance(sub.fun, Lam):
-            out.append(Step("beta", "", pos, t, replace_at(t, pos, beta_contract(sub))))
+            out.append(Step("beta", "", pos, t, beta_contract(sub)))
         for rule in system.rules:
             binding = match_pattern(rule.lhs, sub)
             if binding is not None:
-                target = replace_at(t, pos, apply_subst(rule.rhs, binding))
-                out.append(Step("rule", rule.name, pos, t, target))
+                out.append(Step("rule", rule.name, pos, t, apply_subst(rule.rhs, binding)))
     return out
 
 
@@ -740,3 +755,25 @@ class TestCanonicalOracle:
             # a binder on nodes it reaches inside one
             for _, sub in reversed(positions(t)):
                 assert alpha_canonical(sub) is _reference_canon(sub), show_term(sub)
+
+
+class TestSharedClosedSubterms:
+    def test_a_closed_subterm_is_renamed_once_per_binder_depth(self, tmp_path, capsys, monkeypatch):
+        """State k of the doubling system shares one closed abstraction 2^k
+        ways under a binder.  Renaming it along every path took 786,449
+        _canon calls at 16 states."""
+        file = tmp_path / "doubling.hodp"
+        file.write_text(WIDE_SYSTEMS["doubling"], encoding="utf-8")
+        calls = [0]
+        canon = terms._canon
+
+        def counted(*args):
+            calls[0] += 1
+            if calls[0] > 50_000:
+                pytest.fail("more than 50,000 _canon calls")
+            return canon(*args)
+
+        monkeypatch.setattr(terms, "_canon", counted)
+        assert main(["check", str(file), "--disprove", "--explore-nodes", "16"]) == 3
+        assert capsys.readouterr().err == "limit: exploration expanded more than 16 states\n"
+        assert calls[0] < 5_000
