@@ -3,8 +3,9 @@
 The rewrite relation combines beta steps with rule steps at any position;
 the chain relation combines internal (non-root) steps with dependency pair
 steps at the root.  Both relations of one analysis read one redex table:
-interned nodes are matched once, so a step costs work in proportion to the
-nodes it creates, not to the size of the state, and a pair step reuses the
+interned nodes are matched once, and only against the rules of their head
+symbol and argument count, so a step costs work in proportion to the nodes
+it creates, not to the size of the state, and a pair step reuses the
 match of its rule at the root.  A step is one immutable record of its
 position and contractum; its target state is built each time it is read,
 and exploration reads it once per visit, so a state's successors cost what
@@ -73,11 +74,15 @@ class Step(NamedTuple):
 # (kind, label, binding, contractum) tuples, or to None when no redex lies
 # anywhere in the node.  Beta redexes are always recorded, with an empty
 # label and no binding; a rule redex keeps the rule's binding, which is
-# also the binding of each of the rule's pairs.  The table holds no
-# successor targets: a step builds its own each time it is read.  One
-# table serves every relation of one analysis of one system, whatever its
-# beta setting.
+# also the binding of each of the rule's pairs.  A node is matched only
+# against the rules of its head symbol and argument count (the system's
+# by_head), since no other rule's left-hand side can match it.  The table
+# holds no successor targets: a step builds its own each time it is read.
+# One table serves every relation of one analysis of one system, whatever
+# its beta setting.
 RedexTable = dict[Term, "tuple[tuple[str, str, dict[Var, Term] | None, Term], ...] | None"]
+
+_UNSEEN = object()  # what a table lookup returns for a node it has not seen
 
 
 def rewrite_steps(
@@ -89,7 +94,10 @@ def rewrite_steps(
     analysis matches each node only once."""
     out: list[Step] = []
     todo: list[tuple[Position, Term]] = []
-    if _tabulate(t, system, table) is not None:
+    entry = table.get(t, _UNSEEN)
+    if entry is _UNSEEN:
+        entry = _tabulate(t, system, table)
+    if entry is not None:
         todo.append(((), t))
     while todo:
         pos, u = todo.pop()
@@ -110,21 +118,29 @@ def rewrite_steps(
 
 
 def _tabulate(u: Term, system: RewriteSystem, table: RedexTable):
-    """The entry of u, after adding u and its subterms to the table.  It
-    recurses only into nodes the table has not seen."""
-    if u in table:
-        return table[u]
+    """The entry of u, a node the table has not seen, after adding u and
+    its subterms to the table.  It recurses only into children the table
+    has not seen, and matches u only against the rules whose left-hand
+    side has u's head and argument count."""
+    below = False
     if isinstance(u, App):
-        below = _tabulate(u.fun, system, table) is not None
-        below |= _tabulate(u.arg, system, table) is not None
+        children: tuple[Term, ...] = (u.fun, u.arg)
     elif isinstance(u, Lam):
-        below = _tabulate(u.body, system, table) is not None
+        children = (u.body,)
     else:
-        below = False
+        children = ()
+    for child in children:
+        entry = table.get(child, _UNSEEN)
+        if entry is _UNSEEN:
+            entry = _tabulate(child, system, table)
+        below |= entry is not None
     found = []
     if isinstance(u, App) and isinstance(u.fun, Lam):
         found.append(("beta", "", None, beta_contract(u)))
-    for rule in system.rules:
+    head, count = u, 0
+    while isinstance(head, App):
+        head, count = head.fun, count + 1
+    for rule in system.by_head.get((head, count), ()):
         binding = match_pattern(rule.lhs, u)
         if binding is not None:
             found.append(("rule", rule.name, binding, apply_subst(rule.rhs, binding)))

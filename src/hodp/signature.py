@@ -21,10 +21,7 @@ class Rule(NamedTuple):
     index: int
     lhs: Term
     rhs: Term
-
-    @property
-    def name(self) -> str:
-        return f"r{self.index}"
+    name: str  # r followed by the index
 
 
 class Signature:
@@ -45,8 +42,14 @@ class Signature:
 
 
 class RewriteSystem(NamedTuple):
+    """A signature and its rules.  by_head maps a symbol and an argument
+    count to the rules, in order, whose left-hand side has that head and
+    that many arguments: the only rules that can match a term of that
+    shape."""
+
     signature: Signature
     rules: tuple[Rule, ...]
+    by_head: dict[tuple[Term, int], tuple[Rule, ...]]
     precedence_hints: tuple[tuple[str, str], ...] = ()
 
 
@@ -58,10 +61,14 @@ def build_system(
 ) -> RewriteSystem:
     """The system of declarations the parser has checked: sorts, rule types,
     left-hand side heads and hints.  It checks nothing itself."""
-    built = tuple(Rule(k, lhs, rhs) for k, (lhs, rhs) in enumerate(rules, start=1))
-    defined = frozenset(spine(r.lhs)[0].name for r in built)
+    built = tuple(Rule(k, lhs, rhs, f"r{k}") for k, (lhs, rhs) in enumerate(rules, start=1))
+    by_head: dict[tuple[Term, int], tuple[Rule, ...]] = {}
+    for r in built:
+        head, args = spine(r.lhs)
+        by_head[head, len(args)] = by_head.get((head, len(args)), ()) + (r,)
+    defined = frozenset(head.name for head, _ in by_head)
     sig = Signature(tuple(sorts), dict(symbols), defined)
-    return RewriteSystem(sig, built, tuple(precedence_hints))
+    return RewriteSystem(sig, built, by_head, tuple(precedence_hints))
 
 
 # ------------------------------------------------------------ sort analysis

@@ -1,11 +1,14 @@
 """Simple types and lambda terms: syntax, typing, substitution, matching.
 
 Both are hash-consed: there is one immutable node per structure, so
-equality is identity and hashing is O(1), however deep the node.  Each node
-stores its type, free variables or skeleton once computed.  Positions
-address subterms with tuples of child indices: 1 is the function part of
-an application or the body of a lambda, 2 is the argument part; a walk
-that needs the binders above a position carries them down itself.
+equality is identity and hashing is O(1), however deep the node.  A
+node's intern-table entry, keyed on its fields (a leaf's values, or two
+children), leaves the table when the node dies, so no sweep is needed.
+Each node stores its type, free variables or skeleton once computed.
+Positions address subterms with tuples of child indices: 1 is the
+function part of an application or the body of a lambda, 2 is the
+argument part; a walk that needs the binders above a position carries
+them down itself.
 Alpha-equivalence is decided through a canonical renaming of bound
 variables; canonical forms are interned too, so terms can be used as
 dictionary keys modulo alpha by canonicalizing first, and two terms are
@@ -26,45 +29,60 @@ from hodp.errors import TermError
 
 # ------------------------------------------------------------------ nodes
 #
-# Every node is interned: a constructor looks its arguments up in its
-# class's table and returns the existing node if there is one.  Structurally
-# equal nodes are therefore the same object, so the inherited identity `==`
-# and `hash` are exact and O(1).  Leaves (base sorts, variables, symbols)
-# are keyed on their fields; arrows, applications and abstractions on the
-# identities of their two children.  A live node keeps its children alive,
-# so a live entry's key cannot be reused by another object.
+# Every node is interned: a constructor looks the tuple of its field values
+# up in its class's table and returns the node stored there if there is
+# one.  Structurally equal nodes are therefore the same object, so the
+# inherited identity `==` and `hash` are exact and O(1).  The fields of an
+# arrow, application or abstraction are its two children, which the key
+# hashes and compares by identity; the node holds them anyway.  A table
+# maps a key to a weak reference to its node, which holds the key; when
+# the node dies, the reference's callback deletes its entry, so a table
+# holds live nodes only and is never swept.
 
 
-class _Table(dict):
-    """Weak-valued intern table: key -> weak reference to the one node with
-    that key.  Entries of dead nodes are swept out whenever the table has
-    doubled since the last sweep."""
+class _Entry(weakref.ref):
+    """An intern table's weak reference to a node, with the node's key."""
 
-    __slots__ = ("limit",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.limit = 1024
-
-    def store(self, key, node) -> None:
-        if len(self) >= self.limit:
-            for k in [k for k, entry in self.items() if entry() is None]:
-                del self[k]
-            self.limit = max(1024, 2 * len(self))
-        self[key] = weakref.ref(node)
+    __slots__ = ("key",)
 
 
 _set = object.__setattr__
 
 
 class _Node:
+    """A node interned on the values of its _fields.  Its other slots,
+    named in _derived, hold facts computed from it, None until the first
+    time they are asked for."""
+
     __slots__ = ("__weakref__",)
     _fields: tuple[str, ...]
-    _table: _Table
+    _derived: tuple[str, ...] = ()
+    _table: dict[tuple, _Entry]
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls._table = _Table()  # each class interns its own nodes
+        table = cls._table = {}  # each class interns its own nodes
+
+        def drop(entry: _Entry) -> None:  # called when the entry's node dies
+            if table.get(entry.key) is entry:
+                del table[entry.key]
+
+        cls._drop = staticmethod(drop)
+
+    def __new__(cls, *values):
+        entry = cls._table.get(values)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, values, strict=True):
+            _set(node, name, value)
+        for name in cls._derived:
+            _set(node, name, None)
+        entry = cls._table[values] = _Entry(node, cls._drop)
+        entry.key = values
+        return node
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: nodes are immutable")
@@ -77,58 +95,15 @@ class _Node:
         return f"{type(self).__name__}({fields})"
 
 
-class _Leaf(_Node):
-    """A node interned on the values of its fields."""
-
-    __slots__ = ()
-
-    def __new__(cls, *values):
-        entry = cls._table.get(values)
-        if entry is not None:
-            node = entry()
-            if node is not None:
-                return node
-        node = object.__new__(cls)
-        for name, value in zip(cls._fields, values, strict=True):
-            _set(node, name, value)
-        cls._table.store(values, node)
-        return node
-
-
-class _Pair(_Node):
-    """A node interned on the identities of its two children.  Its other
-    slots, named in _derived, hold facts computed from it, None until the
-    first time they are asked for."""
-
-    __slots__ = ()
-    _derived: tuple[str, ...]
-
-    def __new__(cls, a, b):
-        key = (id(a), id(b))
-        entry = cls._table.get(key)
-        if entry is not None:
-            node = entry()
-            if node is not None:
-                return node
-        node = object.__new__(cls)
-        first, second = cls._fields
-        _set(node, first, a)
-        _set(node, second, b)
-        for name in cls._derived:
-            _set(node, name, None)
-        cls._table.store(key, node)
-        return node
-
-
 # ----------------------------------------------------------------- types
 
 
-class Base(_Leaf):
+class Base(_Node):
     __slots__ = ("name",)
     _fields = ("name",)
 
 
-class Arrow(_Pair):
+class Arrow(_Node):
     __slots__ = ("dom", "cod", "_skeleton")
     _fields = ("dom", "cod")
     _derived = ("_skeleton",)
@@ -170,7 +145,7 @@ def type_skeleton(t: Type):
 # ----------------------------------------------------------------- terms
 
 
-class _Atom(_Leaf):
+class _Atom(_Node):
     """A variable or symbol, interned on its name and type."""
 
     __slots__ = ("name", "type")
@@ -183,13 +158,13 @@ class Var(_Atom):
 class Sym(_Atom):
     __slots__ = ()
 
-class App(_Pair):
+class App(_Node):
     __slots__ = ("fun", "arg", "_type", "_free", "_canonical")
     _fields = ("fun", "arg")
     _derived = ("_type", "_free", "_canonical")
 
 
-class Lam(_Pair):
+class Lam(_Node):
     __slots__ = ("var", "body", "_type", "_free")
     _fields = ("var", "body")
     _derived = ("_type", "_free")
@@ -479,7 +454,7 @@ def _match(pat: Term, sub: Term, env: dict[Var, Var], binding: dict[Var, Term]) 
         bound = binding.get(pat)
         if bound is not None:
             return alpha_eq(bound, sub)
-        if free_vars(sub) & set(env.values()):
+        if env and not free_vars(sub).isdisjoint(env.values()):
             return False
         if type_of(sub) != pat.type:
             return False

@@ -49,8 +49,10 @@ from hodp.terms import (
     apply_subst,
     beta_contract,
     free_vars,
+    make_app,
     match_pattern,
     show_term,
+    spine,
     subterm_at,
     type_of,
 )
@@ -292,6 +294,41 @@ class TestLazyTargets:
         assert built[0] == len(steps)
 
 
+class TestMatchCalls:
+    """A work guard that reads no clock: a node is matched only against the
+    rules of its head symbol and argument count, and only once per analysis."""
+
+    @pytest.mark.parametrize(
+        "rule", ["nr : N -> N -> N\nrule nr X Y -> nr (j X) Y", "f : N -> N\nrule f X -> f (j X)"]
+    )
+    def test_each_expanded_state_is_matched_once(self, monkeypatch, rule):
+        """Matching every new node against every rule made 245 calls for
+        the first system and 164 for the second."""
+        system = parse_system(f"sort N\na : N\nj : N -> N\n{rule}\n")
+        calls = [0]
+        match = engine.match_pattern
+
+        def counted(pattern, subject):
+            calls[0] += 1
+            return match(pattern, subject)
+
+        monkeypatch.setattr(engine, "match_pattern", counted)
+        (seed,) = disprove_seeds(system)
+        table = {}
+        relations = (
+            rewrite_successors(system, table),
+            chain_successors(system, extract_pairs(system), True, table),
+        )
+        counts = []
+        for successors in relations:
+            calls[0] = 0
+            result = bounded_explore(seed, successors, max_depth=80)
+            assert (result.kind, result.expanded) == ("bound-exceeded", 81)
+            counts.append(calls[0])
+        # the chain relation reaches the same states, all in the table
+        assert counts == [81, 0]
+
+
 class TestChains:
     def test_chain_successors_respects_the_beta_switch(self):
         system = load_system("map")
@@ -526,6 +563,22 @@ def _under_binder(t, pos):
 
 SHIPPED = sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp"))
 
+# f has rules at one and at two arguments, c is a whole left-hand side,
+# and h passes a lambda on
+HEAD_FILTER = """sort N
+0 : N
+c : N
+s : N -> N
+f : N -> N -> N
+g : N -> N
+h : (N -> N) -> N
+rule c -> 0
+rule f 0 -> g
+rule f X Y -> s Y
+rule g (s X) -> f X X
+rule h F -> F c
+"""
+
 
 class TestRedexTableOracle:
     def _seeds(self, rng, system):
@@ -567,6 +620,36 @@ class TestRedexTableOracle:
         # the walks do reach beta redexes (when allowed) and rules under binders
         assert kinds["rule"] > 0 and kinds["under-binder"] > 0
         assert (kinds["beta"] > 0) == include_beta
+
+    def test_the_head_and_count_filter_drops_no_redex(self):
+        """Rules sharing a head at different argument counts, a constant
+        left-hand side, and beta redexes below nodes headed by a symbol
+        and by a lambda."""
+        system = parse_system(HEAD_FILTER)
+        c, zero, s, f, h = (symbol(system.signature, n) for n in ("c", "0", "s", "f", "h"))
+        x, y, z, u = Var("x", zero.type), Var("y", zero.type), Var("z", zero.type), Var("u", s.type)
+        ident = Lam(x, x)
+        starts = [
+            make_app(f, [App(Lam(x, App(s, x)), c), make_app(f, [zero, c])]),
+            make_app(Lam(y, Lam(z, make_app(f, [App(ident, y), z]))), [c, zero]),
+            App(h, Lam(y, App(ident, y))),
+            App(s, App(Lam(u, App(u, c)), ident)),
+        ]
+        rng = random.Random("head-filter")
+        seen = set()  # each step's label, or kind, with the head of the node above it
+        for include_beta in (True, False):
+            table = {}
+            for t in starts + self._seeds(rng, system):
+                for _ in range(20):
+                    steps = self._assert_same_steps(t, system, include_beta, table)
+                    if not steps:
+                        break
+                    for step in steps:
+                        above = spine(subterm_at(t, step.position[:-1]))[0] if step.position else None
+                        seen.add((step.label or step.kind, type(above).__name__))
+                    t = rng.choice(steps).target
+        assert {label for label, _ in seen} == {"beta", "r1", "r2", "r3", "r4", "r5"}
+        assert {("beta", "Sym"), ("beta", "Lam")} <= seen
 
     def test_successor_builders_match_the_eager_search(self):
         for name in ("map", "twice", "filter", "foldr"):

@@ -7,9 +7,10 @@ import weakref
 
 import pytest
 
-from conftest import load_system
+from conftest import SYSTEMS_DIR, load_system
 from gen import (
     GEN_SYMBOLS,
+    WIDE_SYSTEMS,
     arrow,
     beta_normalize,
     positions,
@@ -17,6 +18,7 @@ from gen import (
     random_term,
     symbol,
 )
+from hodp.cli import main
 from hodp.closure import computability_closure, replay_derivation
 from hodp.engine import bounded_explore, ground_term, rewrite_steps, rewrite_successors
 from hodp.errors import TermError
@@ -197,6 +199,21 @@ class TestHashConsing:
         ref = weakref.ref(Arrow(Base("Q"), Arrow(Base("Q"), Base("R"))))
         gc.collect()
         assert ref() is None
+
+    def test_no_table_grows_across_analyses(self, tmp_path):
+        """An intern entry leaves its table with its node, so once two
+        analyses are dropped every table has the size it had before."""
+        branching = tmp_path / "branching.hodp"
+        branching.write_text(WIDE_SYSTEMS["branching"], encoding="utf-8")
+        classes = (Base, Arrow, Var, Sym, App, Lam)
+        alpha_canonical.cache_clear()
+        gc.collect()
+        before = [len(cls._table) for cls in classes]
+        assert main(["check", str(SYSTEMS_DIR / "map.hodp"), "--disprove"]) == 0
+        assert main(["check", str(branching), "--disprove", "--explore-nodes", "200"]) == 3
+        alpha_canonical.cache_clear()
+        gc.collect()
+        assert [len(cls._table) for cls in classes] == before
 
 
 class TestFreeVarsAndSubstitution:
