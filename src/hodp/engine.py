@@ -94,10 +94,7 @@ def rewrite_steps(
     analysis matches each node only once."""
     out: list[Step] = []
     todo: list[tuple[Position, Term]] = []
-    entry = table.get(t, _UNSEEN)
-    if entry is _UNSEEN:
-        entry = _tabulate(t, system, table)
-    if entry is not None:
+    if _tabulate(t, system, table) is not None:
         todo.append(((), t))
     while todo:
         pos, u = todo.pop()
@@ -105,40 +102,38 @@ def rewrite_steps(
             for kind, label, _, contractum in table[u]:
                 if include_beta or kind != "beta":
                     out.append(Step(kind, label, pos, t, contractum))
-        if isinstance(u, App):
-            children = ((2, u.arg), (1, u.fun))  # popped function part first
-        elif isinstance(u, Lam):
-            children = ((1, u.body),)
-        else:
-            continue
-        for i, child in children:
-            if table[child] is not None:
-                todo.append((pos + (i,), child))
+        cls = u.__class__
+        if cls is App:
+            fun, arg = u.fun, u.arg
+            if table[arg] is not None:
+                todo.append((pos + (2,), arg))
+            if table[fun] is not None:  # pushed last, so visited first
+                todo.append((pos + (1,), fun))
+        elif cls is Lam and table[u.body] is not None:
+            todo.append((pos + (1,), u.body))
     return out
 
 
 def _tabulate(u: Term, system: RewriteSystem, table: RedexTable):
-    """The entry of u, a node the table has not seen, after adding u and
-    its subterms to the table.  It recurses only into children the table
-    has not seen, and matches u only against the rules whose left-hand
-    side has u's head and argument count."""
-    below = False
-    if isinstance(u, App):
-        children: tuple[Term, ...] = (u.fun, u.arg)
-    elif isinstance(u, Lam):
-        children = (u.body,)
-    else:
-        children = ()
-    for child in children:
-        entry = table.get(child, _UNSEEN)
-        if entry is _UNSEEN:
-            entry = _tabulate(child, system, table)
-        below |= entry is not None
+    """The entry of u, after adding u and its subterms to the table if it
+    has not seen u.  Only nodes the table has not seen are matched, each
+    only against the rules whose left-hand side has its head and argument
+    count."""
+    entry = table.get(u, _UNSEEN)
+    if entry is not _UNSEEN:
+        return entry
+    cls = u.__class__
     found = []
-    if isinstance(u, App) and isinstance(u.fun, Lam):
-        found.append(("beta", "", None, beta_contract(u)))
+    if cls is App:
+        # both children are tabulated, the function part first
+        below = _tabulate(u.fun, system, table) is not None
+        below = _tabulate(u.arg, system, table) is not None or below
+        if u.fun.__class__ is Lam:
+            found.append(("beta", "", None, beta_contract(u)))
+    else:
+        below = cls is Lam and _tabulate(u.body, system, table) is not None
     head, count = u, 0
-    while isinstance(head, App):
+    while head.__class__ is App:
         head, count = head.fun, count + 1
     for rule in system.by_head.get((head, count), ()):
         binding = match_pattern(rule.lhs, u)

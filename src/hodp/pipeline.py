@@ -26,8 +26,8 @@ keeps none between calls.
 from __future__ import annotations
 
 import time
+from _json import encode_basestring  # what json.encoder uses, without loading json
 from collections.abc import Iterable
-from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from hodp.closure import Derivation, RuleAdmissibility, rule_admissibility

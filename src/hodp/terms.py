@@ -5,6 +5,10 @@ equality is identity and hashing is O(1), however deep the node.  A
 node's intern-table entry, keyed on its fields (a leaf's values, or two
 children), leaves the table when the node dies, so no sweep is needed.
 Each node stores its type, free variables or skeleton once computed.
+A new node is built in one pass of slot writes, and cannot be changed
+after that.  Term classes have no subclasses, so a term walk checks a
+node's exact class once (`t.__class__ is App`); type classes do (the
+parser's metavariables subclass Base), so a type walk uses isinstance.
 Positions address subterms with tuples of child indices: 1 is the
 function part of an application or the body of a lambda, 2 is the
 argument part; a walk that needs the binders above a position carries
@@ -38,6 +42,13 @@ from hodp.errors import TermError
 # maps a key to a weak reference to its node, which holds the key; when
 # the node dies, the reference's callback deletes its entry, so a table
 # holds live nodes only and is never swept.
+#
+# A new node's slots are written once each, through the slots' own
+# descriptor setters that __init_subclass__ takes once per class (a pair
+# node's two fields unrolled), which skip object.__setattr__'s name lookup
+# and the class's own __setattr__ and __delattr__.  Those refuse every write
+# and stay: equality, hashing and the table key all assume that a node, once
+# built, changes only in the derived slots this module fills.
 
 
 class _Entry(weakref.ref):
@@ -68,6 +79,27 @@ class _Node:
                 del table[entry.key]
 
         cls._drop = staticmethod(drop)
+        setters = [getattr(cls, name).__set__ for name in cls._fields]
+        clears = [getattr(cls, name).__set__ for name in cls._derived]
+        if len(setters) == 2:
+            first_set, second_set = setters
+
+            def init(node: _Node, values: tuple) -> None:
+                first, second = values
+                first_set(node, first)
+                second_set(node, second)
+                for clear in clears:
+                    clear(node, None)
+
+        else:
+
+            def init(node: _Node, values: tuple) -> None:
+                for setter, value in zip(setters, values, strict=True):
+                    setter(node, value)
+                for clear in clears:
+                    clear(node, None)
+
+        cls._init = staticmethod(init)
 
     def __new__(cls, *values):
         entry = cls._table.get(values)
@@ -76,10 +108,7 @@ class _Node:
             if node is not None:
                 return node
         node = object.__new__(cls)
-        for name, value in zip(cls._fields, values, strict=True):
-            _set(node, name, value)
-        for name in cls._derived:
-            _set(node, name, None)
+        cls._init(node, values)  # raises on a wrong count, before the table changes
         entry = cls._table[values] = _Entry(node, cls._drop)
         entry.key = values
         return node
@@ -215,12 +244,13 @@ def term_size(t: Term) -> int:
 def type_of(t: Term) -> Type:
     """Type of a term; raises TermError if an application does not fit.
     The result is stored on the node."""
-    if isinstance(t, (Var, Sym)):
+    cls = t.__class__
+    if cls is Var or cls is Sym:
         return t.type
     typ = t._type
     if typ is not None:
         return typ
-    if isinstance(t, App):
+    if cls is App:
         fun = type_of(t.fun)
         if not isinstance(fun, Arrow):
             raise TermError(
@@ -328,18 +358,24 @@ _CANONICAL = object()
 
 
 def _canon(t: Term, env: dict[Var, Var], depth: int, closed: dict[tuple[Term, int], Term]) -> Term:
-    if isinstance(t, Var):
+    cls = t.__class__
+    if cls is Var:
         return env.get(t, t)
-    if isinstance(t, Sym):
+    if cls is Sym:
         return t
-    if not env and isinstance(t, App):
-        # outside every binder a node has one canonical form, stored on it
+    if not env and cls is App:
+        # outside every binder a node has one canonical form, stored on it;
+        # a node whose children are their own forms is its own, and is not
+        # looked up again
         form = t._canonical
         if form is None:
-            form = App(_canon(t.fun, env, depth, closed), _canon(t.arg, env, depth, closed))
-            _set(form, "_canonical", _CANONICAL)
-            if form is not t:
-                _set(t, "_canonical", form)
+            fun, arg = _canon(t.fun, env, depth, closed), _canon(t.arg, env, depth, closed)
+            if fun is t.fun and arg is t.arg:
+                form = _CANONICAL
+            else:
+                form = App(fun, arg)
+                _set(form, "_canonical", _CANONICAL)
+            _set(t, "_canonical", form)
         return t if form is _CANONICAL else form
     # the form of a closed node depends on the depth alone, so closed holds
     # it for the rest of the call: a shared subterm is renamed once per depth
@@ -348,8 +384,9 @@ def _canon(t: Term, env: dict[Var, Var], depth: int, closed: dict[tuple[Term, in
         form = closed.get((t, depth))
         if form is not None:
             return form
-    if isinstance(t, App):
-        form = App(_canon(t.fun, env, depth, closed), _canon(t.arg, env, depth, closed))
+    if cls is App:
+        fun, arg = _canon(t.fun, env, depth, closed), _canon(t.arg, env, depth, closed)
+        form = t if fun is t.fun and arg is t.arg else App(fun, arg)
     else:
         v = Var(f"!{depth}", t.var.type)
         form = Lam(v, _canon(t.body, {**env, t.var: v}, depth + 1, closed))
@@ -379,11 +416,12 @@ def apply_subst(t: Term, subst: Mapping[Var, Term]) -> Term:
     """Capture-avoiding substitution of free variables."""
     if not subst:
         return t
-    if isinstance(t, Var):
+    cls = t.__class__
+    if cls is Var:
         return subst.get(t, t)
-    if isinstance(t, Sym):
+    if cls is Sym:
         return t
-    if isinstance(t, App):
+    if cls is App:
         return App(apply_subst(t.fun, subst), apply_subst(t.arg, subst))
     live = {v: u for v, u in subst.items() if v != t.var and v in free_vars(t.body)}
     if not live:
@@ -448,9 +486,10 @@ def match_pattern(pattern: Term, subject: Term) -> dict[Var, Term] | None:
 
 
 def _match(pat: Term, sub: Term, env: dict[Var, Var], binding: dict[Var, Term]) -> bool:
-    if isinstance(pat, Var):
+    cls = pat.__class__
+    if cls is Var:
         if pat in env:
-            return isinstance(sub, Var) and sub == env[pat]
+            return env[pat] is sub
         bound = binding.get(pat)
         if bound is not None:
             return alpha_eq(bound, sub)
@@ -460,14 +499,14 @@ def _match(pat: Term, sub: Term, env: dict[Var, Var], binding: dict[Var, Term]) 
             return False
         binding[pat] = sub
         return True
-    if isinstance(pat, Sym):
-        return isinstance(sub, Sym) and pat == sub
-    if isinstance(pat, App):
+    if cls is Sym:
+        return pat is sub
+    if cls is App:
         return (
-            isinstance(sub, App)
+            sub.__class__ is App
             and _match(pat.fun, sub.fun, env, binding)
             and _match(pat.arg, sub.arg, env, binding)
         )
-    if not isinstance(sub, Lam) or pat.var.type != sub.var.type:
+    if sub.__class__ is not Lam or pat.var.type != sub.var.type:
         return False
     return _match(pat.body, sub.body, {**env, pat.var: sub.var}, binding)

@@ -328,6 +328,33 @@ class TestMatchCalls:
         # the chain relation reaches the same states, all in the table
         assert counts == [81, 0]
 
+    def test_each_expanded_state_builds_only_its_new_nodes(self, monkeypatch):
+        """A step of u X Y -> u (t X) Y builds three new applications, and
+        canonicalizing a state that is its own canonical form builds none:
+        probing the table again for each new node made 483 calls."""
+        system = parse_system("sort N\na : N\nt : N -> N\nu : N -> N -> N\nrule u X Y -> u (t X) Y\n")
+        calls = [0]
+        new = App.__new__
+
+        def counted(cls, *values):
+            calls[0] += 1
+            return new(cls, *values)
+
+        (seed,) = disprove_seeds(system)
+        table = {}
+        relations = (
+            rewrite_successors(system, table),
+            chain_successors(system, extract_pairs(system), True, table),
+        )
+        monkeypatch.setattr(App, "__new__", staticmethod(counted))
+        counts = []
+        for successors in relations:
+            calls[0] = 0
+            result = bounded_explore(seed, successors, max_depth=80)
+            assert (result.kind, result.expanded) == ("bound-exceeded", 81)
+            counts.append(calls[0])
+        assert counts == [243, 0]
+
 
 class TestChains:
     def test_chain_successors_respects_the_beta_switch(self):

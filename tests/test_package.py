@@ -181,12 +181,12 @@ def test_no_module_imports_dataclasses():
 
 def test_a_plain_check_loads_no_argparse_dataclasses_or_inspect():
     """In a fresh interpreter: import the front end, check a system, and
-    list which of the three modules are loaded."""
+    list which of argparse, dataclasses, inspect and json are loaded."""
     code = (
         "import sys\n"
         "from hodp.cli import main\n"
         "main(['check', 'systems/map.hodp'])\n"
-        "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sorted({'argparse', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
     )
     root = PACKAGE.parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -216,6 +216,51 @@ class TestHashConsing:
         assert [len(cls._table) for cls in classes] == before
 
 
+# Field values of a node of each interned class that no other test builds,
+# so the node is fresh; and the slots each class derives from its fields.
+FRESH_FIELDS = {
+    Base: lambda: ("Fresh",),
+    Arrow: lambda: (Base("Fresh"), Base("Fresh")),
+    Var: lambda: ("fresh_var", N),
+    Sym: lambda: ("fresh_sym", N),
+    App: lambda: (Sym("fresh_fun", NN), Var("fresh_var", N)),
+    Lam: lambda: (Var("fresh_var", N), Sym("fresh_sym", N)),
+}
+DERIVED_SLOTS = [
+    (Arrow, "_skeleton"),
+    (App, "_type"),
+    (App, "_free"),
+    (App, "_canonical"),
+    (Lam, "_type"),
+    (Lam, "_free"),
+]
+
+
+class TestNodeConstruction:
+    @pytest.mark.parametrize("cls", FRESH_FIELDS, ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("change", [-1, 1], ids=["too-few", "too-many"])
+    def test_a_wrong_field_count_raises_and_interns_nothing(self, cls, change):
+        values = FRESH_FIELDS[cls]()
+        wrong = values[:-1] if change < 0 else values + values[-1:]
+        gc.collect()
+        size = len(cls._table)
+        with pytest.raises((TypeError, ValueError)):
+            cls(*wrong)
+        assert len(cls._table) == size
+
+    @pytest.mark.parametrize("cls, slot", DERIVED_SLOTS, ids=lambda x: getattr(x, "__name__", x))
+    def test_a_fresh_node_derives_nothing(self, cls, slot):
+        assert getattr(cls(*FRESH_FIELDS[cls]()), slot) is None
+
+    @pytest.mark.parametrize("cls, slot", DERIVED_SLOTS, ids=lambda x: getattr(x, "__name__", x))
+    @pytest.mark.parametrize("write", [setattr, lambda node, slot, _: delattr(node, slot)],
+                             ids=["assign", "delete"])
+    def test_a_derived_slot_cannot_be_written(self, cls, slot, write):
+        node = cls(*FRESH_FIELDS[cls]())
+        with pytest.raises(AttributeError):
+            write(node, slot, None)
+
+
 class TestFreeVarsAndSubstitution:
     def test_free_vars_stop_at_binder(self):
         x, y = Var("x", N), Var("y", N)
