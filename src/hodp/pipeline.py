@@ -19,8 +19,11 @@ deterministic except for the timing entry.  The --dot graph of an
 exploration names its steps as the text witness does.  Terms are printed
 through a memo, `shown`, from interned node to text, so a node shared by
 many terms (the source and target of each witness step, say) is printed
-once.  report_dict and dot_graph each make one memo per call; the module
-keeps none between calls.
+once.  Witnesses and derivations are printed once per report in the same
+way: the model holds one dict per distinct GtTrace or Derivation value,
+and each renderer writes a dict that recurs once, then reuses its text,
+re-indented, wherever it occurs again.  report_dict, each renderer and
+dot_graph make their memos per call; the module keeps none between calls.
 """
 
 from __future__ import annotations
@@ -160,30 +163,39 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
 # ---------------------------------------------------------------- the model
 
 
-def _derivation_dict(d: Derivation, shown: dict[Term, str]) -> dict:
-    out: dict = {"step": d.step, "term": show_term(d.term, shown)}
+def _derivation_dict(d: Derivation, shown: dict[Term, str], memo: dict, recurring: dict) -> dict:
+    out = memo.get(d)
+    if out is not None:
+        recurring[id(out)] = None
+        return out
+    out = {"step": d.step, "term": show_term(d.term, shown)}
     if d.index is not None:
         out["index"] = d.index
     if d.variable is not None:
         out["variable"] = d.variable.name
-    out["premises"] = [_derivation_dict(p, shown) for p in d.premises]
+    out["premises"] = [_derivation_dict(p, shown, memo, recurring) for p in d.premises]
+    memo[d] = out
     return out
 
 
-def _trace_dict(g: GtTrace) -> dict:
-    detail = [show_position(x) if isinstance(x, tuple) else x for x in g.detail]
-    return {
+def _trace_dict(g: GtTrace, memo: dict, recurring: dict) -> dict:
+    out = memo.get(g)
+    if out is not None:
+        recurring[id(out)] = None
+        return out
+    out = memo[g] = {
         "clause": g.clause,
-        "detail": detail,
-        "children": [_trace_dict(c) for c in g.children],
+        "detail": [show_position(x) if isinstance(x, tuple) else x for x in g.detail],
+        "children": [_trace_dict(c, memo, recurring) for c in g.children],
     }
+    return out
 
 
-def _weak_dict(w: GtTrace) -> dict:
+def _weak_dict(w: GtTrace, memo: dict, recurring: dict) -> dict:
     # A rule witness is never alpha: a rule whose sides are alpha-equal has
     # a pair at the root between alpha-equal sides, which no certificate
     # orients.  kind and the always empty beta_path are part of the format.
-    return {"kind": "strict", "beta_path": [], "strict": _trace_dict(w)}
+    return {"kind": "strict", "beta_path": [], "strict": _trace_dict(w, memo, recurring)}
 
 
 def _step_dict(s: Step, shown: dict[Term, str]) -> dict:
@@ -196,10 +208,14 @@ def _step_dict(s: Step, shown: dict[Term, str]) -> dict:
     }
 
 
-def report_dict(report: AnalysisReport) -> dict:
-    """The JSON model of report.  Its terms are printed through one memo,
-    so each node is printed once."""
+def report_dict(report: AnalysisReport, recurring: dict[int, None] | None = None) -> dict:
+    """The JSON model of report.  Each term node is printed once, and each
+    GtTrace or Derivation value (never equal to each other: their lengths
+    differ) becomes one dict, shared wherever it recurs; recurring, when
+    given, gets the id of each such dict that occurs more than once."""
     shown: dict[Term, str] = {}
+    memo: dict[tuple, dict] = {}
+    recurring = {} if recurring is None else recurring
     sig = report.system.signature
     basics = basic_sorts(sig)
     cert = report.certificate
@@ -231,7 +247,7 @@ def report_dict(report: AnalysisReport) -> dict:
                         "name": v.name,
                         "type": show_type(v.type),
                         "derivable": d is not None,
-                        "derivation": _derivation_dict(d, shown) if d is not None else None,
+                        "derivation": _derivation_dict(d, shown, memo, recurring) if d is not None else None,
                     }
                     for v, d in a.entries
                 ],
@@ -261,11 +277,11 @@ def report_dict(report: AnalysisReport) -> dict:
                 "precedence": [list(e) for e in cert.edges],
                 "statuses": {n: s for n, s in cert.statuses},
                 "rules": [
-                    {"name": n, "witness": _weak_dict(w)}
+                    {"name": n, "witness": _weak_dict(w, memo, recurring)}
                     for n, w in cert.rule_witnesses
                 ],
                 "pairs": [
-                    {"name": n, "witness": _trace_dict(g)}
+                    {"name": n, "witness": _trace_dict(g, memo, recurring)}
                     for n, g in cert.pair_witnesses
                 ],
             }
@@ -296,77 +312,118 @@ def report_dict(report: AnalysisReport) -> dict:
 
 
 _SCALARS = {None: "null", True: "true", False: "false"}
+# the text of a scalar of each type, as json.encoder writes it
+_SCALAR_TEXT = {str: encode_basestring, int: int.__repr__, float: float.__repr__}
+_SCALAR_TEXT.update({bool: _SCALARS.__getitem__, type(None): _SCALARS.__getitem__})
 
 
-def _json(value) -> str:
+def _json(value, texts: dict | None = None) -> str:
     """value as json.dumps(value, indent=2, ensure_ascii=False) writes it.
 
     value is built from dicts with str keys, lists, str, int, finite float,
     bool and None.  Anything else, a tuple too, is a TypeError, so that
-    json.loads of the output gives back value itself.
+    json.loads of the output gives back value itself.  texts maps the id of
+    each container that recurs in value to None (see _emit).
     """
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if not value:
+        return _empty(value)
     out: list[str] = []
-    _emit(value, out, "\n")
+    _emit(value, out, "\n", {} if texts is None else texts)
     return "".join(out)
 
 
-def _emit(value, out: list[str], indent: str) -> None:
-    """Append the text of value, whose lines go at indent, to out."""
-    kind = type(value)
-    if kind is str:
-        out.append(encode_basestring(value))
-    elif kind is dict or kind is list:
-        if not value:
-            out.append("{}" if kind is dict else "[]")
-            return
-        inner = indent + "  "
-        sep = ("{" if kind is dict else "[") + inner
-        if kind is dict:
-            for k, v in value.items():
+def _empty(value) -> str:
+    if type(value) is dict or type(value) is list:
+        return "{}" if type(value) is dict else "[]"
+    raise TypeError(f"not part of the report model: {type(value).__name__}")
+
+
+def _emit(value: dict | list, out: list[str], indent: str, texts: dict) -> None:
+    """Append the text of value, a non-empty container whose lines go at
+    indent, to out; a scalar goes in one piece with its key or separator.
+    A container in texts is written once, at no indent, into the text that
+    texts then maps it to; each occurrence is that text, re-indented."""
+    text = texts.get(id(value), False)
+    if text:
+        out.append(text.replace("\n", indent))
+        return
+    if text is None:
+        base, indent, start = indent, "\n", len(out)
+    inner = indent + "  "
+    comma = "," + inner
+    if type(value) is dict:
+        sep = "{" + inner
+        for k, v in value.items():
+            scalar = _SCALAR_TEXT.get(type(v))
+            if scalar is not None:
+                out.append(f"{sep}{encode_basestring(k)}: {scalar(v)}")
+            elif not v:
+                out.append(f"{sep}{encode_basestring(k)}: {_empty(v)}")
+            else:
                 out.append(f"{sep}{encode_basestring(k)}: ")
-                _emit(v, out, inner)
-                sep = "," + inner
-            out.append(indent + "}")
-        else:
-            for v in value:
+                _emit(v, out, inner, texts)
+            sep = comma
+        out.append(indent + "}")
+    elif type(value) is list:
+        sep = "[" + inner
+        for v in value:
+            scalar = _SCALAR_TEXT.get(type(v))
+            if scalar is not None:
+                out.append(sep + scalar(v))
+            elif not v:
+                out.append(sep + _empty(v))
+            else:
                 out.append(sep)
-                _emit(v, out, inner)
-                sep = "," + inner
-            out.append(indent + "]")
-    elif kind is bool or value is None:
-        out.append(_SCALARS[value])
-    elif kind is int or kind is float:
-        out.append(repr(value))
+                _emit(v, out, inner, texts)
+            sep = comma
+        out.append(indent + "]")
     else:
-        raise TypeError(f"not part of the report model: {kind.__name__}")
+        raise TypeError(f"not part of the report model: {type(value).__name__}")
+    if text is None:
+        text = texts[id(value)] = "".join(out[start:])
+        out[start:] = (text.replace("\n", base),)
 
 
 def render_json(report: AnalysisReport) -> str:
-    return _json(report_dict(report)) + "\n"
+    recurring: dict[int, None] = {}
+    return _json(report_dict(report, recurring), recurring) + "\n"
 
 
 # ------------------------------------------------------------- text report
 
 
-def _trace_lines(g: dict, indent: int, lines: list[str]) -> None:
-    detail = ", ".join(str(x) for x in g["detail"])
-    head = g["clause"] if not detail else f"{g['clause']}({detail})"
-    lines.append("  " * indent + head)
-    for c in g["children"]:
-        _trace_lines(c, indent + 1, lines)
+def _witness_lines(node: dict, pad: str, lines: list[str], texts: dict) -> None:
+    """Append the lines of a trace or derivation dict, at pad, to lines,
+    each child two spaces deeper.  A node in texts is written once, as in
+    _emit."""
+    text = texts.get(id(node), False)
+    if text:
+        lines.append(pad + text.replace("\n", "\n" + pad))
+        return
+    if text is None:
+        base, pad, start = pad, "", len(lines)
+    if "clause" in node:
+        detail = ", ".join(str(x) for x in node["detail"])
+        lines.append(f"{pad}{node['clause']}({detail})" if detail else pad + node["clause"])
+        children = node["children"]
+    else:
+        param = node.get("index", node.get("variable"))
+        param = "" if param is None else f"({param})"
+        lines.append(f"{pad}{node['step']}{param}: {node['term']}")
+        children = node["premises"]
+    for c in children:
+        _witness_lines(c, pad + "  ", lines, texts)
+    if text is None:
+        text = texts[id(node)] = "\n".join(lines[start:])
+        lines[start:] = (base + text.replace("\n", "\n" + base),)
 
 
-def _derivation_lines(d: dict, indent: int, lines: list[str]) -> None:
-    param = d.get("index", d.get("variable"))
-    param = "" if param is None else f"({param})"
-    lines.append("  " * indent + f"{d['step']}{param}: {d['term']}")
-    for p in d["premises"]:
-        _derivation_lines(p, indent + 1, lines)
-
-
-def _weak_lines(w: dict, indent: int, lines: list[str]) -> None:
-    lines.append("  " * indent + "strict:")
-    _trace_lines(w["strict"], indent + 1, lines)
+def _weak_lines(w: dict, pad: str, lines: list[str], texts: dict) -> None:
+    lines.append(pad + "strict:")
+    _witness_lines(w["strict"], pad + "  ", lines, texts)
 
 
 def _step_label(kind: str, label: str, position: str) -> str:
@@ -375,7 +432,8 @@ def _step_label(kind: str, label: str, position: str) -> str:
 
 
 def render_text(report: AnalysisReport, show_traces: bool = False) -> str:
-    r = report_dict(report)
+    texts: dict = {}
+    r = report_dict(report, texts)
     sig = r["signature"]
     lines = [r["verdict"]]
     if r["stage"] is not None:
@@ -402,7 +460,7 @@ def render_text(report: AnalysisReport, show_traces: bool = False) -> str:
             for v in rule["variables"]:
                 if v["derivation"] is not None:
                     lines.append(f"    {v['name']}:")
-                    _derivation_lines(v["derivation"], 3, lines)
+                    _witness_lines(v["derivation"], "      ", lines, texts)
     lines.append("dependency pairs:")
     if not r["pairs"]:
         lines.append("  none")
@@ -435,10 +493,10 @@ def render_text(report: AnalysisReport, show_traces: bool = False) -> str:
         if show_traces:
             for w in cert["rules"]:
                 lines.append(f"  {w['name']} weakly decreases:")
-                _weak_lines(w["witness"], 2, lines)
+                _weak_lines(w["witness"], "    ", lines, texts)
             for w in cert["pairs"]:
                 lines.append(f"  {w['name']} strictly decreases:")
-                _trace_lines(w["witness"], 2, lines)
+                _witness_lines(w["witness"], "    ", lines, texts)
     else:
         lines.append("certificate: none")
     for v in r["violations"]:

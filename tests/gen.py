@@ -5,6 +5,7 @@ reproducible. Terms are built well typed by construction; the tests
 still assert type_of on the results as a sanity check.
 """
 
+import math
 import random
 from typing import Iterable
 
@@ -506,6 +507,34 @@ WIDE_SYSTEMS = {
     "rule h (\\y:N. \\z:N. y) X -> h (\\X:N. \\z:N. h (\\x:N. g) X) X\n",
     "doubling": "sort N\nz : N\nf : (N -> N) -> N -> N\nrule f F X -> f (\\y. F (F y)) X\n",
 }
+
+
+def chain_text(rng: random.Random, k: int, lex: bool = False) -> str:
+    """A system of k defined symbols over z and s, each calling the next:
+    f (s X) -> g (f X) and f z -> z, the last calling s.  Only the calling
+    order, above s, orients it, so each certificate repeats the witness of
+    a recursive call inside the witness of the call of the next symbol, at
+    several depths.  The names are seeded, and so is the rank, below 4!,
+    of the calling order among the permutations of the sorted names, so
+    that certificate search meets it among its first candidates.  A lex
+    head takes two arguments and needs lexicographic status."""
+    names = sorted(rng.sample([a + b for a in "fghk" for b in "aeiou"], k))
+    rank, order = rng.randrange(24), []
+    for i in range(k, 0, -1):
+        pick, rank = divmod(rank, math.factorial(i - 1))
+        order.append(names.pop(pick))
+    decls, rules = ["sort N", "z : N", "s : N -> N"], []
+    for i, f in enumerate(order):
+        call = order[i + 1] if i + 1 < k else "s"
+        if i == 0 and lex:
+            decls.append(f"{f} : N -> N -> N")
+            rules += [f"{f} z Y -> {call} Y", f"{f} (s X) z -> {f} X (s z)"]
+            rules.append(f"{f} (s X) (s Y) -> {f} X ({f} (s X) Y)")
+        else:
+            decls.append(f"{f} : N -> N")
+            rules += [f"{f} z -> z", f"{f} (s X) -> {call} ({f} X)"]
+    lines = decls + [f"rule {r}" for r in rules]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

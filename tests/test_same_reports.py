@@ -18,7 +18,8 @@ MUTANT_RUNS = same_reports_tool().MUTANTS_PER_SYSTEM * len(list(SYSTEMS_DIR.glob
 TYPED_RUNS = same_reports_tool().TYPED_RULES
 HO_RUNS = same_reports_tool().HO_SYSTEMS * len(same_reports_tool().HO_FLAG_SETS)
 WIDE_RUNS = len(WIDE_SYSTEMS) * len(same_reports_tool().WIDE_FLAG_SETS)
-ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS + TYPED_RUNS + HO_RUNS + WIDE_RUNS
+CHAIN_RUNS = same_reports_tool().CHAIN_SYSTEMS * len(same_reports_tool().CHAIN_FLAG_SETS)
+ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS + TYPED_RUNS + HO_RUNS + WIDE_RUNS + CHAIN_RUNS
 
 
 def test_a_tree_matches_itself(capsys):
@@ -133,3 +134,34 @@ def test_wide_systems_run_with_many_successors_per_state(tmp_path, monkeypatch):
         graph = (tmp_path / "graph.dot").read_text(encoding="utf-8")
         edges = collections.Counter(re.findall(r"^  (n\d+) -> n\d+ ", graph, re.MULTILINE))
         assert max(edges.values()) > 1, label
+
+
+def test_chain_systems_are_seeded_and_repeat_witnesses(tmp_path, monkeypatch):
+    """The chain systems are the same on every call, each run gives YES,
+    and the certificate of each system holds a witness that recurs."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    labelled = same_reports_tool().chain_runs(str(first))
+    assert labelled == same_reports_tool().chain_runs(str(second))
+    assert len(labelled) == CHAIN_RUNS
+    monkeypatch.chdir(first)
+    for label, argv in labelled:
+        assert (first / argv[1]).read_bytes() == (second / argv[1]).read_bytes()
+        assert label == " ".join(argv[1:])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, label
+        if "--json" in argv:
+            report = json.loads(out.getvalue())
+            witnesses = [w["witness"] for w in report["certificate"]["pairs"]]
+            seen = collections.Counter(json.dumps(g) for w in witnesses for g in _subtrees(w))
+            assert report["verdict"] == "YES" and max(seen.values()) > 1, label
+        else:
+            assert out.getvalue().startswith("YES\n"), label
+
+
+def _subtrees(trace: dict):
+    yield trace
+    for c in trace["children"]:
+        yield from _subtrees(c)

@@ -29,17 +29,22 @@ OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
   WIDE_FLAG_SETS.  Their states have many successors each, so the order
   in which exploration visits steps shows in the --dot graph; no state of
   a bench instance has more than one.
+- CHAIN_SYSTEMS chain systems of `chain_text` in tests/gen.py, of 5 and 6
+  defined symbols in turn, every third with a lex head, from the constant
+  CHAIN_SEED, under each flag set of CHAIN_FLAG_SETS.  Their certificates
+  repeat witnesses at several depths, which each report prints once and
+  re-indents, so this compares that printing without the bench manifests.
 
 Apart from ARGV_EDGES, a run is `hodp.cli.main(["check", FILE, *flags])`,
 with `--dot` added when the flags hold `--disprove`.  Each tree does all its runs in one Python
 subprocess started with -B, so neither tree gets bytecode written into it,
 and both run in one temporary directory, where the mutants, the typed
-rule lines, the higher-order systems and the wide systems are written.
+rule lines, the higher-order, wide and chain systems are written.
 Stdout without its timing lines (the text `elapsed:` line and the JSON
 `"seconds"` line), stderr, the exit code and the --dot file are compared.
 The runs that differ are listed; the exit code is 1 if any do, else 0.
 Only the standard library is used, apart from tests/gen.py, which gives
-the typed rule lines, the higher-order and the wide systems and runs on
+the typed rule lines, the higher-order, wide and chain systems and runs on
 the hodp of this checkout.
 """
 
@@ -85,6 +90,9 @@ WIDE_FLAG_SETS = tuple(
     [report, "--disprove", "--explore-depth", "5", "--explore-nodes", "2000"]
     for report in ("--trace", "--json")
 )
+CHAIN_SEED = 1
+CHAIN_SYSTEMS = 12
+CHAIN_FLAG_SETS = (["--json"], ["--trace"])
 # what an insertion adds: the input format's punctuation and keywords,
 # identifier characters, line breaks, and characters it rejects
 INSERTS = (
@@ -233,6 +241,22 @@ def wide_runs(directory: str) -> list[tuple[str, list[str]]]:
     return out
 
 
+def chain_runs(directory: str) -> list[tuple[str, list[str]]]:
+    """Writes the chain systems into directory and returns (label, argv) of
+    their runs, which name them relative to it."""
+    _import_tests()
+    from gen import chain_text
+
+    rng, out = random.Random(CHAIN_SEED), []
+    for k in range(CHAIN_SYSTEMS):
+        name = f"chain{k}.hodp"
+        text = chain_text(rng, 5 + k % 2, lex=k % 3 == 2)
+        (pathlib.Path(directory) / name).write_text(text, encoding="utf-8")
+        for flags in CHAIN_FLAG_SETS:
+            out.append((f"{name} {' '.join(flags)}", check_argv([name, *flags])))
+    return out
+
+
 def run_tree(src: str, argvs: list[list[str]], cwd: str) -> list[list]:
     """Every run of argvs in one subprocess that imports hodp from src."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(src).resolve()))
@@ -265,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as cwd:
         labelled = runs(args.manifest_dirs) + mutant_runs(cwd) + typed_runs(cwd)
-        labelled += ho_runs(cwd) + wide_runs(cwd)
+        labelled += ho_runs(cwd) + wide_runs(cwd) + chain_runs(cwd)
         argvs = [argv for _, argv in labelled]
         old, new = run_tree(args.old_src, argvs, cwd), run_tree(args.new_src, argvs, cwd)
     fields = ("stdout", "stderr", "exit code", "dot")
