@@ -8,16 +8,22 @@ symbol and argument count, so a step costs work in proportion to the nodes
 it creates, not to the size of the state, and a pair step reuses the
 match of its rule at the root.  A step is one immutable record of its
 position and contractum; its target state is built each time it is read,
-and exploration reads it once per visit, so a state's successors cost what
-exploration visits of them.
+and exploration reads it once per visit.  A state's steps come from a
+walk over its redex positions, which exploration takes one node at a
+time: a frame on the path keeps the rest of its state's walk and goes on
+with it only when the search backtracks into the frame, so exploration
+makes the steps its visits reach, not one per redex position of every
+state it expands.  A --dot graph asks for every step of each state it
+expands, and gets them in the same order.
 Exploration is a depth-first search on an explicit stack, so its depth
 does not depend on the interpreter's recursion limit, which it never
 changes; only new structure within one step, and input nesting, recurse.
-It detects repeated states modulo alpha along a path, memoizes the
-height of finished states globally, and reports exhaustive termination
-with the longest trace length, that some trace exceeds the depth bound,
-or a cycle witness; only a cycle carries a trace.  Successor enumeration
-is deterministic, so results are reproducible.
+It detects repeated states modulo alpha along a path (a binder-free state
+is its own canonical form and key), memoizes the height of finished
+states globally, and reports exhaustive termination with the longest
+trace length, that some trace exceeds the depth bound, or a cycle
+witness; only a cycle carries a trace.  Successor enumeration is
+deterministic, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from hodp.signature import RewriteSystem, Signature
 from hodp.terms import (
     App,
     Arrow,
+    CANONICAL,
     Lam,
     Position,
     Sym,
@@ -70,6 +77,11 @@ class Step(NamedTuple):
         return replace_at(self.source, self.position, self.contractum)
 
 
+# builds a Step from the tuple of its fields, without the Python-level
+# __new__ that NamedTuple gives Step
+_new_step = tuple.__new__
+
+
 # A redex table maps each node it has seen to the redexes at its root, as
 # (kind, label, binding, contractum) tuples, or to None when no redex lies
 # anywhere in the node.  Beta redexes are always recorded, with an empty
@@ -86,31 +98,49 @@ _UNSEEN = object()  # what a table lookup returns for a node it has not seen
 
 
 def rewrite_steps(
-    t: Term, system: RewriteSystem, include_beta: bool, table: RedexTable, at_root: bool = True
+    t: Term,
+    system: RewriteSystem,
+    include_beta: bool,
+    table: RedexTable,
+    at_root: bool = True,
+    walk: list[tuple[Position, Term]] | None = None,
 ) -> list[Step]:
     """All one-step reducts, position-lexicographic, beta before rules;
     without beta steps unless include_beta, and without the root's own
     redexes unless at_root.  Passing the same table for every state of an
-    analysis matches each node only once."""
+    analysis matches each node only once.
+
+    With walk, the nodes still to visit, only the steps of the next node
+    that has some: an empty walk starts at t, and each call leaves the
+    rest in it, so the calls until it is empty again return the full list
+    in pieces, each built only when it is asked for."""
+    drain = walk is None
+    if drain:
+        walk = []
+    if not walk:
+        entry = table.get(t, _UNSEEN)
+        if entry is _UNSEEN:
+            entry = _tabulate(t, system, table)
+        if entry is not None:
+            walk.append(((), t))
     out: list[Step] = []
-    todo: list[tuple[Position, Term]] = []
-    if _tabulate(t, system, table) is not None:
-        todo.append(((), t))
-    while todo:
-        pos, u = todo.pop()
+    while walk:
+        pos, u = walk.pop()
         if pos or at_root:
             for kind, label, _, contractum in table[u]:
                 if include_beta or kind != "beta":
-                    out.append(Step(kind, label, pos, t, contractum))
+                    out.append(_new_step(Step, (kind, label, pos, t, contractum)))
         cls = u.__class__
         if cls is App:
             fun, arg = u.fun, u.arg
             if table[arg] is not None:
-                todo.append((pos + (2,), arg))
+                walk.append((pos + (2,), arg))
             if table[fun] is not None:  # pushed last, so visited first
-                todo.append((pos + (1,), fun))
+                walk.append((pos + (1,), fun))
         elif cls is Lam and table[u.body] is not None:
-            todo.append((pos + (1,), u.body))
+            walk.append((pos + (1,), u.body))
+        if out and not drain:
+            break
     return out
 
 
@@ -118,7 +148,7 @@ def _tabulate(u: Term, system: RewriteSystem, table: RedexTable):
     """The entry of u, after adding u and its subterms to the table if it
     has not seen u.  Only nodes the table has not seen are matched, each
     only against the rules whose left-hand side has its head and argument
-    count."""
+    count; a child the table has seen is looked up, not visited."""
     entry = table.get(u, _UNSEEN)
     if entry is not _UNSEEN:
         return entry
@@ -126,12 +156,23 @@ def _tabulate(u: Term, system: RewriteSystem, table: RedexTable):
     found = []
     if cls is App:
         # both children are tabulated, the function part first
-        below = _tabulate(u.fun, system, table) is not None
-        below = _tabulate(u.arg, system, table) is not None or below
-        if u.fun.__class__ is Lam:
+        fun, arg = u.fun, u.arg
+        below = table.get(fun, _UNSEEN)
+        if below is _UNSEEN:
+            below = _tabulate(fun, system, table)
+        entry = table.get(arg, _UNSEEN)
+        if entry is _UNSEEN:
+            entry = _tabulate(arg, system, table)
+        below = below is not None or entry is not None
+        if fun.__class__ is Lam:
             found.append(("beta", "", None, beta_contract(u)))
+    elif cls is Lam:
+        below = table.get(u.body, _UNSEEN)
+        if below is _UNSEEN:
+            below = _tabulate(u.body, system, table)
+        below = below is not None
     else:
-        below = cls is Lam and _tabulate(u.body, system, table) is not None
+        below = False
     head, count = u, 0
     while head.__class__ is App:
         head, count = head.fun, count + 1
@@ -157,22 +198,43 @@ def pair_root_steps(t: Term, pairs: Iterable[DepPair], table: RedexTable) -> lis
             binding, contractum = redex
             if dp.rhs is not dp.rule.rhs:
                 contractum = apply_subst(dp.rhs, binding)
-            out.append(Step("dp", dp.name, (), t, contractum))
+            out.append(_new_step(Step, ("dp", dp.name, (), t, contractum)))
     return out
 
 
-def rewrite_successors(system: RewriteSystem, table: RedexTable) -> Callable[[Term], list[Step]]:
-    return lambda t: rewrite_steps(t, system, True, table)
+class Successors(NamedTuple):
+    """A successor relation over one redex table: the rewrite relation, or
+    with pairs the chain relation, whose internal steps take beta steps
+    only if include_beta.  Called on a state, it returns all the state's
+    steps; steps(t, walk) returns them in pieces, as rewrite_steps does,
+    so exploration makes only the steps it reaches.  The chain relation's
+    pair steps come first, with the first piece, and its walk yields no
+    step at the root."""
+
+    system: RewriteSystem
+    pairs: tuple[DepPair, ...] | None
+    include_beta: bool
+    table: RedexTable
+
+    def steps(self, t: Term, walk: list | None = None) -> list[Step]:
+        start, pairs = not walk, self.pairs
+        # the first call tabulates t, as the pair steps need
+        out = rewrite_steps(t, self.system, self.include_beta, self.table, pairs is None, walk)
+        if start and pairs is not None:
+            out = pair_root_steps(t, pairs, self.table) + out
+        return out
+
+    __call__ = steps
+
+
+def rewrite_successors(system: RewriteSystem, table: RedexTable) -> Successors:
+    return Successors(system, None, True, table)
 
 
 def chain_successors(
     system: RewriteSystem, pairs: tuple[DepPair, ...], include_beta: bool, table: RedexTable
-) -> Callable[[Term], list[Step]]:
-    def succ(t: Term) -> list[Step]:
-        inner = rewrite_steps(t, system, include_beta, table, at_root=False)  # tabulates t
-        return pair_root_steps(t, pairs, table) + inner
-
-    return succ
+) -> Successors:
+    return Successors(system, pairs, include_beta, table)
 
 
 # -------------------------------------------------------------- exploration
@@ -186,16 +248,13 @@ class Exploration(NamedTuple):
     edges: tuple[Step, ...] = ()
 
 
-class _Frame:
-    """A state on the exploration path: its successors, the index of the next
-    one to visit (the first is visited as the frame is pushed), and the
-    longest finished height below it so far."""
-
-    __slots__ = ("key", "succ", "next", "best", "truncated")
-
-    def __init__(self, key: Term, succ: list[Step]):
-        self.key, self.succ, self.next = key, succ, 1
-        self.best, self.truncated = 0, False
+# A frame of the exploration stack is one state on the path, kept as a
+# list, the cheapest record to build once per expanded state: the state's
+# key, its steps so far, the index of the next one to visit (the first is
+# visited as the frame is pushed), the rest of its redex walk (None once
+# spent), the longest finished height below it so far, and whether a
+# trace below it met the depth bound.
+_KEY, _STEPS, _NEXT, _WALK, _BEST, _TRUNCATED = range(6)
 
 
 def bounded_explore(
@@ -212,19 +271,26 @@ def bounded_explore(
     trace whose final state repeats an earlier one modulo alpha; otherwise
     bound-exceeded, with no trace.  Expanding more than max_nodes distinct
     states raises LimitError.  Only the target of a step it visits is
-    built, once per visit; with record, every step goes into edges, and
-    whoever reads their targets builds them all.
+    built, once per visit.  successors is any function from a state to
+    its list of steps; a Successors relation is asked for a state's steps
+    one piece of its redex walk at a time, the next piece only once the
+    search backtracks past the last, so only the steps the search reaches
+    are made.  With record, every step of every expanded state goes into
+    edges, and whoever reads their targets builds them all.
     """
     finished: dict[Term, int] = {}  # heights of finished states
     on_path: set[Term] = set()
-    stack: list[_Frame] = []
+    stack: list[list] = []
     edges: list[Step] = []
     expanded = 0
+    pieces = successors.steps if isinstance(successors, Successors) and not record else None
+    walk = None
     u = start
     while True:
         # visit u, reached by the current step of every frame on the stack;
-        # h becomes its height, or None if some trace from it is too long
-        key = alpha_canonical(u)
+        # h becomes its height, or None if some trace from it is too long.
+        # A binder-free state is its own canonical form.
+        key = u if u._canonical is CANONICAL else alpha_canonical(u)
         h = finished.get(key)
         if h is not None:
             if len(stack) + h > max_depth:
@@ -235,7 +301,11 @@ def bounded_explore(
             expanded += 1
             if expanded > max_nodes:
                 raise LimitError(f"exploration expanded more than {max_nodes} states")
-            succ = successors(u)
+            if pieces is None:
+                succ = successors(u)
+            else:
+                walk = []
+                succ = pieces(u, walk)
             if record:
                 edges.extend(succ)
             if not succ:
@@ -244,26 +314,38 @@ def bounded_explore(
                 h = None
             else:
                 on_path.add(key)
-                stack.append(_Frame(key, succ))
+                stack.append([key, succ, 1, walk or None, 0, False])
                 u = succ[0].target
                 continue
-        # hand h to the frames above until one has a successor left
+        # hand h to the frames above until one has a step left
         while stack:
             top = stack[-1]
             if h is None:
-                top.truncated = True
-            elif h + 1 > top.best:
-                top.best = h + 1
-            if top.next < len(top.succ):
-                u = top.succ[top.next].target
-                top.next += 1
+                top[_TRUNCATED] = True
+            elif h >= top[_BEST]:
+                top[_BEST] = h + 1
+            succ, i = top[_STEPS], top[_NEXT]
+            if i < len(succ):
+                u = succ[i].target
+                top[_NEXT] = i + 1
                 break
+            walk = top[_WALK]
+            if walk is not None:
+                # the next piece of the walk, from the state every step of
+                # the last one left
+                succ = pieces(succ[0].source, walk)
+                if not walk:
+                    top[_WALK] = None
+                if succ:
+                    top[_STEPS], top[_NEXT] = succ, 1
+                    u = succ[0].target
+                    break
             stack.pop()
-            on_path.remove(top.key)
-            if top.truncated:
+            on_path.remove(top[_KEY])
+            if top[_TRUNCATED]:
                 h = None
             else:
-                finished[top.key] = h = top.best
+                finished[top[_KEY]] = h = top[_BEST]
         else:
             break
     # a trace too long for the bound leaves every frame above it truncated
@@ -272,9 +354,9 @@ def bounded_explore(
     return Exploration("all-terminated", longest=h, expanded=expanded, edges=tuple(edges))
 
 
-def _path(stack: list[_Frame]) -> tuple[Step, ...]:
+def _path(stack: list[list]) -> tuple[Step, ...]:
     """The steps from the start to the state being visited."""
-    return tuple(f.succ[f.next - 1] for f in stack)
+    return tuple(f[_STEPS][f[_NEXT] - 1] for f in stack)
 
 
 def replay_trace(trace: Iterable[Step], system: RewriteSystem, pairs: tuple[DepPair, ...]) -> bool:
@@ -333,10 +415,13 @@ def has_alpha_repeat(start: Term, trace: tuple[Step, ...]) -> bool:
 _GROUND_DEPTH = 3  # how deep ground terms may nest
 
 
-def ground_term(sig: Signature, typ: Type) -> Term | None:
+def ground_term(
+    sig: Signature, typ: Type, memo: dict[tuple[Type, int], Term | None] | None = None
+) -> Term | None:
     """Smallest ground constructor term of the given type, if one exists
-    within _GROUND_DEPTH.  Ties break on the printed form."""
-    return _ground(sig, typ, _GROUND_DEPTH, {})
+    within _GROUND_DEPTH.  Ties break on the printed form.  Calls for one
+    signature may share a memo."""
+    return _ground(sig, typ, _GROUND_DEPTH, {} if memo is None else memo)
 
 
 def _ground(
@@ -380,10 +465,11 @@ def disprove_seeds(system: RewriteSystem) -> tuple[Term, ...]:
     stay as they are, so the seed is still explorable."""
     seeds: list[Term] = []
     seen: set[Term] = set()
+    memo: dict[tuple[Type, int], Term | None] = {}  # one for every variable
     for rule in system.rules:
         subst = {}
         for v in sorted(free_vars(rule.lhs), key=lambda v: v.name):
-            g = ground_term(system.signature, v.type)
+            g = ground_term(system.signature, v.type, memo)
             if g is not None:
                 subst[v] = g
         seed = apply_subst(rule.lhs, subst)

@@ -61,6 +61,17 @@ class Options(NamedTuple):
     record_graph: bool = False
 
 
+class Edge(NamedTuple):
+    """An explored step as the --dot graph draws it: its source and target
+    states in canonical form, its kind, label and position."""
+
+    source: Term
+    target: Term
+    kind: str
+    label: str
+    position: tuple[int, ...]
+
+
 class AnalysisReport(NamedTuple):
     verdict: str  # 'YES' | 'NO' | 'MAYBE'
     stage: str | None  # failing stage when MAYBE
@@ -72,7 +83,7 @@ class AnalysisReport(NamedTuple):
     witness: dict | None
     notes: tuple[str, ...]
     elapsed: float
-    graph: tuple[Step, ...] = ()
+    graph: tuple[Edge, ...] = ()
 
 
 def run_pipeline(system: RewriteSystem, options: Options | None = None) -> AnalysisReport:
@@ -103,7 +114,7 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
     verdict = "YES" if stage is None else "MAYBE"
 
     witness = None
-    graph: dict[tuple, Step] = {}  # each edge once, states modulo alpha
+    graph: dict[Edge, None] = {}  # each edge once, states modulo alpha
     if options.disprove:
         seeds = disprove_seeds(system)
         table = {}  # the redex table both relations read
@@ -120,9 +131,9 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
                     max_nodes=options.explore_nodes,
                     record=options.record_graph,
                 )
-                for step in result.edges:
+                for step in result.edges:  # each target built once, here
                     source, target = alpha_canonical(step.source), alpha_canonical(step.target)
-                    graph.setdefault((source, target, step.kind, step.label, step.position), step)
+                    graph[Edge(source, target, step.kind, step.label, step.position)] = None
                 if result.kind == "cycle":
                     witness = {
                         "relation": relation,
@@ -156,7 +167,7 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
         witness,
         tuple(notes),
         elapsed,
-        tuple(graph.values()),
+        tuple(graph),
     )
 
 
@@ -522,23 +533,23 @@ def render_text(report: AnalysisReport, show_traces: bool = False) -> str:
 # ---------------------------------------------------------------------- dot
 
 
-def dot_graph(steps: Iterable[Step]) -> str:
-    """Graphviz rendering of explored edges, states merged modulo alpha.
-    Each edge is drawn as given: run_pipeline collects every edge once.
-    States are printed through one memo, as in report_dict."""
+def dot_graph(edges: Iterable[Edge]) -> str:
+    """Graphviz rendering of explored edges.  Each edge and state is drawn
+    as given: run_pipeline collects every edge once, with its states in
+    canonical form, so states equal modulo alpha are one node and drawing
+    builds none.  States are printed through one memo, as in report_dict."""
     shown: dict[Term, str] = {}
     ids: dict[Term, int] = {}
     lines = ["digraph exploration {", '  node [shape=box, fontname="monospace"];']
 
     def node(t: Term) -> int:
-        key = alpha_canonical(t)
-        if key not in ids:
-            ids[key] = len(ids)
-            label = show_term(key, shown).replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  n{ids[key]} [label="{label}"];')
-        return ids[key]
+        if t not in ids:
+            ids[t] = len(ids)
+            label = show_term(t, shown).replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{ids[t]} [label="{label}"];')
+        return ids[t]
 
-    for s in steps:
+    for s in edges:
         a, b = node(s.source), node(s.target)
         label = _step_label(s.kind, s.label, show_position(s.position))
         lines.append(f'  n{a} -> n{b} [label="{label}"];')

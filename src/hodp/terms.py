@@ -17,10 +17,13 @@ Alpha-equivalence is decided through a canonical renaming of bound
 variables; canonical forms are interned too, so terms can be used as
 dictionary keys modulo alpha by canonicalizing first, and two terms are
 alpha-equivalent exactly when their canonical forms are the same object.
-An application outside every binder stores its canonical form, so
-canonicalizing a term built from an earlier one walks only its new nodes;
-under a binder, one canonicalization renames a closed subterm once per
-binder depth, however often the term shares it.
+A symbol or variable is its own canonical form, and an application of
+parts that are their own is marked as its own as it is built, so a
+binder-free term is never canonicalized.
+Any other application outside every binder stores its canonical form once
+computed, so canonicalizing a term built from an earlier one walks only
+its new nodes; under a binder, one canonicalization renames a closed
+subterm once per binder depth, however often the term shares it.
 """
 
 from __future__ import annotations
@@ -173,12 +176,21 @@ def type_skeleton(t: Type):
 
 # ----------------------------------------------------------------- terms
 
+# What a term's _canonical reads when the term is its own canonical form
+# outside every binder: every symbol and variable, and an application
+# whose parts are.  An application stores it, not itself, because a node
+# that refers to itself would be a reference cycle; other applications
+# store their form once it is computed, and a binder reads None.
+CANONICAL = object()
+
 
 class _Atom(_Node):
-    """A variable or symbol, interned on its name and type."""
+    """A variable or symbol, interned on its name and type.  It is its own
+    canonical form."""
 
     __slots__ = ("name", "type")
     _fields = ("name", "type")
+    _canonical = CANONICAL
 
 
 class Var(_Atom):
@@ -193,10 +205,34 @@ class App(_Node):
     _derived = ("_type", "_free", "_canonical")
 
 
+def _app_init():
+    """App's slot writer: an application of parts that are their own
+    canonical forms is marked as its own as it is built, so that no
+    canonicalization has to visit it."""
+    set_fun, set_arg, set_type, set_free, set_canonical = (
+        getattr(App, name).__set__ for name in App._fields + App._derived
+    )
+
+    def init(node: App, values: tuple) -> None:
+        fun, arg = values
+        set_fun(node, fun)
+        set_arg(node, arg)
+        set_type(node, None)
+        set_free(node, None)
+        own = fun._canonical is CANONICAL and arg._canonical is CANONICAL
+        set_canonical(node, CANONICAL if own else None)
+
+    return init
+
+
+App._init = staticmethod(_app_init())
+
+
 class Lam(_Node):
     __slots__ = ("var", "body", "_type", "_free")
     _fields = ("var", "body")
     _derived = ("_type", "_free")
+    _canonical = None  # never marked: its binder may need renaming
 
 
 Term = Var | Sym | App | Lam
@@ -352,11 +388,6 @@ def alpha_canonical(t: Term) -> Term:
     return _canon(t, {}, 0, {})
 
 
-# Stored as the canonical form of an application that is its own, because
-# a node that refers to itself would be a reference cycle.
-_CANONICAL = object()
-
-
 def _canon(t: Term, env: dict[Var, Var], depth: int, closed: dict[tuple[Term, int], Term]) -> Term:
     cls = t.__class__
     if cls is Var:
@@ -371,12 +402,12 @@ def _canon(t: Term, env: dict[Var, Var], depth: int, closed: dict[tuple[Term, in
         if form is None:
             fun, arg = _canon(t.fun, env, depth, closed), _canon(t.arg, env, depth, closed)
             if fun is t.fun and arg is t.arg:
-                form = _CANONICAL
+                form = CANONICAL
             else:
                 form = App(fun, arg)
-                _set(form, "_canonical", _CANONICAL)
+                _set(form, "_canonical", CANONICAL)
             _set(t, "_canonical", form)
-        return t if form is _CANONICAL else form
+        return t if form is CANONICAL else form
     # the form of a closed node depends on the depth alone, so closed holds
     # it for the rest of the call: a shared subterm is renamed once per depth
     shared = not free_vars(t)
@@ -422,7 +453,13 @@ def apply_subst(t: Term, subst: Mapping[Var, Term]) -> Term:
     if cls is Sym:
         return t
     if cls is App:
-        return App(apply_subst(t.fun, subst), apply_subst(t.arg, subst))
+        # a leaf child is substituted here, without a call of its own
+        fun, arg = t.fun, t.arg
+        cls = fun.__class__
+        fun = subst.get(fun, fun) if cls is Var else fun if cls is Sym else apply_subst(fun, subst)
+        cls = arg.__class__
+        arg = subst.get(arg, arg) if cls is Var else arg if cls is Sym else apply_subst(arg, subst)
+        return App(fun, arg)
     live = {v: u for v, u in subst.items() if v != t.var and v in free_vars(t.body)}
     if not live:
         return t

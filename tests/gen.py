@@ -24,6 +24,7 @@ from hodp.terms import (
     Term,
     Type,
     Var,
+    apply_subst,
     beta_reducts,
     flatten_type,
     free_vars,
@@ -445,6 +446,43 @@ def escaping_ho_system(rng: random.Random):
             rhs = App(App(Sym("f", symbols["f"]), fun), arg)
         rules.append((rule.lhs, rhs))
     return build_system(GEN_SORTS, symbols, rules)
+
+
+# Left sides that each put a variable under a binder, so that the closure
+# derives it through lam; the last also holds a beta redex, which a
+# witness takes apart with the path order's beta clause.
+BINDER_RULES = parse_system(
+    "sort N\n0 : N\ns : N -> N\nc : N -> N\nf : (N -> N) -> N -> N\n"
+    "g : (N -> N) -> N -> N -> N\n"
+    + "".join(
+        f"rule {lhs} -> {lhs}\n"
+        for lhs in ("f (\\y. F y) (s X)", "f (\\y. s (F y)) X", "g (\\y. F y) X ((\\x. c x) 0)")
+    )
+)
+
+
+def binder_ho_system(rng: random.Random):
+    """One or two of the BINDER_RULES left sides, each with a right side
+    that holds a beta redex: the left side's abstraction, its binder
+    renamed z, applied to a seeded argument over the left side's
+    variables, under up to two seeded applications of s, c, or g with the
+    abstraction and c 0 as its other arguments."""
+    symbols, n, rules = BINDER_RULES.signature.symbols, Base("N"), []
+    c0 = App(Sym("c", symbols["c"]), Sym("0", n))
+    z = Var("z", n)
+    for rule in rng.sample(BINDER_RULES.rules, rng.randint(1, 2)):
+        env = tuple(sorted(free_vars(rule.lhs), key=lambda v: v.name))
+        lam = next(a for a in spine(rule.lhs)[1] if isinstance(a, Lam))
+        renamed = Lam(z, apply_subst(lam.body, {lam.var: z}))
+        rhs = App(renamed, random_term(rng, symbols, n, rng.randint(1, 3), env, 0.3))
+        for _ in range(rng.randint(0, 2)):
+            name = rng.choice("sscg")
+            if name == "g":
+                rhs = App(App(App(Sym("g", symbols["g"]), renamed), rhs), c0)
+            else:
+                rhs = App(Sym(name, symbols[name]), rhs)
+        rules.append((rule.lhs, rhs))
+    return build_system(("N",), symbols, rules)
 
 
 # A fixed signature for random_rule_line, which writes rule lines over it

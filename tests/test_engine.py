@@ -18,7 +18,7 @@ from gen import (
     show_step,
     symbol,
 )
-from hodp import engine, terms
+from hodp import engine, pipeline, terms
 from hodp.cli import main
 from hodp.engine import (
     Exploration,
@@ -247,27 +247,43 @@ class TestLazyTargets:
     visited ones do."""
 
     @pytest.mark.parametrize(
-        ("name", "nodes"), [("branching", 100), ("branching", 1000), ("higher-order", 150)]
+        ("name", "nodes"),
+        [("branching", 100), ("branching", 1000), ("higher-order", 150), ("higher-order", 400), ("doubling", 18)],
     )
     def test_a_wide_exploration_builds_one_target_per_state(
         self, tmp_path, capsys, monkeypatch, name, nodes
     ):
         """Eager steps built 5,050 targets for the branching system at 100
-        states, and 11,325 for the higher-order one at 150."""
+        states, and 11,325 for the higher-order one at 150.  Exploration
+        also makes at most two steps per state: making every step of each
+        expanded state made 180,897 for the branching system at 1,000
+        states, 60,300 for the higher-order one at 400 and 524,268 for the
+        doubling one at 18."""
         file = tmp_path / f"{name}.hodp"
         file.write_text(WIDE_SYSTEMS[name], encoding="utf-8")
-        built = [0]
+        built, made = [0], [0]
         replace = engine.replace_at
 
         def counted(t, pos, new):
             built[0] += 1
             return replace(t, pos, new)
 
+        def making(steps):  # counts the steps in each list a step function returns
+            def wrapper(*args):
+                out = steps(*args)
+                made[0] += len(out)
+                return out
+
+            return wrapper
+
         monkeypatch.setattr(engine, "replace_at", counted)
+        monkeypatch.setattr(engine, "rewrite_steps", making(engine.rewrite_steps))
+        monkeypatch.setattr(engine, "pair_root_steps", making(engine.pair_root_steps))
         code = main(["check", str(file), "--disprove", "--explore-nodes", str(nodes)])
         assert code == 3
         assert capsys.readouterr().err == f"limit: exploration expanded more than {nodes} states\n"
         assert built[0] == nodes
+        assert 0 < made[0] <= 2 * (nodes + 1)
 
     def test_a_pending_step_equals_the_eager_one(self, monkeypatch):
         """Comparing, hashing and printing steps builds no target; each
@@ -292,6 +308,106 @@ class TestLazyTargets:
         for s in steps:
             assert subterm_at(s.target, s.position) is s.contractum
         assert built[0] == len(steps)
+
+    def test_a_graph_builds_each_recorded_target_once(self, tmp_path, capsys, monkeypatch):
+        """With --dot, the target of each recorded step is built once, to
+        merge the graph's states modulo alpha; drawing the graph built the
+        target of each of its edges again (tools/same_reports.py checks
+        that the graph stays the same)."""
+        file = tmp_path / "branching.hodp"
+        file.write_text(WIDE_SYSTEMS["branching"], encoding="utf-8")
+        built, recorded = [0], [0]
+        replace, explore = engine.replace_at, pipeline.bounded_explore
+
+        def counted(*args):
+            built[0] += 1
+            return replace(*args)
+
+        def recording(*args, **kwargs):
+            result = explore(*args, **kwargs)
+            recorded[0] += len(result.edges)
+            return result
+
+        monkeypatch.setattr(engine, "replace_at", counted)
+        monkeypatch.setattr(pipeline, "bounded_explore", recording)
+        flags = ["--disprove", "--explore-depth", "5", "--explore-nodes", "2000"]
+        counts = {}
+        for dot in ([], ["--dot", str(tmp_path / "graph.dot")]):
+            built[0] = recorded[0] = 0
+            assert main(["check", str(file), *flags, *dot]) == 0  # a chain cycle
+            counts[bool(dot)] = built[0], recorded[0]
+        assert capsys.readouterr().out.startswith("NO\n")
+        (visits, unrecorded), (visits_and_recorded, recorded) = counts[False], counts[True]
+        assert unrecorded == 0 and recorded > visits
+        assert visits_and_recorded == visits + recorded
+
+
+class TestResumedWalks:
+    """Exploration asks a Successors relation for a state's steps one node
+    of its redex walk at a time, and for the next only as it backtracks,
+    so it makes steps only where its visits reach."""
+
+    @pytest.mark.parametrize("name", sorted(WIDE_SYSTEMS))
+    def test_a_resumed_walk_yields_the_reference_steps_in_order(self, monkeypatch, name):
+        """At depth 5 the search backtracks into every frame: the pieces of
+        each state's walk, joined, are its steps as the eager search lists
+        them, and the outcome is the eager search's."""
+        system = parse_system(WIDE_SYSTEMS[name])
+        pairs = extract_pairs(system)
+        sessions = {}  # per walk, kept alive here: its state, its pieces, the walk
+        steps = engine.Successors.steps
+
+        def recording(relation, t, walk=None):
+            start = not walk
+            out = steps(relation, t, walk)
+            if walk is not None:
+                if start:
+                    sessions[id(walk)] = (t, [], walk)
+                sessions[id(walk)][1].append(out)
+            return out
+
+        monkeypatch.setattr(engine.Successors, "steps", recording)
+        table = {}
+        relations = [
+            (rewrite_successors(system, table), lambda t: _reference_rewrite_steps(t, system)),
+            (
+                chain_successors(system, pairs, True, table),
+                lambda t: _reference_pair_root_steps(t, pairs)
+                + [s for s in _reference_rewrite_steps(t, system) if s.position != ()],
+            ),
+        ]
+        resumed = 0
+        for successors, reference in relations:
+            for seed in disprove_seeds(system):
+                sessions.clear()
+                result = bounded_explore(seed, successors, max_depth=5)
+                assert result == bounded_explore(seed, reference, max_depth=5)
+                for t, pieces, walk in sessions.values():
+                    joined, expected = [s for piece in pieces for s in piece], reference(t)
+                    assert joined == (expected[: len(joined)] if walk else expected), show_term(t)
+                    resumed += len(pieces) > 1
+        assert resumed > 0
+
+    def test_a_plain_function_and_a_recording_run_see_every_step(self):
+        """bounded_explore takes any function that returns a list, and with
+        record a relation's every step goes into edges, in the order of
+        expansion."""
+        system = parse_system(WIDE_SYSTEMS["branching"])
+        (seed,) = disprove_seeds(system)
+        listed = []
+
+        def plain(t):
+            out = _reference_rewrite_steps(t, system)
+            listed.extend(out)
+            return out
+
+        result = bounded_explore(seed, plain, max_depth=5)
+        assert result.kind == "bound-exceeded" and result.edges == ()
+        recorded = bounded_explore(seed, rewrite_successors(system, {}), max_depth=5, record=True)
+        assert recorded.edges == tuple(listed)
+        assert recorded._replace(edges=()) == result
+        listed.clear()
+        assert bounded_explore(seed, plain, max_depth=5, record=True).edges == recorded.edges
 
 
 class TestMatchCalls:
@@ -513,9 +629,9 @@ def _reference_explore(start, successors, max_depth=200, max_nodes=100_000, reco
     return Exploration("all-terminated", longest=h, expanded=state["expanded"], edges=tuple(edges))
 
 
-def _explore_outcome(explore, seed, successors, depth):
+def _explore_outcome(explore, seed, successors, depth, record=True):
     try:
-        ex = explore(seed, successors, max_depth=depth, max_nodes=60, record=True)
+        ex = explore(seed, successors, max_depth=depth, max_nodes=60, record=record)
     except LimitError as exc:
         return str(exc)
     return ex.kind, ex.longest, ex.trace, ex.expanded, ex.edges
@@ -539,6 +655,9 @@ class TestExplorationOracle:
                     new = _explore_outcome(bounded_explore, seed, successors, depth)
                     old = _explore_outcome(_reference_explore, seed, successors, depth)
                     assert new == old, (show_term(seed), depth)
+                    # not recording, exploration resumes each state's walk
+                    plain = _explore_outcome(bounded_explore, seed, successors, depth, record=False)
+                    assert plain == (old if isinstance(old, str) else old[:-1] + ((),)), (show_term(seed), depth)
 
 
 # ------------------------------------------------------- redex table oracle

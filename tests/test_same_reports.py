@@ -16,10 +16,19 @@ from hodp.terms import Lam
 SHIPPED_RUNS = len(same_reports_tool().runs([]))
 MUTANT_RUNS = same_reports_tool().MUTANTS_PER_SYSTEM * len(list(SYSTEMS_DIR.glob("*.hodp")))
 TYPED_RUNS = same_reports_tool().TYPED_RULES
-HO_RUNS = same_reports_tool().HO_SYSTEMS * len(same_reports_tool().HO_FLAG_SETS)
-WIDE_RUNS = len(WIDE_SYSTEMS) * len(same_reports_tool().WIDE_FLAG_SETS)
-CHAIN_RUNS = same_reports_tool().CHAIN_SYSTEMS * len(same_reports_tool().CHAIN_FLAG_SETS)
-ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS + TYPED_RUNS + HO_RUNS + WIDE_RUNS + CHAIN_RUNS
+
+
+def _runs_per_system(flag_sets) -> int:
+    """One run per flag set, and a second, with --dot, for each that
+    holds --disprove."""
+    return sum(1 + ("--disprove" in flags) for flags in flag_sets)
+
+
+HO_RUNS = same_reports_tool().HO_SYSTEMS * _runs_per_system(same_reports_tool().HO_FLAG_SETS)
+BINDER_RUNS = same_reports_tool().BINDER_SYSTEMS * _runs_per_system(same_reports_tool().HO_FLAG_SETS)
+WIDE_RUNS = len(WIDE_SYSTEMS) * _runs_per_system(same_reports_tool().WIDE_FLAG_SETS)
+CHAIN_RUNS = same_reports_tool().CHAIN_SYSTEMS * _runs_per_system(same_reports_tool().CHAIN_FLAG_SETS)
+ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS + TYPED_RUNS + HO_RUNS + BINDER_RUNS + WIDE_RUNS + CHAIN_RUNS
 
 
 def test_a_tree_matches_itself(capsys):
@@ -49,8 +58,10 @@ def test_manifest_instances_run_in_both_report_formats(tmp_path):
     assert same_reports_tool().runs([str(tmp_path)])[SHIPPED_RUNS:] == [
         ("a --json --precedence f>g", ["check", "a.hodp", "--json", "--precedence", "f>g"]),
         ("a --trace --precedence f>g", ["check", "a.hodp", "--trace", "--precedence", "f>g"]),
-        ("b --trace --disprove", ["check", "b.hodp", "--trace", "--disprove", "--dot", "graph.dot"]),
-        ("b --json --disprove", ["check", "b.hodp", "--json", "--disprove", "--dot", "graph.dot"]),
+        ("b --trace --disprove", ["check", "b.hodp", "--trace", "--disprove"]),
+        ("b --trace --disprove --dot graph.dot", ["check", "b.hodp", "--trace", "--disprove", "--dot", "graph.dot"]),
+        ("b --json --disprove", ["check", "b.hodp", "--json", "--disprove"]),
+        ("b --json --disprove --dot graph.dot", ["check", "b.hodp", "--json", "--disprove", "--dot", "graph.dot"]),
     ]
 
 
@@ -112,7 +123,7 @@ def test_higher_order_systems_are_seeded_and_compare_binders(tmp_path, monkeypat
     monkeypatch.setattr(PathOrder, "_greater", counted)
     for current, (label, argv) in enumerate(labelled):
         assert (first / argv[1]).read_bytes() == (second / argv[1]).read_bytes()
-        assert label == " ".join(argv[1:]).removesuffix(" --dot graph.dot")
+        assert label == " ".join(argv[1:])
         if "--trace" in argv:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, label
@@ -120,17 +131,51 @@ def test_higher_order_systems_are_seeded_and_compare_binders(tmp_path, monkeypat
     assert len(set(compared)) * 5 >= same_reports_tool().HO_SYSTEMS, len(set(compared))
 
 
+def test_binder_systems_are_seeded_and_print_beta_and_lam(tmp_path, monkeypatch):
+    """The binder systems are the same on every call; their --trace
+    reports print a beta witness and a lam derivation, and their explored
+    graphs hold a beta step."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    labelled = same_reports_tool().binder_runs(str(first))
+    assert labelled == same_reports_tool().binder_runs(str(second))
+    assert len(labelled) == BINDER_RUNS
+    monkeypatch.chdir(first)
+    found = collections.Counter()
+    for label, argv in labelled:
+        assert (first / argv[1]).read_bytes() == (second / argv[1]).read_bytes()
+        assert label == " ".join(argv[1:])
+        if "--disprove" in argv and "--dot" not in argv:
+            continue
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) in (0, 1), label
+        if "--trace" in argv:
+            found["beta witness"] += bool(re.search(r"^ +beta\(", out.getvalue(), re.MULTILINE))
+            found["lam derivation"] += bool(re.search(r"^ +lam\(", out.getvalue(), re.MULTILINE))
+        else:
+            graph = (first / "graph.dot").read_text(encoding="utf-8")
+            found["beta step"] += 'label="beta@' in graph
+    assert set(found) == {"beta witness", "lam derivation", "beta step"}
+    assert min(found.values()) > 0, found
+
+
 def test_wide_systems_run_with_many_successors_per_state(tmp_path, monkeypatch):
-    """Each wide run finishes, and its graph holds a state with more than
-    one successor, so the order of visits shows in the --dot file."""
+    """Each wide run finishes, with --dot and without it, and its graph
+    holds a state with more than one successor, so the order of visits
+    shows in the --dot file."""
     labelled = same_reports_tool().wide_runs(str(tmp_path))
     assert len(labelled) == WIDE_RUNS
+    assert sum("--dot" in argv for _, argv in labelled) * 2 == WIDE_RUNS
     monkeypatch.chdir(tmp_path)
     for label, argv in labelled:
         assert (tmp_path / argv[1]).read_text(encoding="utf-8") in WIDE_SYSTEMS.values()
-        assert label == " ".join(argv[1:]).removesuffix(" --dot graph.dot")
+        assert label == " ".join(argv[1:])
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0, label
+        if "--dot" not in argv:
+            continue
         graph = (tmp_path / "graph.dot").read_text(encoding="utf-8")
         edges = collections.Counter(re.findall(r"^  (n\d+) -> n\d+ ", graph, re.MULTILINE))
         assert max(edges.values()) > 1, label

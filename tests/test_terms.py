@@ -18,6 +18,7 @@ from gen import (
     random_term,
     symbol,
 )
+from hodp import terms
 from hodp.cli import main
 from hodp.closure import computability_closure, replay_derivation
 from hodp.engine import bounded_explore, ground_term, rewrite_steps, rewrite_successors
@@ -223,7 +224,9 @@ FRESH_FIELDS = {
     Arrow: lambda: (Base("Fresh"), Base("Fresh")),
     Var: lambda: ("fresh_var", N),
     Sym: lambda: ("fresh_sym", N),
-    App: lambda: (Sym("fresh_fun", NN), Var("fresh_var", N)),
+    # it holds a binder: an application of binder-free parts is its own
+    # canonical form from the start (see test_only_a_binder_free_application_is_marked)
+    App: lambda: (Lam(Var("fresh_var", N), Var("fresh_var", N)), Var("fresh_var", N)),
     Lam: lambda: (Var("fresh_var", N), Sym("fresh_sym", N)),
 }
 DERIVED_SLOTS = [
@@ -251,6 +254,18 @@ class TestNodeConstruction:
     @pytest.mark.parametrize("cls, slot", DERIVED_SLOTS, ids=lambda x: getattr(x, "__name__", x))
     def test_a_fresh_node_derives_nothing(self, cls, slot):
         assert getattr(cls(*FRESH_FIELDS[cls]()), slot) is None
+
+    def test_only_a_binder_free_application_is_marked(self):
+        """An application of symbols, variables and marked applications
+        reads the canonical marker as it is built; one that holds a binder
+        reads None until it is canonicalized."""
+        x, f = Var("marked_x", N), Sym("marked_f", Arrow(N, NN))
+        marked = [App(S, x), App(App(f, x), ZERO), App(S, App(App(f, App(S, x)), x))]
+        ident = Lam(x, x)
+        unmarked = [App(ident, x), App(App(f, x), App(ident, ZERO)), App(Sym("marked_g", Arrow(NN, N)), ident)]
+        assert [t._canonical is terms.CANONICAL for t in marked] == [True] * 3
+        assert [t._canonical for t in unmarked] == [None] * 3
+        assert [alpha_canonical(t) is t for t in marked] == [True] * 3
 
     @pytest.mark.parametrize("cls, slot", DERIVED_SLOTS, ids=lambda x: getattr(x, "__name__", x))
     @pytest.mark.parametrize("write", [setattr, lambda node, slot, _: delattr(node, slot)],

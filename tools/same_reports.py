@@ -25,26 +25,35 @@ OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
   from the constant HO_SEED, under each flag set of HO_FLAG_SETS.  Their
   lambdas reach the ordering's binder clauses and the engine's beta
   steps, which the shipped systems and the bench manifests barely touch;
+- BINDER_SYSTEMS systems of `binder_ho_system` in tests/gen.py, from the
+  constant BINDER_SEED, under each flag set of HO_FLAG_SETS.  Their left
+  sides put a variable under a binder and their right sides hold beta
+  redexes, so their reports print beta witnesses, lam derivations and
+  beta steps, which no other generated system gives;
 - each of the WIDE_SYSTEMS of tests/gen.py under each flag set of
   WIDE_FLAG_SETS.  Their states have many successors each, so the order
-  in which exploration visits steps shows in the --dot graph; no state of
-  a bench instance has more than one.
+  in which exploration visits steps shows in the --dot graph, and a plain
+  run visits steps that exploration makes only as it backtracks; no
+  state of a bench instance has more than one.
 - CHAIN_SYSTEMS chain systems of `chain_text` in tests/gen.py, of 5 and 6
   defined symbols in turn, every third with a lex head, from the constant
   CHAIN_SEED, under each flag set of CHAIN_FLAG_SETS.  Their certificates
   repeat witnesses at several depths, which each report prints once and
   re-indents, so this compares that printing without the bench manifests.
 
-Apart from ARGV_EDGES, a run is `hodp.cli.main(["check", FILE, *flags])`,
-with `--dot` added when the flags hold `--disprove`.  Each tree does all its runs in one Python
-subprocess started with -B, so neither tree gets bytecode written into it,
-and both run in one temporary directory, where the mutants, the typed
-rule lines, the higher-order, wide and chain systems are written.
+Apart from ARGV_EDGES, a run is `hodp.cli.main(["check", FILE, *flags])`;
+when the flags hold `--disprove` it is made twice, with `--dot` added and
+without it, since a graph asks exploration for every step of each state
+it expands, and a plain run only for those the search reaches.  Each
+tree does all its runs in one Python subprocess started with -B, so
+neither tree gets bytecode written into it, and both run in one
+temporary directory, where the mutants, the typed rule lines, the
+higher-order, binder, wide and chain systems are written.
 Stdout without its timing lines (the text `elapsed:` line and the JSON
 `"seconds"` line), stderr, the exit code and the --dot file are compared.
 The runs that differ are listed; the exit code is 1 if any do, else 0.
 Only the standard library is used, apart from tests/gen.py, which gives
-the typed rule lines, the higher-order, wide and chain systems and runs on
+the typed rule lines, the higher-order, binder, wide and chain systems and runs on
 the hodp of this checkout.
 """
 
@@ -60,6 +69,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from collections.abc import Iterable
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MAP = str(ROOT / "systems" / "map.hodp")
@@ -85,6 +95,8 @@ HO_SYSTEMS = 40
 # the explore budgets of tests/test_cli.py: under the default ones, some
 # generated systems grow until memory runs out
 HO_FLAG_SETS = (["--trace"], ["--json", "--disprove", "--explore-depth", "6", "--explore-nodes", "40"])
+BINDER_SEED = 1
+BINDER_SYSTEMS = 24
 # a depth at which the wide systems finish, in both report formats
 WIDE_FLAG_SETS = tuple(
     [report, "--disprove", "--explore-depth", "5", "--explore-nodes", "2000"]
@@ -149,14 +161,17 @@ def runs(manifest_dirs: list[str]) -> list[tuple[str, list[str]]]:
             swapped = [SWAPPED.get(f, f) for f in inst["flags"]]
             for flags in (inst["flags"], swapped):
                 out.append((f"{inst['name']} {' '.join(flags)}", [inst["file"], *flags]))
-    return [(f"hodp {shlex.join(argv)}", list(argv)) for argv in ARGV_EDGES] + [
-        (label, check_argv(argv)) for label, argv in out
-    ]
+    edges = [(f"hodp {shlex.join(argv)}", list(argv)) for argv in ARGV_EDGES]
+    return edges + [run for label, argv in out for run in check_runs(label, argv)]
 
 
-def check_argv(argv: list[str]) -> list[str]:
-    """`check` with argv, and with `--dot` when argv holds --disprove."""
-    return ["check", *argv, *(["--dot", "graph.dot"] if "--disprove" in argv else [])]
+def check_runs(label: str, argv: list[str]) -> list[tuple[str, list[str]]]:
+    """(label, argv) of `check` with argv, and, when argv holds --disprove,
+    of `check` with argv and `--dot` too."""
+    out = [(label, ["check", *argv])]
+    if "--disprove" in argv:
+        out.append((f"{label} --dot graph.dot", ["check", *argv, "--dot", "graph.dot"]))
+    return out
 
 
 def mutate(text: str, rng: random.Random) -> str:
@@ -210,51 +225,57 @@ def typed_runs(directory: str) -> list[tuple[str, list[str]]]:
     return out
 
 
+def written_runs(directory: str, systems: Iterable[tuple[str, str]], flag_sets) -> list[tuple[str, list[str]]]:
+    """Writes each (name, text) of systems into directory and returns
+    (label, argv) of its runs under flag_sets, which name it relative to
+    directory."""
+    out = []
+    for name, text in systems:
+        (pathlib.Path(directory) / name).write_text(text, encoding="utf-8")
+        for flags in flag_sets:
+            out += check_runs(f"{name} {' '.join(flags)}", [name, *flags])
+    return out
+
+
 def ho_runs(directory: str) -> list[tuple[str, list[str]]]:
-    """Writes the higher-order systems into directory and returns (label,
-    argv) of their runs, which name them relative to it."""
+    """The runs of the higher-order systems, written into directory."""
     _import_tests()
     from gen import random_ho_system, system_text
 
-    rng, out = random.Random(HO_SEED), []
-    for k in range(HO_SYSTEMS):
-        name = f"ho{k}.hodp"
-        text = system_text(random_ho_system(rng))
-        (pathlib.Path(directory) / name).write_text(text, encoding="utf-8")
-        for flags in HO_FLAG_SETS:
-            out.append((f"{name} {' '.join(flags)}", check_argv([name, *flags])))
-    return out
+    rng = random.Random(HO_SEED)
+    systems = ((f"ho{k}.hodp", system_text(random_ho_system(rng))) for k in range(HO_SYSTEMS))
+    return written_runs(directory, systems, HO_FLAG_SETS)
+
+
+def binder_runs(directory: str) -> list[tuple[str, list[str]]]:
+    """The runs of the binder systems, written into directory."""
+    _import_tests()
+    from gen import binder_ho_system, system_text
+
+    rng = random.Random(BINDER_SEED)
+    systems = ((f"binder{k}.hodp", system_text(binder_ho_system(rng))) for k in range(BINDER_SYSTEMS))
+    return written_runs(directory, systems, HO_FLAG_SETS)
 
 
 def wide_runs(directory: str) -> list[tuple[str, list[str]]]:
-    """Writes the wide systems into directory and returns (label, argv) of
-    their runs, which name them relative to it."""
+    """The runs of the wide systems, written into directory."""
     _import_tests()
     from gen import WIDE_SYSTEMS
 
-    out = []
-    for stem, text in WIDE_SYSTEMS.items():
-        name = f"wide-{stem}.hodp"
-        (pathlib.Path(directory) / name).write_text(text, encoding="utf-8")
-        for flags in WIDE_FLAG_SETS:
-            out.append((f"{name} {' '.join(flags)}", check_argv([name, *flags])))
-    return out
+    systems = ((f"wide-{stem}.hodp", text) for stem, text in WIDE_SYSTEMS.items())
+    return written_runs(directory, systems, WIDE_FLAG_SETS)
 
 
 def chain_runs(directory: str) -> list[tuple[str, list[str]]]:
-    """Writes the chain systems into directory and returns (label, argv) of
-    their runs, which name them relative to it."""
+    """The runs of the chain systems, written into directory."""
     _import_tests()
     from gen import chain_text
 
-    rng, out = random.Random(CHAIN_SEED), []
-    for k in range(CHAIN_SYSTEMS):
-        name = f"chain{k}.hodp"
-        text = chain_text(rng, 5 + k % 2, lex=k % 3 == 2)
-        (pathlib.Path(directory) / name).write_text(text, encoding="utf-8")
-        for flags in CHAIN_FLAG_SETS:
-            out.append((f"{name} {' '.join(flags)}", check_argv([name, *flags])))
-    return out
+    rng = random.Random(CHAIN_SEED)
+    systems = (
+        (f"chain{k}.hodp", chain_text(rng, 5 + k % 2, lex=k % 3 == 2)) for k in range(CHAIN_SYSTEMS)
+    )
+    return written_runs(directory, systems, CHAIN_FLAG_SETS)
 
 
 def run_tree(src: str, argvs: list[list[str]], cwd: str) -> list[list]:
@@ -289,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as cwd:
         labelled = runs(args.manifest_dirs) + mutant_runs(cwd) + typed_runs(cwd)
-        labelled += ho_runs(cwd) + wide_runs(cwd) + chain_runs(cwd)
+        labelled += ho_runs(cwd) + binder_runs(cwd) + wide_runs(cwd) + chain_runs(cwd)
         argvs = [argv for _, argv in labelled]
         old, new = run_tree(args.old_src, argvs, cwd), run_tree(args.new_src, argvs, cwd)
     fields = ("stdout", "stderr", "exit code", "dot")
