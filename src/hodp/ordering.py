@@ -352,31 +352,59 @@ def _symbol_arity(sig: Signature, name: str) -> int:
     return len(args)
 
 
-def _status_rows(rows: list, vary: tuple[str, ...]) -> list[tuple]:
-    """Per row, flat for the status loop: its position, the row, its cross
-    edges and outcomes, and each left symbol's index in vary, or len(vary)."""
-    return [
+class _StatusRows(NamedTuple):
+    """A search's rows as its status loop reads them (see _first_assignment)."""
+
+    rows: list  # see _rows
+    # per row: its position, the row, its cross edges and outcomes, and each
+    # left symbol's index in vary, or len(vary)
+    flat: list
+    # per assignment of vary the loop has reached, in the order it tries
+    # them: per row, its status view, None until the loop first reaches the
+    # row under that assignment; or None, if no later order reads them
+    by_assignment: list | None
+
+
+def _status_rows(rows: list, vary: tuple[str, ...], keep: bool) -> _StatusRows:
+    """The rows of a search for its status loop.  Status views are kept
+    only if keep: in one order the loop reaches a row at most once per
+    assignment, so only later orders read a view again, and the kept
+    views of a row grow as 2^len(vary)."""
+    flat = [
         (i, row, row[3], row[4], tuple(vary.index(n) if n in vary else len(vary) for n in row[1]))
         for i, row in enumerate(rows)
     ]
+    return _StatusRows(rows, flat, [] if keep else None)
 
 
-def _first_assignment(loop: list, vary: tuple[str, ...], view, edges) -> Precedence | None:
+def _first_assignment(loop: _StatusRows, vary: tuple[str, ...], view, edges) -> Precedence | None:
     """The first status assignment of vary (multiset first) under which
     every constraint of loop (see _status_rows) holds, as a Precedence, in
     an order whose edge set is edges() and in which a constraint's edge
     view is view(cross).  Edge views are built once per order, when first
-    needed, and status views per assignment as _decide builds them, so the
-    look-ups use the keys _decide writes.  A Precedence is built only on a
-    miss, which _decide fills, or for the result."""
-    views = [None] * len(loop)
-    for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
+    needed, and status views, if loop keeps them, once per search, the
+    first time the loop reaches a row under an assignment, as _decide
+    builds them, so the look-ups use the keys _decide writes.  A
+    Precedence is built only on a miss, which _decide fills, or for the
+    result."""
+    flat, tables = loop.flat, loop.by_assignment
+    edge_views = [None] * len(flat)
+    for a, combo in enumerate(itertools.product(("mul", "lex"), repeat=len(vary))):
+        if tables is None:
+            status_views = [None] * len(flat)
+        else:
+            if a == len(tables):
+                tables.append([None] * len(flat))
+            status_views = tables[a]
         statuses = combo + ("mul",)
         prec = None
-        for i, row, cross, outcomes, index in loop:
-            if views[i] is None:
-                views[i] = view(cross)
-            w = outcomes.get((views[i], tuple([statuses[j] for j in index])), False)
+        for i, row, cross, outcomes, index in flat:
+            if edge_views[i] is None:
+                edge_views[i] = view(cross)
+            status_view = status_views[i]
+            if status_view is None:
+                status_view = status_views[i] = tuple([statuses[j] for j in index])
+            w = outcomes.get((edge_views[i], status_view), False)
             if w is False:
                 prec = prec or Precedence(edges(), dict(zip(vary, combo)))
                 w = _decide(row, prec)
@@ -392,18 +420,18 @@ def check_with_statuses(
     pairs: tuple[DepPair, ...],
     edges: frozenset[tuple[str, str]],
     vary: tuple[str, ...],
-    rows: list | None = None,
+    loop: _StatusRows | None = None,
 ) -> ConstraintCheck:
     """Fixed edge set, every status assignment of the symbols in vary
     (multiset first), in the status loop of the search (see
-    _first_assignment), with outcomes shared in rows (see _decide).
-    Without a certificate, no violations are listed."""
-    rows = _rows(system, pairs) if rows is None else rows
-    loop = _status_rows(rows, vary)
+    _first_assignment), over loop, that of the calling search, or a fresh
+    one that keeps no status views (see _status_rows).  Without a
+    certificate, no violations are listed."""
+    loop = _status_rows(_rows(system, pairs), vary, False) if loop is None else loop
     prec = _first_assignment(loop, vary, lambda cross: cross & edges, lambda: edges)
     if prec is None:
         return ConstraintCheck(None, ())
-    return check_constraints(system, pairs, prec, rows)
+    return check_constraints(system, pairs, prec, loop.rows)
 
 
 def search_certificate(
@@ -424,10 +452,12 @@ def search_certificate(
     has one row per search, built from one walk of its sides, whose outcome
     table every candidate shares and which is dropped on return (see _rows
     and _decide); the flat rows of the status loop are built from them once,
-    before the enumeration (see _status_rows).  Per order, a constraint's
-    edge view is built once, the first time it is needed, from the chain's
-    positions; per candidate, what remains is a status view and a look-up
-    for each constraint up to the first that fails (see _first_assignment).
+    before the hint check and the enumeration, which share them with their
+    status views, kept only if the enumeration may follow, within the
+    symbol limit (see _status_rows).  Per order, a constraint's edge view is
+    built once, the first time it is needed, from the chain's positions;
+    per candidate, what remains is one look-up for each constraint up to
+    the first that fails (see _first_assignment).
     Without a certificate, the violations are those of the hints under
     multiset statuses, and none when no hints were given.  Raises LimitError
     if the constraints mention more symbols than max_symbols.
@@ -439,8 +469,9 @@ def search_certificate(
     vary = tuple(n for n in defined if _symbol_arity(system.signature, n) >= 2)
     failed = ConstraintCheck(None, ())
     closed = transitive_closure(hints)
+    loop = _status_rows(rows, vary, len(syms) <= max_symbols)
     if hints:
-        found = check_with_statuses(system, pairs, closed, vary, rows)
+        found = check_with_statuses(system, pairs, closed, vary, loop)
         if found.certificate is not None:
             return found
         failed = check_constraints(system, pairs, Precedence(closed), rows)
@@ -451,7 +482,6 @@ def search_certificate(
             f"{len(syms)} constraint symbols exceed the search limit of {max_symbols}"
         )
     required = tuple((a, b) for a, b in closed if a in syms and b in syms)
-    loop = _status_rows(rows, vary)
     top = set(defined)
     chains = itertools.chain(
         (

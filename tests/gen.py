@@ -547,7 +547,7 @@ WIDE_SYSTEMS = {
 }
 
 
-def chain_text(rng: random.Random, k: int, lex: bool = False) -> str:
+def chain_text(rng: random.Random, k: int, lex: bool = False, binary: int = 0) -> str:
     """A system of k defined symbols over z and s, each calling the next:
     f (s X) -> g (f X) and f z -> z, the last calling s.  Only the calling
     order, above s, orients it, so each certificate repeats the witness of
@@ -555,22 +555,40 @@ def chain_text(rng: random.Random, k: int, lex: bool = False) -> str:
     several depths.  The names are seeded, and so is the rank, below 4!,
     of the calling order among the permutations of the sorted names, so
     that certificate search meets it among its first candidates.  A lex
-    head takes two arguments and needs lexicographic status."""
+    head takes two arguments and needs lexicographic status: with lex, the
+    first symbol is one.  With binary, at least 2, that many symbols at
+    seeded places take two arguments, a seeded number of them, at least
+    one, lex heads and the others heads that hold under either status, so
+    the assignment of the certificate is neither the first nor the last
+    that the search tries; a call of a two-argument head passes its
+    argument twice."""
     names = sorted(rng.sample([a + b for a in "fghk" for b in "aeiou"], k))
     rank, order = rng.randrange(24), []
     for i in range(k, 0, -1):
         pick, rank = divmod(rank, math.factorial(i - 1))
         order.append(names.pop(pick))
+    kinds = ["lex" if i == 0 and lex else "unary" for i in range(k)]
+    if binary:
+        places, needs_lex = rng.sample(range(k), binary), rng.randint(1, binary - 1)
+        for n, i in enumerate(places):
+            kinds[i] = "lex" if n < needs_lex else "either"
     decls, rules = ["sort N", "z : N", "s : N -> N"], []
     for i, f in enumerate(order):
         call = order[i + 1] if i + 1 < k else "s"
-        if i == 0 and lex:
-            decls.append(f"{f} : N -> N -> N")
-            rules += [f"{f} z Y -> {call} Y", f"{f} (s X) z -> {f} X (s z)"]
-            rules.append(f"{f} (s X) (s Y) -> {f} X ({f} (s X) Y)")
+        if i + 1 < k and kinds[i + 1] != "unary":
+            call = f"{call} {{0}} {{0}}"
         else:
+            call += " {0}"
+        if kinds[i] == "unary":
             decls.append(f"{f} : N -> N")
-            rules += [f"{f} z -> z", f"{f} (s X) -> {call} ({f} X)"]
+            rules += [f"{f} z -> z", f"{f} (s X) -> " + call.format(f"({f} X)")]
+            continue
+        decls.append(f"{f} : N -> N -> N")
+        rules.append(f"{f} z Y -> " + call.format("Y"))
+        if kinds[i] == "lex":
+            rules += [f"{f} (s X) z -> {f} X (s z)", f"{f} (s X) (s Y) -> {f} X ({f} (s X) Y)"]
+        else:
+            rules.append(f"{f} (s X) Y -> " + call.format(f"({f} X Y)"))
     lines = decls + [f"rule {r}" for r in rules]
     return "\n".join(lines) + "\n"
 

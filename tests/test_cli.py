@@ -36,15 +36,21 @@ def path(name: str) -> str:
     return str(SYSTEMS_DIR / f"{name}.hodp")
 
 
-def run_hash_seeded(seed: str, *argv: str) -> subprocess.CompletedProcess:
-    """`python -m hodp.cli` in a fresh interpreter under the given hash seed."""
+def run_module(module: str, *argv: str, **env: str) -> subprocess.CompletedProcess:
+    """`python -m module` in a fresh interpreter, with env added to its
+    environment."""
     src = str(SYSTEMS_DIR.parent / "src")
-    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "hodp.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env, check=False,
     )
+
+
+def run_hash_seeded(seed: str, *argv: str) -> subprocess.CompletedProcess:
+    """`python -m hodp.cli` in a fresh interpreter under the given hash seed."""
+    return run_module("hodp.cli", *argv, PYTHONHASHSEED=seed)
 
 
 def run_with_hash_seed(seed: str, *argv: str) -> tuple[int, str]:
@@ -431,6 +437,27 @@ class TestDeterminism:
             second = run_with_hash_seed("1", *argv)
             assert first[0] == 0, system.name
             assert first == second, system.name
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", path("map"), "--trace"),
+            ("check", path("foldr"), "--json", "--disprove"),
+            ("check", path("map"), "--max-symbols", "1"),
+            ("check", "no-such-file.hodp"),
+            ("check", path("map"), "--unknown"),
+        ],
+    )
+    def test_python_m_hodp_runs_the_command_line(self, argv):
+        """`python -m hodp` prints what `python -m hodp.cli` prints, on
+        both channels, and exits with its code."""
+        package, cli_module = run_module("hodp", *argv), run_module("hodp.cli", *argv)
+        assert package.returncode == cli_module.returncode
+        assert package.stderr == cli_module.stderr
+        untimed = same_reports_tool().untimed
+        assert untimed(package.stdout) == untimed(cli_module.stdout)
 
 
 class TestByteOrderMark:

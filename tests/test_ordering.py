@@ -2,13 +2,17 @@
 
 import collections
 import itertools
+import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 
 from conftest import SYSTEMS_DIR, load_system
 from gen import (
     GEN_SYMBOLS,
+    chain_text,
     positions,
     precedence,
     random_fo_trs,
@@ -83,9 +87,9 @@ def _foldr_system(size):
     return parse_system(text + FOLDR_EXTRAS.get(size, ""))
 
 
-def _exhausting_foldr_counts(calls):
-    """By the number of symbols: how many items the foldr search of that
-    size, which finds no certificate, appends to calls."""
+def _exhausting_foldr_counts(calls, count=len):
+    """By the number of symbols: count of the items the foldr search of
+    that size, which finds no certificate, appends to calls."""
     counts = {}
     for size in (3, *FOLDR_EXTRAS):
         system = _foldr_system(size)
@@ -93,8 +97,16 @@ def _exhausting_foldr_counts(calls):
         assert len(constraint_symbols(system, pairs)) == size
         calls.clear()
         assert search_certificate(system, pairs).certificate is None
-        counts[size] = len(calls)
+        counts[size] = count(calls)
     return counts
+
+
+def _two_argument_chains():
+    """Twelve seeded chain systems of 4 or 5 defined symbols, 2 or 3 of
+    which take two arguments: lex heads and heads that hold under either
+    status."""
+    rng = random.Random(3005)
+    return [parse_system(chain_text(rng, 4 + k % 2, binary=2 + k % 2)) for k in range(12)]
 
 
 def _fixed_point_closure(pairs):
@@ -464,6 +476,51 @@ class TestSearch:
                 shared = check_constraints(system, pairs, prec, rows=rows)
                 assert shared == check_constraints(system, pairs, prec), (chain, combo)
 
+    def test_shared_status_views_match_fresh_checks(self):
+        """One status loop, with the status views it keeps, serves every
+        order of a search; under each order its first assignment must be
+        the one that checks on their own find first.  On the chains with
+        two-argument heads that assignment is neither the first nor the
+        last, so a view filed under another assignment changes it.  The
+        orders are the certificate's chain, that chain with two
+        neighbours swapped, and a few that fail."""
+        for system in _two_argument_chains():
+            pairs = extract_pairs(system)
+            syms = constraint_symbols(system, pairs)
+            vary = tuple(_old_status_candidates(system, pairs))
+            cert = search_certificate(system, pairs).certificate
+            closed = transitive_closure(cert.edges)
+            chain = sorted(syms, key=lambda n: -sum(a == n for a, _ in closed))
+            chains = [chain, chain[::-1], sorted(syms), ()]
+            for i in range(len(chain) - 1):
+                chains.append(chain[:i] + [chain[i + 1], chain[i]] + chain[i + 2 :])
+            loop = ordering._status_rows(ordering._rows(system, pairs), vary, True)
+            for order in chains:
+                edges = frozenset(itertools.combinations(order, 2))
+                shared = check_with_statuses(system, pairs, edges, vary, loop)
+                assert shared.certificate == _old_check_with_statuses(system, pairs, edges), order
+            statuses = {status for name, status in cert.statuses if name in vary}
+            assert statuses == {"mul", "lex"}, cert.statuses
+
+    def test_a_hint_check_beyond_the_limit_keeps_no_status_views(self):
+        """Beyond the symbol limit the hint check is the only order a
+        search tries, so no status view it builds is read again; kept,
+        they would take memory in 2^k for k varying statuses.  Ten
+        two-argument symbols and a rule that fails under every status
+        make the check try all 1,024 assignments."""
+        decls = "".join(f"f{i} : N -> N -> N\n" for i in range(10))
+        rules = "".join(f"rule f{i} X Y -> X\n" for i in range(10))
+        system = parse_system("sort N\nz : N\ns : N -> N\n" + decls + rules + "rule f0 z Y -> f0 (s z) Y\n")
+        pairs = extract_pairs(system)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitError):
+                search_certificate(system, pairs, hints=(("f0", "f1"),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000, peak
+
     @pytest.mark.parametrize("name", sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp")))
     def test_a_search_walks_each_side_once(self, name, monkeypatch):
         """One search, with or without a hint check, walks every side of
@@ -503,6 +560,43 @@ class TestSearch:
         )
         counts = _exhausting_foldr_counts(built)
         assert set(counts.values()) == {counts[3]}, counts
+
+    def test_the_status_loop_makes_no_call_per_assignment(self, monkeypatch):
+        """Counted with sys.setprofile, so without a clock.  Each order of
+        an exhausting foldr search reaches two constraints, as the first
+        rule holds and the second fails, under every status assignment.
+        The Python-level calls the status loop makes are an edge view per
+        order and constraint, a status view per constraint and assignment
+        once per search, and a Precedence, its edges and a decision per
+        miss: none per assignment tried, though 6 to 5,040 orders try
+        every one."""
+        first_assignment = ordering._first_assignment
+        calls = []
+
+        def profiled(loop, vary, view, edges):
+            miss = {edges.__code__, ordering._decide.__code__, Precedence.__init__.__code__}
+
+            def record(frame, event, arg):
+                if event == "call" and frame.f_back.f_code is first_assignment.__code__:
+                    code = frame.f_code
+                    calls.append("view" if code is view.__code__ else "miss" if code in miss else "status")
+
+            calls.append("order")
+            sys.setprofile(record)
+            try:
+                return first_assignment(loop, vary, view, edges)
+            finally:
+                sys.setprofile(None)
+
+        monkeypatch.setattr(ordering, "_first_assignment", profiled)
+        counts = _exhausting_foldr_counts(calls, collections.Counter)
+        # foldr's status varies; at seven symbols, plus's too
+        assignments = {3: 2, 5: 2, 6: 2, 7: 4}
+        for size, seen in counts.items():
+            assert seen["order"] == math.factorial(size), size
+            assert seen["view"] == 2 * seen["order"], size
+            assert seen["status"] == 2 * assignments[size], size
+        assert len({seen["miss"] for seen in counts.values()}) == 1, counts
 
     def test_no_comparison_is_made_twice_under_one_precedence(self, monkeypatch):
         """Every rule and pair shares one memo of comparisons per
@@ -660,6 +754,12 @@ class TestSearchOracle:
         """foldr's status varies, and no order orients its first rule, so
         both searches try every candidate."""
         _assert_same_stage(_foldr_system(size))
+
+    def test_chains_with_two_argument_heads_agree(self):
+        """Their certificates take lex for some two-argument heads and mul
+        for the others, an assignment in the middle of the status loop."""
+        for system in _two_argument_chains():
+            _assert_same_stage(system)
 
     def test_generated_systems_agree(self):
         rng = random.Random(1804)

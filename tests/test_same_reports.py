@@ -27,7 +27,8 @@ def _runs_per_system(flag_sets) -> int:
 HO_RUNS = same_reports_tool().HO_SYSTEMS * _runs_per_system(same_reports_tool().HO_FLAG_SETS)
 BINDER_RUNS = same_reports_tool().BINDER_SYSTEMS * _runs_per_system(same_reports_tool().HO_FLAG_SETS)
 WIDE_RUNS = len(WIDE_SYSTEMS) * _runs_per_system(same_reports_tool().WIDE_FLAG_SETS)
-CHAIN_RUNS = same_reports_tool().CHAIN_SYSTEMS * _runs_per_system(same_reports_tool().CHAIN_FLAG_SETS)
+# two families of chain systems: with at most one two-argument head, and with 2 or 3
+CHAIN_RUNS = 2 * same_reports_tool().CHAIN_SYSTEMS * _runs_per_system(same_reports_tool().CHAIN_FLAG_SETS)
 ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS + TYPED_RUNS + HO_RUNS + BINDER_RUNS + WIDE_RUNS + CHAIN_RUNS
 
 

@@ -36,10 +36,14 @@ OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
   run visits steps that exploration makes only as it backtracks; no
   state of a bench instance has more than one.
 - CHAIN_SYSTEMS chain systems of `chain_text` in tests/gen.py, of 5 and 6
-  defined symbols in turn, every third with a lex head, from the constant
-  CHAIN_SEED, under each flag set of CHAIN_FLAG_SETS.  Their certificates
-  repeat witnesses at several depths, which each report prints once and
-  re-indents, so this compares that printing without the bench manifests.
+  defined symbols in turn, every third with a lex head, then CHAIN_SYSTEMS
+  more with 2 and 3 two-argument heads in turn, some of them lex heads
+  and the others heads that hold under either status, all from the
+  constant CHAIN_SEED, under each flag set of CHAIN_FLAG_SETS.  Their
+  certificates repeat witnesses at several depths, which each report
+  prints once and re-indents, so this compares that printing without the
+  bench manifests; those of the second family take a status assignment
+  that the search reaches neither first nor last.
 
 Apart from ARGV_EDGES, a run is `hodp.cli.main(["check", FILE, *flags])`;
 when the flags hold `--disprove` it is made twice, with `--dot` added and
@@ -272,9 +276,10 @@ def chain_runs(directory: str) -> list[tuple[str, list[str]]]:
     from gen import chain_text
 
     rng = random.Random(CHAIN_SEED)
-    systems = (
-        (f"chain{k}.hodp", chain_text(rng, 5 + k % 2, lex=k % 3 == 2)) for k in range(CHAIN_SYSTEMS)
-    )
+    systems = [(f"chain{k}.hodp", chain_text(rng, 5 + k % 2, lex=k % 3 == 2)) for k in range(CHAIN_SYSTEMS)]
+    systems += [
+        (f"chain-binary{k}.hodp", chain_text(rng, 5 + k % 2, binary=2 + k % 2)) for k in range(CHAIN_SYSTEMS)
+    ]
     return written_runs(directory, systems, CHAIN_FLAG_SETS)
 
 
