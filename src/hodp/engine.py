@@ -227,16 +227,6 @@ class Successors(NamedTuple):
     __call__ = steps
 
 
-def rewrite_successors(system: RewriteSystem, table: RedexTable) -> Successors:
-    return Successors(system, None, True, table)
-
-
-def chain_successors(
-    system: RewriteSystem, pairs: tuple[DepPair, ...], include_beta: bool, table: RedexTable
-) -> Successors:
-    return Successors(system, pairs, include_beta, table)
-
-
 # -------------------------------------------------------------- exploration
 
 

@@ -9,8 +9,9 @@ every beta reduct of the left side.  The weak order is its reflexive
 closure: alpha-equal or strictly greater.  A certificate records a
 precedence, statuses for the defined symbols, and a replayable witness per
 constraint; only precedence edges actually used by some witness are kept.
-Under one precedence, every rule and pair shares one memo of comparisons,
-keyed on the two terms as built (see PathOrder).
+A PathOrder holds one precedence, as a transitively closed edge set, with
+its statuses; every rule and pair compared under it shares one memo of
+comparisons, keyed on the two terms as built.
 """
 
 from __future__ import annotations
@@ -61,21 +62,6 @@ def transitive_closure(pairs) -> frozenset[tuple[str, str]]:
     return frozenset(edges)
 
 
-class Precedence:
-    __slots__ = ("edges", "statuses", "memo")
-
-    def __init__(self, edges: frozenset[tuple[str, str]], statuses: dict[str, str] | None = None):
-        self.edges = edges  # transitively closed, irreflexive
-        self.statuses = {} if statuses is None else statuses  # 'lex' | 'mul'
-        self.memo: dict[tuple[Term, Term], GtTrace | None] = {}  # (s, t) -> outcome, see PathOrder
-
-    def greater(self, f: str, g: str) -> bool:
-        return (f, g) in self.edges
-
-    def status(self, f: str) -> str:
-        return self.statuses.get(f, "mul")
-
-
 class GtTrace(NamedTuple):
     """Evidence for one successful comparison.
 
@@ -89,30 +75,39 @@ class GtTrace(NamedTuple):
 
 
 class PathOrder:
-    """Strict comparison under a fixed precedence, memoized in the
-    precedence's memo on the two terms as built.  Terms are interned, so
-    the key is exact, and a witness, binder names included, depends only
-    on the two terms and the precedence: every rule and pair compared
-    under one precedence shares the memo."""
+    """A precedence with statuses, and strict comparison under it.
 
-    def __init__(self, prec: Precedence):
-        self.prec = prec
-        self._memo = prec.memo
+    edges is transitively closed and irreflexive; a symbol has the
+    multiset status unless statuses names it.  Comparisons are memoized in
+    memo on the two terms as built.  Terms are interned, so the key is
+    exact, and a witness, binder names included, depends only on the two
+    terms and the order: every rule and pair compared under one order
+    shares the memo."""
+
+    __slots__ = ("edges", "statuses", "memo")
+
+    def __init__(self, edges: frozenset[tuple[str, str]], statuses: dict[str, str] | None = None):
+        self.edges = edges
+        self.statuses = {} if statuses is None else statuses  # 'lex' | 'mul'
+        self.memo: dict[tuple[Term, Term], GtTrace | None] = {}
+
+    def status(self, f: str) -> str:
+        return self.statuses.get(f, "mul")
 
     def greater(self, s: Term, t: Term) -> GtTrace | None:
         if isinstance(s, Var):
             return None  # no clause applies to a variable on the left
         key = (s, t)
-        hit = self._memo.get(key, False)
+        hit = self.memo.get(key, False)
         if hit is not False:
             return hit
         # a reentrant query would read this placeholder, a failed comparison;
         # none occurs, as each recursive call shrinks the pair: it takes a
         # subterm of either side or a beta reduct of the left, and simply
         # typed beta reduction terminates
-        self._memo[key] = None
+        self.memo[key] = None
         result = self._greater(s, t)
-        self._memo[key] = result
+        self.memo[key] = result
         return result
 
     def _greater(self, s: Term, t: Term) -> GtTrace | None:
@@ -127,12 +122,12 @@ class PathOrder:
                     return GtTrace("subterm", (i,), (leg,))
             thead, targs = spine(t)
             if isinstance(thead, Sym):
-                if self.prec.greater(head.name, thead.name):
+                if (head.name, thead.name) in self.edges:
                     legs = self._covers(s, args, targs)
                     if legs is not None:
                         return GtTrace("precedence", (head.name, thead.name), legs)
                 elif thead == head and len(args) == len(targs):
-                    status = self.prec.status(head.name)
+                    status = self.status(head.name)
                     ext = (
                         self._lex(args, targs)
                         if status == "lex"
@@ -278,39 +273,51 @@ def term_symbols(t: Term) -> frozenset[str]:
     return term_symbols(t.body)
 
 
+def _vary(sig: Signature) -> tuple[str, ...]:
+    """The symbols whose status can matter, in name order: the defined
+    ones with at least two arguments.  Each heads a rule, so each is a
+    constraint symbol."""
+    return tuple(n for n in sorted(sig.defined) if len(flatten_type(sig.symbols[n])[0]) >= 2)
+
+
 def _rows(system: RewriteSystem, pairs: tuple[DepPair, ...]) -> list[tuple]:
-    """One row per rule, then per pair: the constraint as the Violation it
-    would be, its left symbols, all its symbols, its cross edges from a
-    left symbol to a right one, and its table of outcomes (see _decide).
-    Each side is walked for its symbols once."""
+    """One row per rule, then per pair: its position, the constraint as
+    the Violation it would be, its left symbols, all its symbols, its
+    cross edges from a left symbol to a right one, its table of outcomes
+    (see _decide), and each left symbol's index in _vary, or the length of
+    _vary (see _first_assignment).  Each side is walked for its symbols
+    once."""
+    vary = _vary(system.signature)
     rows = []
     for kind, constraints in (("rule", system.rules), ("pair", pairs)):
         for c in constraints:
             left, right = term_symbols(c.lhs), term_symbols(c.rhs)
             cross = frozenset(itertools.product(left, right))
-            rows.append((Violation(kind, c.name, c.lhs, c.rhs), tuple(left), left | right, cross, {}))
+            names = tuple(left)
+            index = tuple(vary.index(n) if n in vary else len(vary) for n in names)
+            v = Violation(kind, c.name, c.lhs, c.rhs)
+            rows.append((len(rows), v, names, left | right, cross, {}, index))
     return rows
 
 
 def _symbols(rows) -> tuple[str, ...]:
-    return tuple(sorted(frozenset().union(*(row[2] for row in rows))))
+    return tuple(sorted(frozenset().union(*(row[3] for row in rows))))
 
 
-def _decide(row: tuple, prec: Precedence) -> GtTrace | None:
+def _decide(row: tuple, order: PathOrder) -> GtTrace | None:
     """A rule's weak witness or a pair's strict one, None if there is none.
 
     Each comparison it makes has a left side built from lhs and a right
     side built from rhs, so it reads only edges from a symbol of lhs to
     one of rhs and statuses of symbols of lhs.  The row's table, which
     every candidate of one search shares, keeps the outcome under exactly
-    those, whatever the rest: under the edge view (the cross edges in
-    prec) and the status view (the statuses of the left symbols).  Every
-    comparison goes through the memo of prec (see PathOrder)."""
-    c, left, _, cross, outcomes = row
-    key = (cross & prec.edges, tuple(map(prec.status, left)))
+    those, whatever the rest: under the edge view (the cross edges in the
+    order's edges) and the status view (the statuses of the left
+    symbols).  Every comparison goes through the memo of order."""
+    _, c, left, _, cross, outcomes, _ = row
+    key = (cross & order.edges, tuple(map(order.status, left)))
     w = outcomes.get(key, False)
     if w is False:
-        order = PathOrder(prec)
         w = weakly_decreases(c.lhs, c.rhs, order) if c.kind == "rule" else order.greater(c.lhs, c.rhs)
         outcomes[key] = w
     return w
@@ -319,11 +326,11 @@ def _decide(row: tuple, prec: Precedence) -> GtTrace | None:
 def check_constraints(
     system: RewriteSystem,
     pairs: tuple[DepPair, ...],
-    prec: Precedence,
+    order: PathOrder,
     rows: list | None = None,
 ) -> ConstraintCheck:
     """Every rule must weakly decrease and every pair strictly decrease
-    under the given precedence.  On success the returned certificate keeps
+    under the given order.  On success the returned certificate keeps
     only the precedence edges some witness used.  Outcomes come from rows,
     those of the calling search, or fresh ones (see _rows and _decide)."""
     rows = _rows(system, pairs) if rows is None else rows
@@ -331,7 +338,7 @@ def check_constraints(
     witnesses: dict[str, list] = {"rule": [], "pair": []}
     used: set[tuple[str, str]] = set()
     for row in rows:
-        c, w = row[0], _decide(row, prec)
+        c, w = row[1], _decide(row, order)
         if w is None:
             violations.append(c)
             continue
@@ -340,78 +347,52 @@ def check_constraints(
     if violations:
         return ConstraintCheck(None, tuple(violations))
     defined = [n for n in _symbols(rows) if n in system.signature.defined]
-    statuses = tuple((n, prec.status(n)) for n in defined)
+    statuses = tuple((n, order.status(n)) for n in defined)
     cert = Certificate(
         tuple(sorted(used)), statuses, tuple(witnesses["rule"]), tuple(witnesses["pair"])
     )
     return ConstraintCheck(cert, ())
 
 
-def _symbol_arity(sig: Signature, name: str) -> int:
-    args, _ = flatten_type(sig.symbols[name])
-    return len(args)
-
-
-class _StatusRows(NamedTuple):
-    """A search's rows as its status loop reads them (see _first_assignment)."""
-
-    rows: list  # see _rows
-    # per row: its position, the row, its cross edges and outcomes, and each
-    # left symbol's index in vary, or len(vary)
-    flat: list
-    # per assignment of vary the loop has reached, in the order it tries
-    # them: per row, its status view, None until the loop first reaches the
-    # row under that assignment; or None, if no later order reads them
-    by_assignment: list | None
-
-
-def _status_rows(rows: list, vary: tuple[str, ...], keep: bool) -> _StatusRows:
-    """The rows of a search for its status loop.  Status views are kept
-    only if keep: in one order the loop reaches a row at most once per
-    assignment, so only later orders read a view again, and the kept
-    views of a row grow as 2^len(vary)."""
-    flat = [
-        (i, row, row[3], row[4], tuple(vary.index(n) if n in vary else len(vary) for n in row[1]))
-        for i, row in enumerate(rows)
-    ]
-    return _StatusRows(rows, flat, [] if keep else None)
-
-
-def _first_assignment(loop: _StatusRows, vary: tuple[str, ...], view, edges) -> Precedence | None:
+def _first_assignment(
+    rows: list, vary: tuple[str, ...], edges: frozenset[tuple[str, str]], kept: list | None
+) -> PathOrder | None:
     """The first status assignment of vary (multiset first) under which
-    every constraint of loop (see _status_rows) holds, as a Precedence, in
-    an order whose edge set is edges() and in which a constraint's edge
-    view is view(cross).  Edge views are built once per order, when first
-    needed, and status views, if loop keeps them, once per search, the
-    first time the loop reaches a row under an assignment, as _decide
-    builds them, so the look-ups use the keys _decide writes.  A
-    Precedence is built only on a miss, which _decide fills, or for the
-    result."""
-    flat, tables = loop.flat, loop.by_assignment
-    edge_views = [None] * len(flat)
+    every constraint of rows holds with the precedence edges, as a
+    PathOrder.  A row's edge view, cross & edges, is taken once, the first
+    time it is needed.  Its status view under an assignment is built the
+    first time the loop reaches the row under it, and kept for later
+    orders if kept is a list: per assignment reached, in the order they
+    are tried, per row, its view or None.  In one order the loop reaches a
+    row at most once per assignment, so only later orders read a view
+    again, and the kept views of a row grow as 2^len(vary).  The views are
+    the keys _decide files under.  A PathOrder is built only on a miss,
+    which _decide fills, or for the result."""
+    edge_views = [None] * len(rows)
     for a, combo in enumerate(itertools.product(("mul", "lex"), repeat=len(vary))):
-        if tables is None:
-            status_views = [None] * len(flat)
+        if kept is None:
+            status_views = [None] * len(rows)
         else:
-            if a == len(tables):
-                tables.append([None] * len(flat))
-            status_views = tables[a]
+            if a == len(kept):
+                kept.append([None] * len(rows))
+            status_views = kept[a]
         statuses = combo + ("mul",)
-        prec = None
-        for i, row, cross, outcomes, index in flat:
-            if edge_views[i] is None:
-                edge_views[i] = view(cross)
+        order = None
+        for i, _, _, _, cross, outcomes, index in rows:
+            edge_view = edge_views[i]
+            if edge_view is None:
+                edge_view = edge_views[i] = cross & edges
             status_view = status_views[i]
             if status_view is None:
                 status_view = status_views[i] = tuple([statuses[j] for j in index])
-            w = outcomes.get((edge_views[i], status_view), False)
+            w = outcomes.get((edge_view, status_view), False)
             if w is False:
-                prec = prec or Precedence(edges(), dict(zip(vary, combo)))
-                w = _decide(row, prec)
+                order = order or PathOrder(edges, dict(zip(vary, combo)))
+                w = _decide(rows[i], order)
             if w is None:
                 break
         else:
-            return prec or Precedence(edges(), dict(zip(vary, combo)))
+            return order or PathOrder(edges, dict(zip(vary, combo)))
     return None
 
 
@@ -419,19 +400,18 @@ def check_with_statuses(
     system: RewriteSystem,
     pairs: tuple[DepPair, ...],
     edges: frozenset[tuple[str, str]],
-    vary: tuple[str, ...],
-    loop: _StatusRows | None = None,
+    rows: list | None = None,
+    kept: list | None = None,
 ) -> ConstraintCheck:
-    """Fixed edge set, every status assignment of the symbols in vary
-    (multiset first), in the status loop of the search (see
-    _first_assignment), over loop, that of the calling search, or a fresh
-    one that keeps no status views (see _status_rows).  Without a
-    certificate, no violations are listed."""
-    loop = _status_rows(_rows(system, pairs), vary, False) if loop is None else loop
-    prec = _first_assignment(loop, vary, lambda cross: cross & edges, lambda: edges)
-    if prec is None:
+    """Fixed edge set, every status assignment of _vary (multiset first),
+    in the status loop of the search (see _first_assignment), over rows
+    and the status views kept, those of the calling search, or fresh rows
+    and no kept views.  Without a certificate, no violations are listed."""
+    rows = _rows(system, pairs) if rows is None else rows
+    order = _first_assignment(rows, _vary(system.signature), edges, kept)
+    if order is None:
         return ConstraintCheck(None, ())
-    return check_constraints(system, pairs, prec, loop.rows)
+    return check_constraints(system, pairs, order, rows)
 
 
 def search_certificate(
@@ -451,13 +431,13 @@ def search_certificate(
     precedence, so searching total orders is complete.  Each rule and pair
     has one row per search, built from one walk of its sides, whose outcome
     table every candidate shares and which is dropped on return (see _rows
-    and _decide); the flat rows of the status loop are built from them once,
-    before the hint check and the enumeration, which share them with their
-    status views, kept only if the enumeration may follow, within the
-    symbol limit (see _status_rows).  Per order, a constraint's edge view is
-    built once, the first time it is needed, from the chain's positions;
-    per candidate, what remains is one look-up for each constraint up to
-    the first that fails (see _first_assignment).
+    and _decide).  Every candidate is a transitively closed edge set, the
+    hints' or a chain's, in the status loop of _first_assignment, which
+    the hint check and the enumeration share with its status views, kept
+    only if the enumeration may follow, within the symbol limit.  Per
+    order, a constraint's edge view is one set intersection, taken the
+    first time it is needed; per candidate, what remains is one look-up
+    for each constraint up to the first that fails.
     Without a certificate, the violations are those of the hints under
     multiset statuses, and none when no hints were given.  Raises LimitError
     if the constraints mention more symbols than max_symbols.
@@ -466,22 +446,22 @@ def search_certificate(
     syms = _symbols(rows)
     defined = tuple(n for n in syms if n in system.signature.defined)
     ctors = tuple(n for n in syms if n not in system.signature.defined)
-    vary = tuple(n for n in defined if _symbol_arity(system.signature, n) >= 2)
+    vary = _vary(system.signature)
     failed = ConstraintCheck(None, ())
     closed = transitive_closure(hints)
-    loop = _status_rows(rows, vary, len(syms) <= max_symbols)
+    kept = [] if len(syms) <= max_symbols else None
     if hints:
-        found = check_with_statuses(system, pairs, closed, vary, loop)
+        found = check_with_statuses(system, pairs, closed, rows, kept)
         if found.certificate is not None:
             return found
-        failed = check_constraints(system, pairs, Precedence(closed), rows)
+        failed = check_constraints(system, pairs, PathOrder(closed), rows)
     if not syms:
         return ConstraintCheck(Certificate((), (), (), ()), ())
     if len(syms) > max_symbols:
         raise LimitError(
             f"{len(syms)} constraint symbols exceed the search limit of {max_symbols}"
         )
-    required = tuple((a, b) for a, b in closed if a in syms and b in syms)
+    required = frozenset((a, b) for a, b in closed if a in syms and b in syms)
     top = set(defined)
     chains = itertools.chain(
         (
@@ -492,14 +472,9 @@ def search_certificate(
         (c for c in itertools.permutations(syms) if set(c[: len(defined)]) != top),
     )
     for chain in chains:
-        index = {n: i for i, n in enumerate(chain)}
-        if any(index[a] >= index[b] for a, b in required):
-            continue
-        prec = _first_assignment(
-            loop, vary,
-            lambda cross: frozenset([(a, b) for a, b in cross if index[a] < index[b]]),
-            lambda: frozenset(itertools.combinations(chain, 2)),
-        )
-        if prec is not None:
-            return check_constraints(system, pairs, prec, rows)
+        edges = frozenset(itertools.combinations(chain, 2))
+        if required <= edges:
+            order = _first_assignment(rows, vary, edges, kept)
+            if order is not None:
+                return check_constraints(system, pairs, order, rows)
     return failed

@@ -34,13 +34,7 @@ from collections.abc import Iterable
 from typing import NamedTuple
 
 from hodp.closure import Derivation, RuleAdmissibility, rule_admissibility
-from hodp.engine import (
-    Step,
-    bounded_explore,
-    chain_successors,
-    disprove_seeds,
-    rewrite_successors,
-)
+from hodp.engine import Step, Successors, bounded_explore, disprove_seeds
 from hodp.ordering import (
     Certificate,
     GtTrace,
@@ -120,8 +114,8 @@ def run_pipeline(system: RewriteSystem, options: Options | None = None) -> Analy
         table = {}  # the redex table both relations read
         bound = tuple(dp for dp in pairs if dp.check.variables_ok)
         for relation, successors in (
-            ("rewrite", rewrite_successors(system, table)),
-            ("chain", chain_successors(system, bound, options.internal_beta, table)),
+            ("rewrite", Successors(system, None, True, table)),
+            ("chain", Successors(system, bound, options.internal_beta, table)),
         ):
             for seed in seeds:
                 result = bounded_explore(

@@ -11,7 +11,7 @@ from typing import Iterable
 
 from hodp.engine import Step, ground_term
 from hodp.errors import TermError
-from hodp.ordering import Precedence, transitive_closure
+from hodp.ordering import PathOrder, transitive_closure
 from hodp.parser import parse_system
 from hodp.signature import RewriteSystem, Signature, build_system
 from hodp.terms import (
@@ -69,9 +69,10 @@ def symbol(sig: Signature, name: str) -> Sym:
     return Sym(name, sig.symbols[name])
 
 
-def precedence(pairs, statuses=()) -> Precedence:
-    """A precedence from edges that need not be transitively closed."""
-    return Precedence(transitive_closure(pairs), dict(statuses))
+def precedence(pairs, statuses=()) -> PathOrder:
+    """A PathOrder from precedence edges that need not be transitively
+    closed, and statuses."""
+    return PathOrder(transitive_closure(pairs), dict(statuses))
 
 
 def system_text(system: RewriteSystem) -> str:

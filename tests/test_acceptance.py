@@ -27,18 +27,13 @@ from gen import (
 )
 from hodp.closure import computability_closure, replay_derivation, rule_admissibility
 from hodp.engine import (
+    Successors,
     bounded_explore,
-    chain_successors,
     disprove_seeds,
     has_alpha_repeat,
     replay_trace,
-    rewrite_successors,
 )
-from hodp.ordering import (
-    PathOrder,
-    type_skeleton,
-    weakly_decreases,
-)
+from hodp.ordering import type_skeleton, weakly_decreases
 from hodp.pairs import extract_pairs
 from hodp.parser import parse_system
 from hodp.pipeline import Options, render_json, render_text, run_pipeline
@@ -208,7 +203,7 @@ def test_06_ordering_axioms():
         env = random_var_pool(rng, 3)
         typ = Base(rng.choice(("N", "L"))) if rng.random() < 0.7 else random_type(rng, depth=2)
         t = random_term(rng, GEN_SYMBOLS, typ, rng.randint(1, 10), env=env)
-        assert PathOrder(prec).greater(t, t) is None
+        assert prec.greater(t, t) is None
 
     # stability: strict pairs survive substitution
     strict_pairs = []
@@ -224,7 +219,7 @@ def test_06_ordering_axioms():
         for t in candidates:
             if alpha_eq(s, t):
                 continue
-            if PathOrder(prec).greater(s, t) is not None:
+            if prec.greater(s, t) is not None:
                 strict_pairs.append((s, t))
                 break
     assert len(strict_pairs) == 100
@@ -232,16 +227,15 @@ def test_06_ordering_axioms():
         fvs = sorted(free_vars(s) | free_vars(t), key=lambda v: v.name)
         for _ in range(5):
             sub = random_subst(rng, fvs, budget=4)
-            assert PathOrder(prec).greater(apply_subst(s, sub), apply_subst(t, sub)) is not None
+            assert prec.greater(apply_subst(s, sub), apply_subst(t, sub)) is not None
 
     # compatibility: a weak step in front of a strict one stays strict
-    order = PathOrder(prec)
     zero = Sym("0", Base("N"))
     for t, u in strict_pairs:
         x = Var("xx", Base("N"))
         s = App(Lam(x, t), zero)
-        assert weakly_decreases(s, t, order) is not None
-        assert PathOrder(prec).greater(s, u) is not None
+        assert weakly_decreases(s, t, prec) is not None
+        assert prec.greater(s, u) is not None
 
     # acyclicity over one 500 term pool
     pool_vars = random_var_pool(rng, 5)
@@ -257,7 +251,6 @@ def test_06_ordering_axioms():
             continue
         seen.add(key)
         terms.append(t)
-    shared = PathOrder(prec)
     groups = {}
     for i, t in enumerate(terms):
         groups.setdefault(type_skeleton(type_of(t)), []).append(i)
@@ -266,7 +259,7 @@ def test_06_ordering_axioms():
     for idxs in groups.values():
         for i in idxs:
             for j in idxs:
-                if i != j and shared.greater(terms[i], terms[j]) is not None:
+                if i != j and prec.greater(terms[i], terms[j]) is not None:
                     edges[i].append(j)
                     edge_count += 1
     color = [0] * len(terms)  # 0 new, 1 on stack, 2 done
@@ -298,7 +291,7 @@ def test_07_positive_verdicts_survive_exploration():
         system = load_system(name)
         report = run_pipeline(system, Options())
         assert report.verdict == "YES"
-        succ = rewrite_successors(system, {})
+        succ = Successors(system, None, True, {})
         table = dict(system.signature.symbols)
         seeds = [random_closed_term(rng, size_cap=14, symbols=table) for _ in range(25)]
         seeds += rule_instance_seeds(rng, system, per_rule=6)[:25]
@@ -317,14 +310,14 @@ def test_08_selfloop_is_disproved_with_a_replayable_cycle():
     assert len(report.witness["trace"]) == 1
 
     (seed,) = disprove_seeds(system)
-    ex = bounded_explore(seed, rewrite_successors(system, {}))
+    ex = bounded_explore(seed, Successors(system, None, True, {}))
     assert ex.kind == "cycle"
     assert len(ex.trace) == 1
     assert replay_trace(ex.trace, system, ())
     assert has_alpha_repeat(seed, ex.trace)
 
     pairs = extract_pairs(system)
-    chain = bounded_explore(seed, chain_successors(system, pairs, True, {}))
+    chain = bounded_explore(seed, Successors(system, pairs, True, {}))
     assert chain.kind == "cycle"
     assert replay_trace(chain.trace, system, pairs)
     print("PASS: 08 selfloop is NO with a replayable one step cycle in both relations")

@@ -23,15 +23,14 @@ from hodp.cli import main
 from hodp.engine import (
     Exploration,
     Step,
+    Successors,
     bounded_explore,
-    chain_successors,
     disprove_seeds,
     ground_term,
     has_alpha_repeat,
     pair_root_steps,
     replay_trace,
     rewrite_steps,
-    rewrite_successors,
 )
 from hodp.errors import LimitError
 from hodp.pairs import extract_pairs
@@ -131,7 +130,7 @@ class TestSteps:
 class TestExploration:
     def test_terminating_run_reports_longest_path(self):
         system = load_system("map")
-        ex = bounded_explore(map_seed(system), rewrite_successors(system, {}))
+        ex = bounded_explore(map_seed(system), Successors(system, None, True, {}))
         assert ex.kind == "all-terminated"
         assert ex.longest == 2
         assert ex.trace is None
@@ -141,18 +140,18 @@ class TestExploration:
         sig = system.signature
         x = Var("x", Base("N"))
         t = App(Lam(x, App(symbol(sig, "s"), x)), symbol(sig, "0"))
-        ex = bounded_explore(t, rewrite_successors(system, {}))
+        ex = bounded_explore(t, Successors(system, None, True, {}))
         assert (ex.kind, ex.longest) == ("all-terminated", 1)
 
     def test_normal_form_has_length_zero(self):
         system = load_system("map")
-        ex = bounded_explore(symbol(system.signature, "0"), rewrite_successors(system, {}))
+        ex = bounded_explore(symbol(system.signature, "0"), Successors(system, None, True, {}))
         assert (ex.kind, ex.longest) == ("all-terminated", 0)
 
     def test_depth_bound_is_reported_without_a_trace(self):
         system = parse_system(GROW)
         seed = App(symbol(system.signature, "f"), symbol(system.signature, "0"))
-        ex = bounded_explore(seed, rewrite_successors(system, {}), max_depth=5)
+        ex = bounded_explore(seed, Successors(system, None, True, {}), max_depth=5)
         assert (ex.kind, ex.longest, ex.trace) == ("bound-exceeded", None, None)
         assert ex.expanded == 6  # f 0 to f (s^5 0), whose step passes the bound
 
@@ -164,9 +163,9 @@ class TestExploration:
             "rule a -> b\nrule a -> c\nrule c -> b\nrule b -> d\n"
         )
         a = symbol(system.signature, "a")
-        ex = bounded_explore(a, rewrite_successors(system, {}), max_depth=2)
+        ex = bounded_explore(a, Successors(system, None, True, {}), max_depth=2)
         assert (ex.kind, ex.longest, ex.trace, ex.expanded) == ("bound-exceeded", None, None, 4)
-        ex = bounded_explore(a, rewrite_successors(system, {}), max_depth=3)
+        ex = bounded_explore(a, Successors(system, None, True, {}), max_depth=3)
         assert (ex.kind, ex.longest, ex.trace, ex.expanded) == ("all-terminated", 3, None, 4)
 
     def test_the_longest_trace_is_the_smallest_bound_that_holds(self):
@@ -175,8 +174,8 @@ class TestExploration:
             system = load_system(path.stem)
             pairs = extract_pairs(system)
             for successors in (
-                rewrite_successors(system, {}),
-                chain_successors(system, pairs, True, {}),
+                Successors(system, None, True, {}),
+                Successors(system, pairs, True, {}),
             ):
                 for seed in disprove_seeds(system):
                     ex = bounded_explore(seed, successors)
@@ -194,12 +193,12 @@ class TestExploration:
         system = parse_system(GROW)
         seed = App(symbol(system.signature, "f"), symbol(system.signature, "0"))
         with pytest.raises(LimitError):
-            bounded_explore(seed, rewrite_successors(system, {}), max_depth=50, max_nodes=3)
+            bounded_explore(seed, Successors(system, None, True, {}), max_depth=50, max_nodes=3)
 
     def test_cycle_detection_modulo_renaming(self):
         system = load_system("selfloop")
         (seed,) = disprove_seeds(system)
-        ex = bounded_explore(seed, rewrite_successors(system, {}))
+        ex = bounded_explore(seed, Successors(system, None, True, {}))
         assert ex.kind == "cycle"
         assert len(ex.trace) == 1
         assert has_alpha_repeat(seed, ex.trace)
@@ -211,7 +210,7 @@ class TestExploration:
         plus, s, z = symbol(sig, "plus"), symbol(sig, "s"), symbol(sig, "0")
         one = App(s, z)
         t = App(App(plus, App(App(plus, one), one)), App(App(plus, one), one))
-        ex = bounded_explore(t, rewrite_successors(system, {}))
+        ex = bounded_explore(t, Successors(system, None, True, {}))
         assert ex.kind == "all-terminated"
         assert ex.longest >= 4
 
@@ -234,7 +233,7 @@ class TestExploration:
     def test_recorded_edges_feed_the_dot_renderer(self):
         system = parse_system(GROW)
         seed = App(symbol(system.signature, "f"), symbol(system.signature, "0"))
-        ex = bounded_explore(seed, rewrite_successors(system, {}), max_depth=4, record=True)
+        ex = bounded_explore(seed, Successors(system, None, True, {}), max_depth=4, record=True)
         dg = dot_graph(ex.edges)
         assert dg.startswith("digraph")
         assert dg.rstrip().endswith("}")
@@ -369,9 +368,9 @@ class TestResumedWalks:
         monkeypatch.setattr(engine.Successors, "steps", recording)
         table = {}
         relations = [
-            (rewrite_successors(system, table), lambda t: _reference_rewrite_steps(t, system)),
+            (Successors(system, None, True, table), lambda t: _reference_rewrite_steps(t, system)),
             (
-                chain_successors(system, pairs, True, table),
+                Successors(system, pairs, True, table),
                 lambda t: _reference_pair_root_steps(t, pairs)
                 + [s for s in _reference_rewrite_steps(t, system) if s.position != ()],
             ),
@@ -403,7 +402,7 @@ class TestResumedWalks:
 
         result = bounded_explore(seed, plain, max_depth=5)
         assert result.kind == "bound-exceeded" and result.edges == ()
-        recorded = bounded_explore(seed, rewrite_successors(system, {}), max_depth=5, record=True)
+        recorded = bounded_explore(seed, Successors(system, None, True, {}), max_depth=5, record=True)
         assert recorded.edges == tuple(listed)
         assert recorded._replace(edges=()) == result
         listed.clear()
@@ -432,8 +431,8 @@ class TestMatchCalls:
         (seed,) = disprove_seeds(system)
         table = {}
         relations = (
-            rewrite_successors(system, table),
-            chain_successors(system, extract_pairs(system), True, table),
+            Successors(system, None, True, table),
+            Successors(system, extract_pairs(system), True, table),
         )
         counts = []
         for successors in relations:
@@ -459,8 +458,8 @@ class TestMatchCalls:
         (seed,) = disprove_seeds(system)
         table = {}
         relations = (
-            rewrite_successors(system, table),
-            chain_successors(system, extract_pairs(system), True, table),
+            Successors(system, None, True, table),
+            Successors(system, extract_pairs(system), True, table),
         )
         monkeypatch.setattr(App, "__new__", staticmethod(counted))
         counts = []
@@ -480,8 +479,8 @@ class TestChains:
         x = Var("x", Base("N"))
         redex = App(Lam(x, x), symbol(sig, "0"))
         t = App(App(symbol(sig, "map"), symbol(sig, "s")), App(App(symbol(sig, "cons"), redex), symbol(sig, "nil")))
-        with_beta = chain_successors(system, pairs, True, {})(t)
-        without = chain_successors(system, pairs, False, {})(t)
+        with_beta = Successors(system, pairs, True, {})(t)
+        without = Successors(system, pairs, False, {})(t)
         assert any(s.kind == "beta" for s in with_beta)
         assert all(s.kind != "beta" for s in without)
 
@@ -523,7 +522,7 @@ class TestReplay:
     def test_tampered_traces_are_rejected(self):
         system = load_system("selfloop")
         (seed,) = disprove_seeds(system)
-        ex = bounded_explore(seed, rewrite_successors(system, {}))
+        ex = bounded_explore(seed, Successors(system, None, True, {}))
         step = ex.trace[0]
         forged = step.__class__(
             kind=step.kind,
@@ -555,7 +554,7 @@ class TestReplay:
         system = parse_system(ESCAPING_LOOPS[name])
         pairs = extract_pairs(system)
         seed = disprove_seeds(system)[0]
-        ex = bounded_explore(seed, chain_successors(system, pairs, True, {}))
+        ex = bounded_explore(seed, Successors(system, pairs, True, {}))
         assert ex.kind == "cycle" and has_alpha_repeat(seed, ex.trace)
         assert not replay_trace(ex.trace, system, pairs)
         for step in ex.trace:
@@ -648,7 +647,7 @@ class TestExplorationOracle:
             seeds += [random_closed_term(rng, size_cap=20, symbols=symbols) for _ in range(6)]
         except ValueError:
             pass  # no inhabited sort
-        relations = (rewrite_successors(system, {}), chain_successors(system, extract_pairs(system), True, {}))
+        relations = (Successors(system, None, True, {}), Successors(system, extract_pairs(system), True, {}))
         for seed in seeds:
             for successors in relations:
                 for depth in (0, 1, 2, 3, 5, 8, 60):
@@ -803,9 +802,9 @@ class TestRedexTableOracle:
             pairs = extract_pairs(system)
             rng = random.Random(f"builders:{name}")
             relations = [
-                (rewrite_successors(system, {}), lambda t: _reference_rewrite_steps(t, system)),
+                (Successors(system, None, True, {}), lambda t: _reference_rewrite_steps(t, system)),
                 (
-                    chain_successors(system, pairs, False, {}),
+                    Successors(system, pairs, False, {}),
                     lambda t: _reference_pair_root_steps(t, pairs)
                     + [s for s in _reference_rewrite_steps(t, system, False) if s.position != ()],
                 ),
@@ -855,8 +854,8 @@ class TestSharedTableOracle:
         starts = _walk_starts(rng, system)
         table = {}
         relations = [
-            (rewrite_successors(system, table), lambda t: rewrite_successors(system, {})(t)),
-            (chain_successors(system, pairs, True, table), lambda t: chain_successors(system, pairs, True, {})(t)),
+            (Successors(system, None, True, table), lambda t: Successors(system, None, True, {})(t)),
+            (Successors(system, pairs, True, table), lambda t: Successors(system, pairs, True, {})(t)),
         ]
         kinds = {"beta": 0, "rule": 0, "dp": 0, "inner beta": 0}
         for successors, fresh in relations:
@@ -884,7 +883,7 @@ class TestSharedTableOracle:
         assert show_term(seed) == "g (\\x:N. 0) 0"
         longest = {}
         for internal_beta in (True, False):
-            fresh = chain_successors(system, pairs, internal_beta, {})
+            fresh = Successors(system, pairs, internal_beta, {})
             longest[internal_beta] = bounded_explore(seed, fresh).longest
             report = run_pipeline(system, Options(disprove=True, internal_beta=internal_beta))
             note = f"chain exploration from {show_term(seed)}: all-terminated (longest trace "
@@ -921,7 +920,7 @@ class TestPairStepsFromTheTable:
         rng = random.Random(f"pair-steps:{name}")
         starts = _walk_starts(rng, system)
         table = {}
-        rewrite = rewrite_successors(system, table)
+        rewrite = Successors(system, None, True, table)
         for start in starts:
             t = start
             for _ in range(15):
@@ -929,7 +928,7 @@ class TestPairStepsFromTheTable:
                 if not steps:
                     break
                 t = rng.choice(steps).target
-        chain = chain_successors(system, pairs, include_beta, table)
+        chain = Successors(system, pairs, include_beta, table)
         dp_steps = 0
         for start in starts:
             t = start

@@ -29,8 +29,7 @@ from hodp.ordering import (
     Certificate,
     GtTrace,
     PathOrder,
-    Precedence,
-    _symbol_arity,
+    _vary,
     check_constraints,
     check_with_statuses,
     search_certificate,
@@ -215,10 +214,10 @@ class TestPrecedence:
             transitive_closure(chain + [("c299", "c150"), ("c150", "c000")])
 
     def test_make_closes_and_compares(self):
-        prec = precedence((("a", "b"), ("b", "c")), ())
-        assert prec.greater("a", "c")
-        assert not prec.greater("c", "a")
-        assert not prec.greater("a", "a")
+        edges = precedence((("a", "b"), ("b", "c")), ()).edges
+        assert ("a", "c") in edges
+        assert ("c", "a") not in edges
+        assert ("a", "a") not in edges
 
     def test_status_defaults_to_multiset(self):
         prec = precedence((), (("f", "lex"),))
@@ -237,7 +236,7 @@ class TestTypeSkeleton:
     def test_incompatible_shapes_block_the_order(self):
         s = Sym("s", Arrow(N, N))
         z = Sym("0", N)
-        assert PathOrder(precedence((("s", "0"),), ())).greater(s, z) is None
+        assert precedence((("s", "0"),), ()).greater(s, z) is None
 
 
 class TestClauses:
@@ -252,45 +251,45 @@ class TestClauses:
         self.F = Var("F", Arrow(N, N))
         self.X = Var("X", N)
         self.L = Var("L", Base("List"))
-        self.empty = Precedence(frozenset())
+        self.empty = PathOrder(frozenset())
 
     def test_subterm_clause_wins_before_precedence(self):
         t = App(App(self.map, self.F), self.nil)
-        tr = PathOrder(precedence((("map", "nil"),), ())).greater(t, self.nil)
+        tr = precedence((("map", "nil"),), ()).greater(t, self.nil)
         assert tr.clause == "subterm"
         assert tr.detail == (2,)
 
     def test_precedence_clause_covers_arguments(self):
         lhs = App(App(self.map, self.F), App(App(self.cons, self.X), self.L))
         rhs = App(App(self.cons, App(self.F, self.X)), App(App(self.map, self.F), self.L))
-        assert PathOrder(self.empty).greater(lhs, rhs) is None
-        tr = PathOrder(precedence((("map", "cons"),), ())).greater(lhs, rhs)
+        assert self.empty.greater(lhs, rhs) is None
+        tr = precedence((("map", "cons"),), ()).greater(lhs, rhs)
         assert tr.clause == "precedence"
         assert tr.detail == ("map", "cons")
 
     def test_same_symbol_multiset_comparison(self):
         lhs = App(App(self.map, self.F), App(App(self.cons, self.X), self.L))
         rhs = App(App(self.map, self.F), self.L)
-        tr = PathOrder(self.empty).greater(lhs, rhs)
+        tr = self.empty.greater(lhs, rhs)
         assert tr.clause == "same-symbol"
         assert tr.detail == ("map", "mul")
 
     def test_application_clause(self):
         system = load_system("twice")
         rule = system.rules[0]
-        tr = PathOrder(self.empty).greater(rule.lhs, rule.rhs)
+        tr = self.empty.greater(rule.lhs, rule.rhs)
         assert tr.clause == "application"
 
     def test_abstraction_clause_aligns_binders(self):
         x, y = Var("x", N), Var("y", N)
-        tr = PathOrder(self.empty).greater(Lam(x, App(self.s, x)), Lam(y, y))
+        tr = self.empty.greater(Lam(x, App(self.s, x)), Lam(y, y))
         assert tr.clause == "abstraction"
         assert tr.children[0].clause == "subterm"
 
     def test_beta_clause(self):
         x = Var("x", N)
         redex = App(Lam(x, App(self.s, x)), self.zero)
-        tr = PathOrder(self.empty).greater(redex, App(self.s, self.zero))
+        tr = self.empty.greater(redex, App(self.s, self.zero))
         assert tr.clause == "beta"
 
     def test_lex_and_mul_statuses_differ(self):
@@ -307,18 +306,18 @@ class TestClauses:
         prec = precedence((("cons", "nil"), ("s", "0")), ())
         for _ in range(50):
             t = random_term(rng, GEN_SYMBOLS, N, 8, env=random_var_pool(rng))
-            assert PathOrder(prec).greater(t, t) is None
+            assert prec.greater(t, t) is None
 
 
 class TestWeakDecrease:
     def test_alpha_equal_terms_decrease_weakly(self):
         x, y = Var("x", N), Var("y", N)
-        order = PathOrder(Precedence(frozenset()))
+        order = PathOrder(frozenset())
         assert weakly_decreases(Lam(x, x), Lam(y, y), order) == GtTrace("alpha")
 
     def test_strict_comparison_counts(self):
         system = load_system("map")
-        order = PathOrder(precedence((("map", "cons"),), ()))
+        order = precedence((("map", "cons"),), ())
         rule = system.rules[1]
         assert weakly_decreases(rule.lhs, rule.rhs, order).clause == "precedence"
 
@@ -327,12 +326,12 @@ class TestWeakDecrease:
         sig = system.signature
         x = Var("x", N)
         redex = App(Lam(x, App(symbol(sig, "s"), x)), symbol(sig, "0"))
-        order = PathOrder(Precedence(frozenset()))
+        order = PathOrder(frozenset())
         w = weakly_decreases(redex, App(symbol(sig, "s"), symbol(sig, "0")), order)
         assert w.clause == "beta"
 
     def test_unrelated_terms_do_not_decrease(self):
-        order = PathOrder(Precedence(frozenset()))
+        order = PathOrder(frozenset())
         assert weakly_decreases(Sym("0", N), App(Sym("s", Arrow(N, N)), Sym("0", N)), order) is None
 
     def test_matches_the_bounded_beta_search(self):
@@ -340,7 +339,7 @@ class TestWeakDecrease:
         so the bounded search never needs a beta path."""
         edges = (("cons", "s"), ("s", "0"), ("k", "nil"), ("cons", "k"))
         precs = (
-            Precedence(frozenset()),
+            PathOrder(frozenset()),
             precedence(edges),
             precedence(edges, (("cons", "lex"), ("k", "lex"))),
         )
@@ -348,8 +347,8 @@ class TestWeakDecrease:
         seen = set()
         for s, t in _redex_heavy_pairs(rng, 400):
             for prec in precs:
-                ref = _bounded_weakly_decreases(s, t, PathOrder(prec))
-                new = weakly_decreases(s, t, PathOrder(prec))
+                ref = _bounded_weakly_decreases(s, t, prec)
+                new = weakly_decreases(s, t, prec)
                 if ref is None:
                     assert new is None, (s, t)
                     seen.add(None)
@@ -372,10 +371,10 @@ class TestStability:
             l = Var("Ls", Base("L"))
             lhs = App(App(cons, App(sig_s, x)), l)
             rhs = App(App(cons, x), l)
-            assert PathOrder(prec).greater(lhs, rhs) is not None
+            assert prec.greater(lhs, rhs) is not None
             sub = random_subst(rng, [x, l], budget=5)
             s_i, t_i = apply_subst(lhs, sub), apply_subst(rhs, sub)
-            assert PathOrder(prec).greater(s_i, t_i) is not None
+            assert prec.greater(s_i, t_i) is not None
 
 
 class TestConstraints:
@@ -395,7 +394,7 @@ class TestConstraints:
     def test_empty_precedence_blames_the_recursive_rule(self):
         system = load_system("map")
         pairs = extract_pairs(system)
-        res = check_constraints(system, pairs, Precedence(frozenset()))
+        res = check_constraints(system, pairs, PathOrder(frozenset()))
         assert res.certificate is None
         assert [(v.kind, v.label) for v in res.violations] == [("rule", "r2")]
 
@@ -447,10 +446,10 @@ class TestSearch:
     def test_fixed_edges_search_over_statuses(self):
         system = parse_system(LEX_SYSTEM)
         pairs = extract_pairs(system)
-        cert = check_with_statuses(system, pairs, frozenset({("f", "s")}), ("f",)).certificate
+        cert = check_with_statuses(system, pairs, frozenset({("f", "s")})).certificate
         assert cert is not None
         assert cert.statuses == (("f", "lex"),)
-        assert check_with_statuses(system, pairs, frozenset(), ("f",)).certificate is None
+        assert check_with_statuses(system, pairs, frozenset()).certificate is None
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in SYSTEMS_DIR.glob("*.hodp")))
     def test_shared_outcomes_match_fresh_checks(self, name):
@@ -464,7 +463,7 @@ class TestSearch:
         syms = constraint_symbols(system, pairs)
         defined = [n for n in syms if n in system.signature.defined]
         ctors = [n for n in syms if n not in system.signature.defined]
-        vary = tuple(n for n in defined if _symbol_arity(system.signature, n) >= 2)
+        vary = _vary(system.signature)
         chains = [(), defined + ctors, ctors + defined[::-1]]
         if len(syms) <= 5:
             chains += itertools.permutations(syms)
@@ -472,7 +471,7 @@ class TestSearch:
         for chain in chains:
             edges = frozenset(itertools.combinations(chain, 2))
             for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
-                prec = Precedence(edges, dict(zip(vary, combo)))
+                prec = PathOrder(edges, dict(zip(vary, combo)))
                 shared = check_constraints(system, pairs, prec, rows=rows)
                 assert shared == check_constraints(system, pairs, prec), (chain, combo)
 
@@ -494,10 +493,10 @@ class TestSearch:
             chains = [chain, chain[::-1], sorted(syms), ()]
             for i in range(len(chain) - 1):
                 chains.append(chain[:i] + [chain[i + 1], chain[i]] + chain[i + 2 :])
-            loop = ordering._status_rows(ordering._rows(system, pairs), vary, True)
+            rows, kept = ordering._rows(system, pairs), []
             for order in chains:
                 edges = frozenset(itertools.combinations(order, 2))
-                shared = check_with_statuses(system, pairs, edges, vary, loop)
+                shared = check_with_statuses(system, pairs, edges, rows, kept)
                 assert shared.certificate == _old_check_with_statuses(system, pairs, edges), order
             statuses = {status for name, status in cert.statuses if name in vary}
             assert statuses == {"mul", "lex"}, cert.statuses
@@ -551,12 +550,12 @@ class TestSearch:
         assert set(counts.values()) == {counts[3]}, counts
 
     def test_candidates_build_no_precedence(self, monkeypatch):
-        """A Precedence is built only on a miss in the table of outcomes or
+        """A PathOrder is built only on a miss in the table of outcomes or
         for a certificate, not per candidate, so the exhausting foldr
         searches build as many however many orders they enumerate."""
         built = []
         monkeypatch.setattr(
-            ordering, "Precedence", lambda *args: built.append(args) or Precedence(*args)
+            ordering, "PathOrder", lambda *args: built.append(args) or PathOrder(*args)
         )
         counts = _exhausting_foldr_counts(built)
         assert set(counts.values()) == {counts[3]}, counts
@@ -565,26 +564,26 @@ class TestSearch:
         """Counted with sys.setprofile, so without a clock.  Each order of
         an exhausting foldr search reaches two constraints, as the first
         rule holds and the second fails, under every status assignment.
-        The Python-level calls the status loop makes are an edge view per
-        order and constraint, a status view per constraint and assignment
-        once per search, and a Precedence, its edges and a decision per
-        miss: none per assignment tried, though 6 to 5,040 orders try
-        every one."""
+        The Python-level calls the status loop makes are a status view per
+        constraint and assignment once per search, and a PathOrder and a
+        decision per miss: none per order or per assignment tried, though
+        6 to 5,040 orders try every one.  An edge view is a set
+        intersection, which makes no Python-level call."""
         first_assignment = ordering._first_assignment
         calls = []
 
-        def profiled(loop, vary, view, edges):
-            miss = {edges.__code__, ordering._decide.__code__, Precedence.__init__.__code__}
+        def profiled(rows, vary, edges, kept):
+            miss = {ordering._decide.__code__, PathOrder.__init__.__code__}
 
             def record(frame, event, arg):
                 if event == "call" and frame.f_back.f_code is first_assignment.__code__:
                     code = frame.f_code
-                    calls.append("view" if code is view.__code__ else "miss" if code in miss else "status")
+                    calls.append("miss" if code in miss else "status" if code.co_name == "<listcomp>" else "other")
 
             calls.append("order")
             sys.setprofile(record)
             try:
-                return first_assignment(loop, vary, view, edges)
+                return first_assignment(rows, vary, edges, kept)
             finally:
                 sys.setprofile(None)
 
@@ -594,7 +593,7 @@ class TestSearch:
         assignments = {3: 2, 5: 2, 6: 2, 7: 4}
         for size, seen in counts.items():
             assert seen["order"] == math.factorial(size), size
-            assert seen["view"] == 2 * seen["order"], size
+            assert seen["other"] == 0, size
             assert seen["status"] == 2 * assignments[size], size
         assert len({seen["miss"] for seen in counts.values()}) == 1, counts
 
@@ -607,7 +606,7 @@ class TestSearch:
         greater = PathOrder._greater
 
         def counted(order, s, t):
-            evaluated[order.prec, s, t] += 1  # the key keeps each precedence alive
+            evaluated[order, s, t] += 1  # the key keeps each order alive
             return greater(order, s, t)
 
         monkeypatch.setattr(PathOrder, "_greater", counted)
@@ -638,7 +637,7 @@ def _old_status_candidates(system, pairs):
     return [
         n
         for n in syms
-        if n in system.signature.defined and _symbol_arity(system.signature, n) >= 2
+        if n in _vary(system.signature)
     ]
 
 
@@ -646,7 +645,7 @@ def _old_check_with_statuses(system, pairs, edges):
     """Fixed edge set, every status assignment (multiset first)."""
     vary = _old_status_candidates(system, pairs)
     for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
-        prec = Precedence(edges, dict(zip(vary, combo)))
+        prec = PathOrder(edges, dict(zip(vary, combo)))
         result = check_constraints(system, pairs, prec)
         if result.certificate is not None:
             return result.certificate
@@ -663,7 +662,7 @@ def _old_search_certificate(system, pairs, required=(), max_symbols=8):
         )
     defined = sorted(n for n in syms if n in system.signature.defined)
     ctors = sorted(n for n in syms if n not in system.signature.defined)
-    vary = [n for n in defined if _symbol_arity(system.signature, n) >= 2]
+    vary = [n for n in defined if n in _vary(system.signature)]
     required = tuple((a, b) for a, b in required if a in syms and b in syms)
 
     def candidates():
@@ -687,7 +686,7 @@ def _old_search_certificate(system, pairs, required=(), max_symbols=8):
             for j in range(i + 1, len(chain))
         )
         for combo in itertools.product(("mul", "lex"), repeat=len(vary)):
-            prec = Precedence(edges, dict(zip(vary, combo)))
+            prec = PathOrder(edges, dict(zip(vary, combo)))
             result = check_constraints(system, pairs, prec)
             if result.certificate is not None:
                 return result.certificate
@@ -708,7 +707,7 @@ def _old_ordering_stage(system, pairs, hints, max_symbols=8):
                 max_symbols=max_symbols,
             )
         if certificate is None:
-            base = check_constraints(system, pairs, Precedence(closed))
+            base = check_constraints(system, pairs, PathOrder(closed))
             violations = base.violations
     else:
         certificate = _old_search_certificate(system, pairs, max_symbols=max_symbols)

@@ -83,6 +83,41 @@ def test_every_public_function_is_referenced():
     assert sorted(unreferenced) == sorted(UNREFERENCED)
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines as a class or by
+    assignment to a plain name."""
+    if isinstance(node, ast.ClassDef):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        n.id
+        for t in targets
+        for n in (t.elts if isinstance(t, ast.Tuple) else [t])
+        if isinstance(n, ast.Name)
+    ]
+
+
+def test_every_public_class_and_constant_is_referenced():
+    """By name, and not only from its own definition: a public class or
+    module-level constant that only tests use has no place in the
+    package."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    total = sum(map(_references, trees), collections.Counter())
+    unreferenced = [
+        name
+        for tree in trees
+        for node in tree.body
+        for name in _defined_names(node)
+        if not name.startswith("_") and total[name] == _references(node)[name]
+    ]
+    assert unreferenced == []
+
+
 def test_every_error_class_is_caught_somewhere():
     """An error class earns its place by a caller that reacts to it; one
     that is only raised adds nothing to its base class."""

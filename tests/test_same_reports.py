@@ -29,7 +29,8 @@ BINDER_RUNS = same_reports_tool().BINDER_SYSTEMS * _runs_per_system(same_reports
 WIDE_RUNS = len(WIDE_SYSTEMS) * _runs_per_system(same_reports_tool().WIDE_FLAG_SETS)
 # two families of chain systems: with at most one two-argument head, and with 2 or 3
 CHAIN_RUNS = 2 * same_reports_tool().CHAIN_SYSTEMS * _runs_per_system(same_reports_tool().CHAIN_FLAG_SETS)
-ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS + TYPED_RUNS + HO_RUNS + BINDER_RUNS + WIDE_RUNS + CHAIN_RUNS
+FO_RUNS = same_reports_tool().FO_SYSTEMS * _runs_per_system(same_reports_tool().FO_FLAG_SETS)
+ALL_RUNS = SHIPPED_RUNS + MUTANT_RUNS + TYPED_RUNS + HO_RUNS + BINDER_RUNS + WIDE_RUNS + CHAIN_RUNS + FO_RUNS
 
 
 def test_a_tree_matches_itself(capsys):
@@ -205,6 +206,30 @@ def test_chain_systems_are_seeded_and_repeat_witnesses(tmp_path, monkeypatch):
             assert report["verdict"] == "YES" and max(seen.values()) > 1, label
         else:
             assert out.getvalue().startswith("YES\n"), label
+
+
+def test_first_order_systems_are_seeded_and_reach_yes_and_maybe(tmp_path, monkeypatch):
+    """The first-order systems are the same on every call, every run
+    exits 0, and under each flag set some reach YES and some MAYBE."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    labelled = same_reports_tool().fo_runs(str(first))
+    assert labelled == same_reports_tool().fo_runs(str(second))
+    assert len(labelled) == FO_RUNS
+    monkeypatch.chdir(first)
+    verdicts = collections.defaultdict(set)
+    for label, argv in labelled:
+        assert (first / argv[1]).read_bytes() == (second / argv[1]).read_bytes()
+        assert label == " ".join(argv[1:])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, label
+        report = out.getvalue()
+        verdict = json.loads(report)["verdict"] if "--json" in argv else report.splitlines()[0]
+        verdicts[tuple(argv[2:])].add(verdict)
+    assert len(verdicts) == len(same_reports_tool().FO_FLAG_SETS)
+    assert all(found == {"YES", "MAYBE"} for found in verdicts.values()), verdicts
 
 
 def _subtrees(trace: dict):

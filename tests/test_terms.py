@@ -21,7 +21,7 @@ from gen import (
 from hodp import terms
 from hodp.cli import main
 from hodp.closure import computability_closure, replay_derivation
-from hodp.engine import bounded_explore, ground_term, rewrite_steps, rewrite_successors
+from hodp.engine import Successors, bounded_explore, ground_term, rewrite_steps
 from hodp.errors import TermError
 from hodp.pairs import calls
 from hodp.parser import parse_system
@@ -382,7 +382,7 @@ class TestPositions:
             assert len(positions(t)) == 18
             assert len(beta_reducts(t)) == 1
             assert match_pattern(pattern, t) is not None
-            assert bounded_explore(seed, rewrite_successors(system, {})).longest == 2
+            assert bounded_explore(seed, Successors(system, None, True, {})).longest == 2
             assert ground_term(sig, Arrow(nil.type, nil.type)) == Lam(Var("x", nil.type), nil)
             assert list(calls(seed, sig)) == [((), seed, ())]
             derivations = closure.values()

@@ -43,7 +43,13 @@ OLD_SRC and NEW_SRC are directories that hold the `hodp` package (the
   certificates repeat witnesses at several depths, which each report
   prints once and re-indents, so this compares that printing without the
   bench manifests; those of the second family take a status assignment
-  that the search reaches neither first nor last.
+  that the search reaches neither first nor last;
+- FO_SYSTEMS first-order systems of `random_fo_trs` in tests/gen.py, from
+  the constant FO_SEED, under each flag set of FO_FLAG_SETS.  Each one
+  declares f0 and c0, so the last flag set gives every one a hint.
+  Their runs compare the precedence search, its witnesses and the hint
+  check on the systems whose certificates the constraint solver of
+  ROADMAP item 2 is to match.
 
 Apart from ARGV_EDGES, a run is `hodp.cli.main(["check", FILE, *flags])`;
 when the flags hold `--disprove` it is made twice, with `--dot` added and
@@ -52,13 +58,13 @@ it expands, and a plain run only for those the search reaches.  Each
 tree does all its runs in one Python subprocess started with -B, so
 neither tree gets bytecode written into it, and both run in one
 temporary directory, where the mutants, the typed rule lines, the
-higher-order, binder, wide and chain systems are written.
+higher-order, binder, wide, chain and first-order systems are written.
 Stdout without its timing lines (the text `elapsed:` line and the JSON
 `"seconds"` line), stderr, the exit code and the --dot file are compared.
 The runs that differ are listed; the exit code is 1 if any do, else 0.
 Only the standard library is used, apart from tests/gen.py, which gives
-the typed rule lines, the higher-order, binder, wide and chain systems and runs on
-the hodp of this checkout.
+the typed rule lines, the higher-order, binder, wide, chain and first-order
+systems and runs on the hodp of this checkout.
 """
 
 from __future__ import annotations
@@ -109,6 +115,9 @@ WIDE_FLAG_SETS = tuple(
 CHAIN_SEED = 1
 CHAIN_SYSTEMS = 12
 CHAIN_FLAG_SETS = (["--json"], ["--trace"])
+FO_SEED = 1
+FO_SYSTEMS = 60
+FO_FLAG_SETS = (["--json"], ["--trace"], ["--trace", "--precedence", "f0>c0"])
 # what an insertion adds: the input format's punctuation and keywords,
 # identifier characters, line breaks, and characters it rejects
 INSERTS = (
@@ -283,6 +292,16 @@ def chain_runs(directory: str) -> list[tuple[str, list[str]]]:
     return written_runs(directory, systems, CHAIN_FLAG_SETS)
 
 
+def fo_runs(directory: str) -> list[tuple[str, list[str]]]:
+    """The runs of the first-order systems, written into directory."""
+    _import_tests()
+    from gen import random_fo_trs, system_text
+
+    rng = random.Random(FO_SEED)
+    systems = ((f"fo{k}.hodp", system_text(random_fo_trs(rng)[0])) for k in range(FO_SYSTEMS))
+    return written_runs(directory, systems, FO_FLAG_SETS)
+
+
 def run_tree(src: str, argvs: list[list[str]], cwd: str) -> list[list]:
     """Every run of argvs in one subprocess that imports hodp from src."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(src).resolve()))
@@ -315,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as cwd:
         labelled = runs(args.manifest_dirs) + mutant_runs(cwd) + typed_runs(cwd)
-        labelled += ho_runs(cwd) + binder_runs(cwd) + wide_runs(cwd) + chain_runs(cwd)
+        labelled += ho_runs(cwd) + binder_runs(cwd) + wide_runs(cwd) + chain_runs(cwd) + fo_runs(cwd)
         argvs = [argv for _, argv in labelled]
         old, new = run_tree(args.old_src, argvs, cwd), run_tree(args.new_src, argvs, cwd)
     fields = ("stdout", "stderr", "exit code", "dot")
